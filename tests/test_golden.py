@@ -1,0 +1,51 @@
+"""Golden digests: the exact bytes `generate` and `supervise` produce.
+
+The determinism contract says the same config and seeds give the same
+bytes. These pins hold the package to the bytes it produced when they were
+recorded, so a refactor that changes output in every run alike (which a
+two-runs-agree check cannot see) fails here. Never re-pin to make a change
+pass; a change that moves these digests changes the dataset.
+"""
+
+import hashlib
+
+from failsafe.cli import EXIT_OK, cli_main
+
+DATASET_SHA256 = "75f9f5f661e863f922179ac84e6bef48516580a9831f858dd5e747c610b2e29e"
+MANIFEST_SHA256 = "b41d09d45969ff639b5119ce83da20991d578b9b5981ea4a389884ddbbaf2aa2"
+TRACES_SHA256 = "46c19fe68ef1eb62f54f30fd7696cdb0e6d5d9f562979ee067a4ad20b267de03"
+TRACE_TASKS = ("pick_cube", "push_cube", "stack_cube")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_generate_all_bytes(tmp_path, capsys):
+    out = tmp_path / "gen"
+    code = cli_main(
+        ["generate", "--task", "all", "--seeds", "0..2", "--jobs", "1", "--out", str(out)]
+    )
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert _sha256(out / "dataset.jsonl") == DATASET_SHA256
+    assert _sha256(out / "manifest.json") == MANIFEST_SHA256
+
+
+def test_supervise_oracle_trace_bytes(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    for task in TRACE_TASKS:
+        code = cli_main(
+            [
+                "supervise", "--task", task, "--seeds", "0..2",
+                "--assistant", "oracle", "--trace", str(traces),
+            ]
+        )
+        assert code == EXIT_OK
+    capsys.readouterr()
+    files = sorted(traces.iterdir(), key=lambda p: p.name)
+    assert len(files) == 3 * len(TRACE_TASKS)
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == TRACES_SHA256
