@@ -3,7 +3,7 @@ for stage-waypoint manipulation tasks in a deterministic kinematic simulator."""
 
 __version__ = "0.1.0"
 
-from .config import Config, default_config, load_config, with_overrides
+from .config import Config, default_config, load_config
 from .dataset import (
     DatasetEntry,
     DatasetStats,
@@ -105,7 +105,6 @@ __all__ = [
     "task_spec",
     "verify_candidate",
     "verify_candidates",
-    "with_overrides",
     "write_dataset",
     "__version__",
 ]

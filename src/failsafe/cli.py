@@ -13,10 +13,15 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from .config import Config, default_config, load_config
-from .dataset import dataset_stats, read_dataset, split_by_seed, write_dataset
+from .dataset import (
+    atomic_write_text,
+    dataset_stats,
+    read_dataset,
+    split_by_seed,
+    write_dataset,
+)
 from .errors import ConfigError, FailSafeError
 from .geometry import quat_to_rpy
 from .pipeline import (
@@ -36,6 +41,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
+
+SEED_LIMIT = 2**32
 
 
 class UsageError(FailSafeError):
@@ -59,26 +66,23 @@ def _emit(payload):
 
 def _parse_seeds(text) -> list:
     """'4..12' (inclusive) or a single integer. Commas pick out several
-    of either form."""
+    of either form. Seeds lie in [0, 2**32): scene streams key on a 32-bit
+    word, so larger seeds would alias, and negative ones would not read
+    back from the dataset they produced."""
     seeds = []
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo_text, hi_text = part.split("..", 1)
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
-                raise UsageError(f"bad seed range {part!r}") from None
-            if hi < lo:
-                raise UsageError(f"seed range {part!r} runs backwards")
-            seeds.extend(range(lo, hi + 1))
-        else:
-            try:
-                seeds.append(int(part))
-            except ValueError:
-                raise UsageError(f"bad seed {part!r}") from None
-    if not seeds:
-        raise UsageError("empty seed list")
+        lo_text, dots, hi_text = part.partition("..")
+        try:
+            lo = int(lo_text)
+            hi = int(hi_text) if dots else lo
+        except ValueError:
+            raise UsageError(f"bad seed {part!r}") from None
+        if hi < lo:
+            raise UsageError(f"seed range {part!r} runs backwards")
+        if lo < 0 or hi >= SEED_LIMIT:
+            raise UsageError(f"seed {part!r} outside [0, {SEED_LIMIT})")
+        seeds.extend(range(lo, hi + 1))
     return seeds
 
 
@@ -104,20 +108,6 @@ def _resolve_tasks(name) -> list:
         known = ", ".join(TASKS)
         raise UsageError(f"unknown task {name!r} (choose from: {known}, all)")
     return [name]
-
-
-def _atomic_write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -205,7 +195,7 @@ def _cmd_supervise(args) -> int:
     if args.trace is not None:
         os.makedirs(args.trace, exist_ok=True)
         for seed, _, _, result in outcomes:
-            _atomic_write_text(
+            atomic_write_text(
                 os.path.join(args.trace, f"{args.task}_{seed:05d}.trace"),
                 _trace_text(result),
             )

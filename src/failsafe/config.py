@@ -3,35 +3,24 @@
 All tunable constants live here: simulator physics surrogates, planner
 geometry, failure-injection ranges, dataset knobs, and the supervised-loop
 settings. Configs load from YAML with strict unknown-key checking (typos
-fail loudly, naming the offending key) and hash canonically so a run
-manifest can pin the exact configuration it was produced with.
+fail loudly, naming the offending key, and failure entries may only name
+stages their task has). The one config hash a run manifest pins lives in
+pipeline.config_fingerprint.
 
 Units in YAML: translation ranges in meters (`unit: m`), rotation ranges in
 degrees or radians (`unit: deg|rad`), stall durations in steps
 (`unit: steps`). Everything is stored internally in meters/radians/steps.
 """
 
-import hashlib
-import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import yaml
 
 from .errors import ConfigError
-
-TASK_IDS = (
-    "pick_cube",
-    "push_cube",
-    "stack_cube",
-    "pick_sphere",
-    "place_sphere",
-    "pick_charger",
-)
+from .geometry import ROTATION_AXES, TRANSLATION_AXES
 
 FAILURE_MODES = ("translation", "rotation", "no_ops")
-TRANSLATION_AXES = ("x", "y", "z")
-ROTATION_AXES = ("roll", "pitch", "yaw")
 
 
 def _reject_unknown(raw: dict, allowed, prefix: str):
@@ -71,15 +60,6 @@ class FailureEntry:
     lo: float
     hi: float
     stages: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "axis": self.axis,
-            "lo": self.lo,
-            "hi": self.hi,
-            "stages": list(self.stages),
-        }
 
 
 def parse_failure_entry(raw, path: str) -> FailureEntry:
@@ -267,6 +247,28 @@ def _parse_section(cls, raw, prefix: str):
     return cls(**values)
 
 
+def _check_task(task_id, path: str):
+    from .tasks import TASKS  # tasks imports this module
+
+    if task_id not in TASKS:
+        raise ConfigError(f"unknown task '{path}.{task_id}'")
+
+
+def _parse_entries(task_id, raw, path: str) -> list:
+    """A task's failure entries; each may name only stages the task has."""
+    from .tasks import TASKS
+
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"'{path}' must be a list")
+    entries = [parse_failure_entry(e, f"{path}[{i}]") for i, e in enumerate(raw)]
+    known = TASKS[task_id].stage_names
+    for entry in entries:
+        for stage in entry.stages:
+            if stage not in known:
+                raise ConfigError(f"'{path}' names unknown stage '{stage}'")
+    return entries
+
+
 def _parse_task_steps(raw, path: str) -> dict:
     if raw is None:
         return {}
@@ -274,8 +276,7 @@ def _parse_task_steps(raw, path: str) -> dict:
         raise ConfigError(f"'{path}' must map task ids to step counts")
     out = {}
     for task_id, steps in raw.items():
-        if task_id not in TASK_IDS:
-            raise ConfigError(f"unknown task '{path}.{task_id}'")
+        _check_task(task_id, path)
         out[task_id] = _integer(steps, f"{path}.{task_id}")
     return out
 
@@ -287,14 +288,8 @@ def _parse_fault_map(raw, path: str) -> dict:
         raise ConfigError(f"'{path}' must map task ids to fault lists")
     out = {}
     for task_id, entries in raw.items():
-        if task_id not in TASK_IDS:
-            raise ConfigError(f"unknown task '{path}.{task_id}'")
-        if not isinstance(entries, (list, tuple)):
-            raise ConfigError(f"'{path}.{task_id}' must be a list")
-        out[task_id] = [
-            parse_failure_entry(e, f"{path}.{task_id}[{i}]")
-            for i, e in enumerate(entries)
-        ]
+        _check_task(task_id, path)
+        out[task_id] = _parse_entries(task_id, entries, f"{path}.{task_id}")
     return out
 
 
@@ -305,8 +300,7 @@ def _parse_tasks(raw, prefix: str) -> dict:
         raise ConfigError(f"'{prefix}' must be a mapping of task ids")
     out = {}
     for task_id, body in raw.items():
-        if task_id not in TASK_IDS:
-            raise ConfigError(f"unknown task '{prefix}.{task_id}'")
+        _check_task(task_id, prefix)
         if body is None:
             out[task_id] = []
             continue
@@ -314,12 +308,7 @@ def _parse_tasks(raw, prefix: str) -> dict:
             raise ConfigError(f"'{prefix}.{task_id}' must be a mapping")
         _reject_unknown(body, ("failures",), f"{prefix}.{task_id}.")
         entries = body.get("failures") or []
-        if not isinstance(entries, (list, tuple)):
-            raise ConfigError(f"'{prefix}.{task_id}.failures' must be a list")
-        out[task_id] = [
-            parse_failure_entry(e, f"{prefix}.{task_id}.failures[{i}]")
-            for i, e in enumerate(entries)
-        ]
+        out[task_id] = _parse_entries(task_id, entries, f"{prefix}.{task_id}.failures")
     return out
 
 
@@ -397,36 +386,3 @@ def default_config() -> Config:
     text = files("failsafe").joinpath("data/default.yaml").read_text("utf-8")
     return config_from_mapping(yaml.safe_load(text))
 
-
-def _plain(value):
-    if isinstance(value, FailureEntry):
-        return value.as_dict()
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
-def canonical_dict(cfg: Config) -> dict:
-    """Fully resolved config as plain data, independent of source formatting."""
-    out = {}
-    for section in fields(Config):
-        value = getattr(cfg, section.name)
-        if section.name == "tasks":
-            out["tasks"] = _plain(value)
-        else:
-            out[section.name] = {
-                f.name: _plain(getattr(value, f.name)) for f in fields(value)
-            }
-    return out
-
-
-def config_sha256(cfg: Config) -> str:
-    blob = json.dumps(canonical_dict(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def with_overrides(cfg: Config, **sections) -> Config:
-    """Convenience for tests: replace whole sections on a config."""
-    return replace(cfg, **sections)

@@ -3,8 +3,9 @@
 An entry is a 10-frame observation window with supervision attached: either
 a verified recovery label cut from a failed trajectory, or a success label
 cut from an unperturbed rollout. Files hold one JSON record per line with
-an explicit schema version, written atomically in a canonical sort order so
-the same inputs always produce the same bytes.
+an explicit schema version, written atomically (atomic_write_text, shared by
+every file the package writes) in a canonical sort order so the same inputs
+always produce the same bytes.
 """
 
 import contextlib
@@ -16,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ROTATION_AXES, TRANSLATION_AXES
 from .errors import (
     ContractViolation,
     DatasetFormatError,
@@ -304,17 +304,23 @@ def write_dataset(entries, path) -> int:
     payload = "".join(
         json.dumps(e.to_record(), separators=(",", ":")) + "\n" for e in ordered
     )
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dataset-", suffix=".part")
+    atomic_write_text(path, payload)
+    return len(ordered)
+
+
+def atomic_write_text(path, text) -> None:
+    """Write text beside `path`, then swap it into place: readers see the
+    old file or the new one, never a partial write."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-    return len(ordered)
 
 
 def read_dataset(path, tolerant=False):
@@ -591,14 +597,6 @@ class DatasetStats:
 
     def ratio_label(self) -> str:
         return f"{self.ratio:.1f}:1"
-
-    def __add__(self, other):
-        if not isinstance(other, DatasetStats):
-            return NotImplemented
-        merged = dict(self.counts)
-        for key, value in other.counts.items():
-            merged[key] = merged.get(key, 0) + value
-        return DatasetStats(merged)
 
     def summary(self) -> dict:
         """Plain-JSON report: per-task rows, per-type totals, the ratio."""

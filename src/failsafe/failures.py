@@ -17,10 +17,8 @@ are discarded; those seeds only contribute ground-truth windows.
 
 from dataclasses import dataclass, replace as dc_replace
 
-import numpy as np
-
 from .config import Config, FailureEntry
-from .errors import ConfigError, ContractViolation
+from .errors import ContractViolation
 from .geometry import ROTATION_AXES, TRANSLATION_AXES, Pose, quat_about_axis, quat_multiply
 from .seeding import seed_stream
 from .sim import Simulator
@@ -50,27 +48,6 @@ class FailureCase:
     correct: Trajectory
     failed: Trajectory
     nominal_steps: int
-
-
-def validate_failure_config(cfg: Config) -> None:
-    """Reject entries naming stages their task does not have."""
-    for source, table in (("tasks", cfg.tasks), ("supervisor.faults", cfg.supervisor.faults)):
-        for task_id, entries in table.items():
-            known = task_spec(task_id).stage_names
-            for entry in entries:
-                for stage in entry.stages:
-                    if stage not in known:
-                        raise ConfigError(
-                            f"'{source}.{task_id}' names unknown stage '{stage}'"
-                        )
-
-
-def load_failure_config(path) -> Config:
-    from .config import load_config
-
-    cfg = load_config(path)
-    validate_failure_config(cfg)
-    return cfg
 
 
 def perturb_stage(plan: Plan, spec: FailureSpec) -> Plan:
@@ -160,9 +137,8 @@ def generate_failure_case(task, seed: int, cfg: Config, sim: Simulator | None = 
     spec = sample_failure_spec(plan, entries, rng)
     failed_plan = perturb_stage(plan, spec)
 
-    _, fresh_world = plan_task(spec_t.task_id, seed, cfg)
     nominal = plan.total_steps()
-    failed = rollout_plan(failed_plan, fresh_world, sim, max_steps=nominal)
+    failed = rollout_plan(failed_plan, world, sim, max_steps=nominal)
     if failed.outcome:
         return None
     return FailureCase(

@@ -8,13 +8,11 @@ also the reference order every parallel merge must reproduce.
 
 import hashlib
 import json
-import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 from .config import Config
-from .dataset import build_entry, build_gt_entries, enforce_ratio
+from .dataset import atomic_write_text, build_entry, build_gt_entries, enforce_ratio
 from .failures import generate_failure_case
 from .recovery import collect_candidates
 from .sim import Simulator
@@ -151,17 +149,7 @@ def write_manifest(path, cfg: Config, tasks, seeds, counts: dict, dataset_path) 
         "counts": counts,
         "dataset_sha256": file_sha256(dataset_path),
     }
-    payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return file_sha256(path)
 
 

@@ -164,6 +164,33 @@ class Simulator:
             step_count=world.step_count + 1,
         )
 
+    def drive(self, world: WorldState, commands) -> list:
+        """Step through a command stream in order; the world after each step."""
+        worlds = []
+        for command in commands:
+            world = self.step(world, command)
+            worlds.append(world)
+        return worlds
+
+    def drive_to(self, world: WorldState, target: Pose, max_steps: int) -> tuple:
+        """Step toward target until the arm lands on it exactly, workspace
+        clamp included (the stepper copies targets it can reach), or until
+        max_steps run out. Arrival is tested before each step, so a world
+        already on target takes none. Returns (worlds after each step,
+        arrived)."""
+        goal = self.clamp_position(target.position)
+        worlds = []
+        while not (
+            np.array_equal(world.ee_pose.position, goal)
+            and np.array_equal(world.ee_pose.orientation, target.orientation)
+            and world.ee_pose.gripper == target.gripper
+        ):
+            if len(worlds) >= max_steps:
+                return worlds, False
+            world = self.step(world, target)
+            worlds.append(world)
+        return worlds, True
+
     def clamp_position(self, position) -> np.ndarray:
         """Where a commanded position actually lands: inside the workspace."""
         cfg = self.config

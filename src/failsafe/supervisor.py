@@ -285,15 +285,6 @@ def _context_stage(frames, context) -> str:
     return context.stage_names[stage]
 
 
-def _arrived(ee: Pose, target: Pose, sim: Simulator) -> bool:
-    """Exact arrival, workspace clamp included (the stepper copies targets)."""
-    return (
-        np.array_equal(ee.position, sim.clamp_position(target.position))
-        and np.array_equal(ee.orientation, target.orientation)
-        and ee.gripper == target.gripper
-    )
-
-
 def run_supervised_episode(
     task_id,
     seed: int,
@@ -337,14 +328,20 @@ def run_supervised_episode(
     frames = [sim.observe(world)]
     trace = [world.ee_pose]
     transit_mask = [False]
-    total = 0
     interventions = 0
-    transit_target = None
 
-    while total < budget:
-        if transit_target is None and policy.exhausted():
-            break
-        if transit_target is None and total > 0 and total % cadence == 0:
+    def record(start, worlds, transit):
+        """Observe and trace each stepped world; returns the latest one."""
+        for stepped in worlds:
+            frames.append(sim.observe(stepped))
+            trace.append(stepped.ee_pose)
+            transit_mask.append(transit)
+        return worlds[-1] if worlds else start
+
+    # Trace row 0 is the initial pose, so len(trace) - 1 steps have run.
+    while len(trace) - 1 < budget and not policy.exhausted():
+        total = len(trace) - 1
+        if total > 0 and total % cadence == 0:
             try:
                 decision = assistant(frames[-WINDOW_FRAMES:], context)
             except Exception as exc:  # fail-open: the baseline is the floor
@@ -354,17 +351,20 @@ def run_supervised_episode(
                 )
                 decision = None
             if decision is not None and decision.is_failure:
-                transit_target = apply_delta(world.ee_pose, decision.recovery)
+                target = apply_delta(world.ee_pose, decision.recovery)
                 interventions += 1
-        command = transit_target if transit_target is not None else policy.next_command()
-        world = sim.step(world, command)
-        total += 1
-        frames.append(sim.observe(world))
-        trace.append(world.ee_pose)
-        transit_mask.append(transit_target is not None)
-        if transit_target is not None and _arrived(world.ee_pose, transit_target, sim):
-            transit_target = None
-            policy.resync(world.ee_pose, cfg)
+                # An intervention always moves at least once, then drives
+                # to arrival within what is left of the budget.
+                world = record(world, [sim.step(world, target)], True)
+                worlds, arrived = sim.drive_to(world, target, budget - total - 1)
+                world = record(world, worlds, True)
+                if arrived:
+                    policy.resync(world.ee_pose, cfg)
+                continue
+        # The stream runs on until the next consultation.
+        run = min(cadence - total % cadence, budget - total)
+        commands = [policy.next_command() for _ in range(run) if not policy.exhausted()]
+        world = record(world, sim.drive(world, commands), False)
 
     # Plan exhausted (or budget hit): hold position briefly, then judge.
     settle = Pose(
@@ -372,49 +372,17 @@ def run_supervised_episode(
         world.ee_pose.orientation.copy(),
         world.ee_pose.gripper,
     )
-    for _ in range(cfg.supervisor.settle_steps):
-        if total >= budget:
-            break
-        world = sim.step(world, settle)
-        total += 1
-        frames.append(sim.observe(world))
-        trace.append(world.ee_pose)
-        transit_mask.append(False)
+    total = len(trace) - 1
+    holds = [settle] * min(cfg.supervisor.settle_steps, budget - total)
+    world = record(world, sim.drive(world, holds), False)
 
     return EpisodeResult(
         success=sim.evaluate_success(world, task_id),
-        total_steps=total,
+        total_steps=len(trace) - 1,
         interventions=interventions,
         trace=tuple(trace),
         transit_mask=tuple(transit_mask),
     )
-
-
-def episode_record(result: EpisodeResult, policy: PerturbedStreamPolicy) -> dict:
-    """Plain-JSON episode summary with the EE trace, for file export."""
-    fault = None
-    if policy.fault is not None:
-        fault = {
-            "mode": policy.fault.mode,
-            "axis": policy.fault.axis,
-            "stage": policy.fault.stage_name,
-            "magnitude": policy.fault.magnitude,
-            "insertion_step": policy.fault.insertion_step,
-        }
-    return {
-        "task": policy.task_id,
-        "seed": policy.seed,
-        "success": result.success,
-        "total_steps": result.total_steps,
-        "interventions": result.interventions,
-        "fault": fault,
-        "trace": [
-            [float(v) for v in pose.position]
-            + [float(v) for v in pose.orientation]
-            + [float(pose.gripper)]
-            for pose in result.trace
-        ],
-    }
 
 
 def evaluate_assistant(assistant, entries) -> Metrics:

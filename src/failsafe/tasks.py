@@ -6,7 +6,7 @@ simulator one step per waypoint and record every frame, so a (task, seed,
 config) triple fully determines the resulting trajectory.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -378,32 +378,25 @@ def rollout_plan(
     whatever evaluate_success says at the cutoff, which is how stalled plans
     come to count as failures.
     """
-    frames = []
+    commands = plan_commands(plan, world.ee_pose)[:max_steps]
+    worlds = sim.drive(world, commands)
+    frames = tuple(
+        Frame(step=i, command=c, world=w) for i, (c, w) in enumerate(zip(commands, worlds))
+    )
+    # Each executed stage ends at its cumulative emitted step; a truncated
+    # final stage still closes the partition.
     boundaries = []
-    current = world.ee_pose
-    index = 0
-    done = False
+    end = 0
     for stage in plan.stages:
-        for command in stage_commands(stage, current):
-            world = sim.step(world, command)
-            frames.append(Frame(step=index, command=command, world=world))
-            index += 1
-            if max_steps is not None and index >= max_steps:
-                done = True
-                break
-        if frames:
-            boundaries.append(index - 1)
-        current = stage.target
-        if done:
+        if end >= len(frames):
             break
-    # A truncated final stage still closes the partition.
-    if boundaries and boundaries[-1] != index - 1:
-        boundaries.append(index - 1)
-    outcome = sim.evaluate_success(world, plan.task_id)
+        end += stage.emitted_steps()
+        boundaries.append(min(end, len(frames)) - 1)
+    outcome = sim.evaluate_success(worlds[-1] if worlds else world, plan.task_id)
     return Trajectory(
         task_id=plan.task_id,
         seed=plan.seed,
-        frames=tuple(frames),
+        frames=frames,
         stage_boundaries=tuple(boundaries),
         outcome=outcome,
     )

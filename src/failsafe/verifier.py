@@ -1,36 +1,25 @@
 """Executable verification of recovery candidates.
 
-A candidate is verified by replaying it, not by inspecting it: rebuild the
-seed's initial world, re-run the failed trajectory's recorded commands up
-to the deviation point, drive the arm through the candidate's delta until
-the simulator lands on the corrected pose, then hand control back to the
-correct plan's recorded commands from the first post-window waypoint of the
-deviated stage onward. The candidate passes only if the task's success
-check holds at the end and the whole replay fits the step budget.
+A candidate is verified by replaying it, not by inspecting it. The failure
+case is regenerated from the seed, so its failed rollout is the replay of
+the failure up to the deviation point; from the world recorded there, drive
+the arm through the candidate's delta until the simulator lands on the
+corrected pose, then hand control back to the correct plan's recorded
+commands from the first post-window waypoint of the deviated stage onward.
+The candidate passes only if the task's success check holds at the end and
+the whole replay, failed prefix included, fits the step budget.
 
 Replay is deterministic, so verifying twice always agrees.
 """
 
 import math
 
-import numpy as np
-
 from .config import Config
 from .errors import FailSafeError
 from .failures import generate_failure_case
-from .geometry import Pose, apply_delta
+from .geometry import apply_delta
 from .recovery import CORRECTION_TAIL, CandidateRecovery
 from .sim import Simulator
-from .tasks import plan_task
-
-
-def _landed(ee: Pose, target: Pose, clamped_position: np.ndarray) -> bool:
-    """Exact arrival test; the stepper copies targets it can reach."""
-    return (
-        np.array_equal(ee.position, clamped_position)
-        and np.array_equal(ee.orientation, target.orientation)
-        and ee.gripper == target.gripper
-    )
 
 
 def step_budget(nominal_steps: int, cfg: Config) -> int:
@@ -43,7 +32,7 @@ def verify_candidate(
     cfg: Config,
     sim: Simulator | None = None,
 ) -> bool:
-    """Replay one candidate on a fresh world. Marks and returns success."""
+    """Replay one candidate from the deviation point. Marks and returns success."""
     sim = sim or Simulator(cfg)
     budget = step_budget(case.nominal_steps, cfg)
     idx = case.spec.stage_index
@@ -53,36 +42,30 @@ def verify_candidate(
     # First command index past the correction window: segment length - 3.
     resume_local = case.correct.stage_length(idx) - CORRECTION_TAIL + 1
 
-    _, world = plan_task(case.task_id, case.seed, cfg)
-    steps = 0
+    # The failure, exactly as recorded, up to the deviation point.
+    prefix = case.failed.frames[: global_d + 1]
+    steps = len(prefix)
+    if steps > budget:
+        return False
+    world = prefix[-1].world
     try:
-        # The failure, exactly as recorded, up to the deviation point.
-        for frame in case.failed.frames[: global_d + 1]:
-            if steps >= budget:
-                return False
-            world = sim.step(world, frame.command)
-            steps += 1
-
         # The candidate's correction, driven until the arm arrives.
         target = apply_delta(world.ee_pose, candidate.action)
-        clamped = sim.clamp_position(target.position)
-        transit = 0
-        while not _landed(world.ee_pose, target, clamped):
-            if steps >= budget or transit >= cfg.verifier.max_transit_steps:
-                return False
-            world = sim.step(world, target)
-            steps += 1
-            transit += 1
+        transit, arrived = sim.drive_to(
+            world, target, min(budget - steps, cfg.verifier.max_transit_steps)
+        )
+        if not arrived:
+            return False
+        steps += len(transit)
+        world = transit[-1] if transit else world
 
         # The correct plan takes over at its normal one-step-per-waypoint
         # cadence; a correction the arm cannot track from fails here.
-        for frame in case.correct.frames[correct_start + resume_local :]:
-            if steps >= budget:
-                return False
-            world = sim.step(world, frame.command)
-            steps += 1
-
-        ok = sim.evaluate_success(world, case.task_id)
+        resume = [f.command for f in case.correct.frames[correct_start + resume_local :]]
+        if steps + len(resume) > budget:
+            return False
+        worlds = sim.drive(world, resume)
+        ok = sim.evaluate_success(worlds[-1] if worlds else world, case.task_id)
     except FailSafeError:
         return False
     if ok:

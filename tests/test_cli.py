@@ -6,8 +6,8 @@ import os
 import pytest
 
 from failsafe.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, _parse_seeds, cli_main
-from failsafe.config import default_config
-from failsafe.errors import FailSafeError
+from failsafe.config import default_config, load_config
+from failsafe.errors import ConfigError, FailSafeError
 from failsafe.pipeline import config_fingerprint, generate_task_entries, read_manifest
 
 TASK = "pick_cube"
@@ -42,6 +42,7 @@ class TestSeedParsing:
     def test_single_and_list(self):
         assert _parse_seeds("9") == [9]
         assert _parse_seeds("1,4,2..3") == [1, 4, 2, 3]
+        assert _parse_seeds("4294967295") == [2**32 - 1]
 
     def test_rejects_backwards_and_junk(self):
         with pytest.raises(FailSafeError):
@@ -50,6 +51,10 @@ class TestSeedParsing:
             _parse_seeds("abc")
         with pytest.raises(FailSafeError):
             _parse_seeds("")
+        # Seeds live in [0, 2**32); a range is refused before it expands.
+        for text in ("-1", "-2..-1", "4294967296", "0..4294967296"):
+            with pytest.raises(FailSafeError, match="outside"):
+                _parse_seeds(text)
 
 
 class TestGenerate:
@@ -87,6 +92,45 @@ class TestGenerate:
         )
         assert code == EXIT_USAGE
         assert "bogus" in err
+
+    def test_negative_seeds_are_usage_error(self, tmp_path, capsys):
+        # Such seeds would write provenance that stats and verify reject.
+        out = tmp_path / "neg"
+        code, _, err = run_cli(
+            ["generate", "--task", TASK, "--seeds=-2..-1", "--out", str(out)], capsys
+        )
+        assert code == EXIT_USAGE
+        assert "outside" in err
+        assert not out.exists()
+
+    def test_seed_past_32_bits_is_usage_error(self, tmp_path, capsys):
+        # 2**32 would silently alias seed 0 in the scene streams.
+        out = tmp_path / "big"
+        code, _, err = run_cli(
+            ["generate", "--task", TASK, "--seeds", str(2**32), "--out", str(out)], capsys
+        )
+        assert code == EXIT_USAGE
+        assert "outside" in err
+
+    def test_unknown_stage_config_rejected_at_load(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            "tasks:\n"
+            "  pick_cube:\n"
+            "    failures:\n"
+            "      - {mode: translation, axis: x, range: [0.03, 0.10], stages: [grasp]}\n"
+            "      - {mode: translation, axis: y, range: [0.03, 0.10], stages: [reachh]}\n"
+        )
+        with pytest.raises(ConfigError, match="reachh"):
+            load_config(path)
+        # Seed 3 draws the valid entry, so only a load-time check catches it.
+        code, _, err = run_cli(
+            ["generate", "--config", str(path), "--task", TASK, "--seeds", "3",
+             "--out", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "reachh" in err
 
     def test_stdout_reports_hashes(self, tmp_path, capsys):
         code, payload, _ = run_cli(
@@ -267,11 +311,9 @@ class TestPipelineFunctions:
     def test_fingerprint_tracks_settings(self):
         from dataclasses import replace
 
-        from failsafe.config import with_overrides
-
         cfg = default_config()
         assert config_fingerprint(cfg) == config_fingerprint(default_config())
-        other = with_overrides(cfg, supervisor=replace(cfg.supervisor, cadence=12))
+        other = replace(cfg, supervisor=replace(cfg.supervisor, cadence=12))
         assert config_fingerprint(other) != config_fingerprint(cfg)
 
     def test_generate_task_entries_ratio(self):

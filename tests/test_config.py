@@ -1,4 +1,4 @@
-"""Config parsing, validation, and the canonical hash."""
+"""Config parsing, validation, and the config hash."""
 
 import math
 from dataclasses import replace
@@ -10,13 +10,12 @@ from failsafe.config import (
     PlannerConfig,
     SimConfig,
     config_from_mapping,
-    config_sha256,
     default_config,
     load_config,
     parse_failure_entry,
-    with_overrides,
 )
 from failsafe.errors import ConfigError
+from failsafe.pipeline import config_fingerprint
 
 
 class TestDefaults:
@@ -145,22 +144,22 @@ class TestMappingValidation:
 
 class TestHashing:
     def test_hash_is_stable(self):
-        assert config_sha256(default_config()) == config_sha256(default_config())
+        assert config_fingerprint(default_config()) == config_fingerprint(default_config())
 
     def test_hash_sees_value_changes(self):
         cfg = default_config()
-        bumped = with_overrides(cfg, sim=replace(cfg.sim, max_ee_speed=0.02))
-        assert config_sha256(cfg) != config_sha256(bumped)
+        bumped = replace(cfg, sim=replace(cfg.sim, max_ee_speed=0.02))
+        assert config_fingerprint(cfg) != config_fingerprint(bumped)
 
     def test_hash_sees_failure_table_changes(self):
         cfg = default_config()
-        trimmed = with_overrides(cfg, tasks={"pick_cube": cfg.tasks["pick_cube"]})
-        assert config_sha256(cfg) != config_sha256(trimmed)
+        trimmed = replace(cfg, tasks={"pick_cube": cfg.tasks["pick_cube"]})
+        assert config_fingerprint(cfg) != config_fingerprint(trimmed)
 
     def test_hash_ignores_mapping_order(self):
         a = config_from_mapping({"sim": {"max_ee_speed": 0.01, "focal_px": 500.0}})
         b = config_from_mapping({"sim": {"focal_px": 500.0, "max_ee_speed": 0.01}})
-        assert config_sha256(a) == config_sha256(b)
+        assert config_fingerprint(a) == config_fingerprint(b)
 
 
 class TestLoadConfig:

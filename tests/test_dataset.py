@@ -301,14 +301,6 @@ class TestStats:
         write_dataset(entries, path)
         assert dataset_stats(path) == DatasetStats.from_entries(entries)
 
-    def test_additivity(self, corpus):
-        _, entries = corpus
-        half = len(entries) // 2
-        merged = DatasetStats.from_entries(entries[:half]) + DatasetStats.from_entries(
-            entries[half:]
-        )
-        assert merged == DatasetStats.from_entries(entries)
-
     def test_zero_failures_ratio(self):
         stats = DatasetStats.from_counts({("pick_cube", "gt"): 12})
         assert stats.ratio == 0.0

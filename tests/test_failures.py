@@ -1,15 +1,16 @@
 """Failure injection: sampling, perturbation mechanics, confirmation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from failsafe.config import default_config, parse_failure_entry, with_overrides
+from failsafe.config import config_from_mapping, default_config, parse_failure_entry
 from failsafe.errors import ConfigError
 from failsafe.failures import (
     generate_failure_case,
     perturb_stage,
     sample_failure_spec,
-    validate_failure_config,
     FailureSpec,
 )
 from failsafe.geometry import quat_about_axis, quat_multiply
@@ -143,18 +144,18 @@ class TestGenerateFailureCase:
         assert case.spec.stage_name in TASKS["pick_cube"].stage_names
 
     def test_empty_failure_list_is_a_no_op(self, cfg, sim):
-        bare = with_overrides(cfg, tasks={})
+        bare = replace(cfg, tasks={})
         assert generate_failure_case("pick_cube", 0, bare, sim) is None
 
     def test_benign_perturbation_returns_none(self, cfg, sim):
-        gentle = with_overrides(
+        gentle = replace(
             cfg,
             tasks={"pick_cube": [entry(range=[1e-4, 2e-4])]},
         )
         assert generate_failure_case("pick_cube", 0, gentle, sim) is None
 
     def test_mild_rotations_below_align_tol_stay_benign(self, cfg, sim):
-        gentle = with_overrides(
+        gentle = replace(
             cfg,
             tasks={"stack_cube": [entry(mode="rotation", axis="roll",
                                          range=[0.1, 0.2], stages=["grasp"])]},
@@ -164,12 +165,14 @@ class TestGenerateFailureCase:
 
 
 class TestStageNameValidation:
-    def test_unknown_stage_rejected(self, cfg):
-        bad = with_overrides(
-            cfg, tasks={"pick_cube": [entry(stages=["somersault"])]}
-        )
+    def test_unknown_stage_rejected(self):
+        raw = {"mode": "translation", "axis": "x", "range": [0.05, 0.05],
+               "stages": ["somersault"]}
         with pytest.raises(ConfigError, match="somersault"):
-            validate_failure_config(bad)
+            config_from_mapping({"tasks": {"pick_cube": {"failures": [raw]}}})
+        with pytest.raises(ConfigError, match="supervisor.faults.pick_cube"):
+            config_from_mapping({"supervisor": {"faults": {"pick_cube": [raw]}}})
 
-    def test_shipped_config_passes(self, cfg):
-        validate_failure_config(cfg)
+    def test_shipped_config_passes(self):
+        cfg = default_config()
+        assert cfg.tasks and cfg.supervisor.faults

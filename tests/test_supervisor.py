@@ -1,13 +1,12 @@
 """Supervised-episode harness, assistants, and assistant scoring."""
 
-import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from failsafe.config import default_config, with_overrides
+from failsafe.config import default_config
 from failsafe.dataset import build_entry, build_gt_entries
 from failsafe.errors import ContractViolation, MetricsError
 from failsafe.failures import generate_failure_case
@@ -18,7 +17,6 @@ from failsafe.supervisor import (
     AssistantDecision,
     EpisodeContext,
     PerturbedStreamPolicy,
-    episode_record,
     evaluate_assistant,
     null_assistant,
     oracle_assistant_decide,
@@ -102,7 +100,7 @@ class TestHarnessFaultSampling:
         assert not result.success
 
     def test_unconfigured_task_draws_nothing(self, cfg, sim):
-        bare = with_overrides(cfg, supervisor=replace(cfg.supervisor, faults={}))
+        bare = replace(cfg, supervisor=replace(cfg.supervisor, faults={}))
         assert sample_harness_fault("pick_cube", 0, bare, sim) is None
 
 
@@ -372,30 +370,3 @@ class TestEvaluateAssistant:
         metrics = evaluate_assistant(oracle_assistant_decide, successes)
         assert metrics.mean_cosine == 0.0
         assert metrics.binary_success == 1.0
-
-
-class TestEpisodeRecord:
-    def test_record_shape_and_serializability(self, cfg, sim):
-        fault = sample_harness_fault("pick_cube", 1, cfg, sim)
-        policy = PerturbedStreamPolicy("pick_cube", 1, cfg, fault)
-        result = run_supervised_episode(
-            "pick_cube", 1, policy, oracle_assistant_decide, cfg, sim
-        )
-        record = episode_record(result, policy)
-        assert record["task"] == "pick_cube"
-        assert record["seed"] == 1
-        assert record["success"] is True
-        assert record["interventions"] == result.interventions
-        assert record["fault"]["mode"] == fault.mode
-        assert len(record["trace"]) == result.total_steps + 1
-        assert all(len(row) == 8 for row in record["trace"])
-        json.dumps(record)  # plain JSON, no numpy leakage
-
-    def test_faultless_record_has_null_fault(self, cfg, sim):
-        policy = PerturbedStreamPolicy("pick_cube", 0, cfg)
-        result = run_supervised_episode(
-            "pick_cube", 0, policy, null_assistant, cfg, sim
-        )
-        record = episode_record(result, policy)
-        assert record["fault"] is None
-        json.dumps(record)

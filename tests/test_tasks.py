@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from failsafe.config import default_config, with_overrides
+from failsafe.config import default_config
 from failsafe.errors import ConfigError, SceneGenerationError
 from failsafe.geometry import IDENTITY_QUAT, Pose
 from failsafe.sim import Simulator
@@ -98,7 +98,7 @@ class TestAttachHeight:
         assert grasp_attach_height(cfg, 40) == pytest.approx(0.00935, abs=1e-12)
 
     def test_unreachable_descent_raises(self, cfg):
-        bad = with_overrides(
+        bad = replace(
             cfg, sim=replace(cfg.sim, grasp_threshold=0.001)
         )
         with pytest.raises(ConfigError, match="attachment zone"):
@@ -131,7 +131,7 @@ class TestSceneSampling:
             assert np.all(np.abs(goal) <= cfg.planner.push_goal_limit + 1e-12)
 
     def test_impossible_separation_raises(self, cfg):
-        bad = with_overrides(
+        bad = replace(
             cfg, planner=replace(cfg.planner, min_object_separation=0.5)
         )
         with pytest.raises(SceneGenerationError):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from failsafe.config import default_config, with_overrides
+from failsafe.config import default_config
 from failsafe.errors import FailSafeError
 from failsafe.failures import generate_failure_case
 from failsafe.geometry import DeltaAction
@@ -95,7 +95,7 @@ class TestVerifyCandidate:
         case = case_with_mode("pick_cube", "translation", cfg, sim)
         cands = collect_candidates(case, case.seed, 5)
         normal = sum(verify_candidates(case, cands, cfg, sim))
-        strangled = with_overrides(
+        strangled = replace(
             cfg, verifier=replace(cfg.verifier, budget_slack=0.0)
         )
         tight = sum(verify_candidates(case, cands, strangled, sim))
