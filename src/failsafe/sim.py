@@ -84,6 +84,9 @@ class Simulator:
             config = SimConfig()
         # Accept the full bundle or just the sim section.
         self.config = getattr(config, "sim", config)
+        # The fixed cameras never move: build their bases once.
+        self._front = self._fixed_camera(self.config.front_camera)
+        self._side = self._fixed_camera(self.config.side_camera)
 
     # -- stepping ----------------------------------------------------------
 
@@ -276,8 +279,8 @@ class Simulator:
     def observe(self, world: WorldState) -> "ObservationFrame":
         keypoints = self._keypoints(world)
         cameras = {
-            "front": self._project_all(self._fixed_camera(self.config.front_camera), keypoints),
-            "side": self._project_all(self._fixed_camera(self.config.side_camera), keypoints),
+            "front": self._project_all(self._front, keypoints),
+            "side": self._project_all(self._side, keypoints),
             "hand": self._project_all(self._hand_camera(world.ee_pose), keypoints),
         }
         object_poses = {

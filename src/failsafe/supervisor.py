@@ -144,7 +144,8 @@ def sample_harness_fault(
     """The confirmed online fault this (task, seed) episode carries.
 
     Draws are re-rolled until one actually breaks the unsupervised episode,
-    so a "perturbed policy" seed really is a failing seed. Returns None when
+    so a "perturbed policy" seed really is a failing seed. Each draw runs
+    unsupervised (assistant None), so no frame is observed. Returns None when
     the task has no configured faults or no draw broke anything.
     """
     entries = cfg.supervisor.faults.get(task_id, ())
@@ -156,7 +157,7 @@ def sample_harness_fault(
     for _ in range(max_attempts):
         spec = sample_failure_spec(plan, entries, rng)
         policy = PerturbedStreamPolicy(task_id, seed, cfg, spec)
-        outcome = run_supervised_episode(task_id, seed, policy, null_assistant, cfg, sim)
+        outcome = run_supervised_episode(task_id, seed, policy, None, cfg, sim)
         if not outcome.success:
             return spec
     return None
@@ -299,6 +300,9 @@ def run_supervised_episode(
     policy None builds the configured fault-prone executor for the seed.
     The assistant is any callable(frames, context) -> AssistantDecision; an
     exception from it is logged and treated as "no failure" (fail-open).
+    assistant None runs the episode unsupervised: no consultations, no
+    observations and no nominal reference rollout. Frames are observed only
+    when an assistant is consulted, and only for the window it reads.
     During an intervention's transit the stream pauses and no further
     consultations happen until the arm lands and the cursor re-syncs.
     """
@@ -311,39 +315,36 @@ def run_supervised_episode(
             task_id, seed, cfg, sample_harness_fault(task_id, seed, cfg, sim)
         )
     world = policy.initial_world
-    correct = rollout_plan(
-        policy.correct_plan, world, sim
-    )  # nominal reference, also the step budget's base
-    context = EpisodeContext(
-        task_id=task_id,
-        seed=seed,
-        instruction=task_spec(task_id).instruction,
-        fault=policy.fault,
-        correct=correct,
-        cfg=cfg,
-    )
-    nominal = len(correct.frames)
+    if assistant is not None:  # only an assistant reads the nominal reference
+        correct = rollout_plan(policy.correct_plan, world, sim)
+        context = EpisodeContext(task_id, seed, task_spec(task_id).instruction,
+                                 policy.fault, correct, cfg)
+    # A nominal rollout records one frame per command: this is its frame count.
+    nominal = policy.correct_plan.total_steps()
     budget = math.ceil(nominal * (1.0 + cfg.supervisor.budget_slack)) + cfg.supervisor.settle_steps
 
-    frames = [sim.observe(world)]
-    trace = [world.ee_pose]
+    worlds = [world]  # index = steps run; the trace is their EE poses
     transit_mask = [False]
+    observed = {}  # world index -> frame, so overlapping windows observe once
     interventions = 0
 
-    def record(start, worlds, transit):
-        """Observe and trace each stepped world; returns the latest one."""
-        for stepped in worlds:
-            frames.append(sim.observe(stepped))
-            trace.append(stepped.ee_pose)
-            transit_mask.append(transit)
-        return worlds[-1] if worlds else start
+    def window():
+        span = range(max(0, len(worlds) - WINDOW_FRAMES), len(worlds))
+        for i in set(span) - observed.keys():
+            observed[i] = sim.observe(worlds[i])
+        return [observed[i] for i in span]
 
-    # Trace row 0 is the initial pose, so len(trace) - 1 steps have run.
-    while len(trace) - 1 < budget and not policy.exhausted():
-        total = len(trace) - 1
-        if total > 0 and total % cadence == 0:
+    def record(start, stepped, transit):
+        """Keep each stepped world; returns the latest one."""
+        worlds.extend(stepped)
+        transit_mask.extend([transit] * len(stepped))
+        return stepped[-1] if stepped else start
+
+    while len(worlds) - 1 < budget and not policy.exhausted():
+        total = len(worlds) - 1
+        if assistant is not None and total > 0 and total % cadence == 0:
             try:
-                decision = assistant(frames[-WINDOW_FRAMES:], context)
+                decision = assistant(window(), context)
             except Exception as exc:  # fail-open: the baseline is the floor
                 print(
                     f"assistant error at step {total} ({task_id} seed {seed}): {exc}",
@@ -356,8 +357,8 @@ def run_supervised_episode(
                 # An intervention always moves at least once, then drives
                 # to arrival within what is left of the budget.
                 world = record(world, [sim.step(world, target)], True)
-                worlds, arrived = sim.drive_to(world, target, budget - total - 1)
-                world = record(world, worlds, True)
+                stepped, arrived = sim.drive_to(world, target, budget - total - 1)
+                world = record(world, stepped, True)
                 if arrived:
                     policy.resync(world.ee_pose, cfg)
                 continue
@@ -372,15 +373,14 @@ def run_supervised_episode(
         world.ee_pose.orientation.copy(),
         world.ee_pose.gripper,
     )
-    total = len(trace) - 1
-    holds = [settle] * min(cfg.supervisor.settle_steps, budget - total)
+    holds = [settle] * min(cfg.supervisor.settle_steps, budget - (len(worlds) - 1))
     world = record(world, sim.drive(world, holds), False)
 
     return EpisodeResult(
         success=sim.evaluate_success(world, task_id),
-        total_steps=len(trace) - 1,
+        total_steps=len(worlds) - 1,
         interventions=interventions,
-        trace=tuple(trace),
+        trace=tuple(w.ee_pose for w in worlds),
         transit_mask=tuple(transit_mask),
     )
 

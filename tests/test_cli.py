@@ -2,13 +2,19 @@
 
 import json
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from failsafe.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, _parse_seeds, cli_main
 from failsafe.config import default_config, load_config
 from failsafe.errors import ConfigError, FailSafeError
-from failsafe.pipeline import config_fingerprint, generate_task_entries, read_manifest
+from failsafe.pipeline import (
+    config_fingerprint,
+    generate_task_entries,
+    pool_size,
+    read_manifest,
+)
 
 TASK = "pick_cube"
 SEEDS = "3..5"
@@ -187,6 +193,18 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert payload["verified_fraction"] < 1.0
 
+    def test_deleted_line_fails_manifest_hash(self, dataset, outdir, tmp_path, capsys):
+        lines = open(dataset, "rb").read().splitlines(keepends=True)
+        short = tmp_path / "dataset.jsonl"
+        short.write_bytes(b"".join(lines[:-1]))
+        (tmp_path / "manifest.json").write_bytes((outdir / "manifest.json").read_bytes())
+        code, payload, err = run_cli(["verify", "--data", str(short)], capsys)
+        assert code == EXIT_VERIFY
+        # The replay still runs and reports; only the hash failed.
+        assert payload["entries"] == len(lines) - 1
+        assert payload["verified_fraction"] == 1.0
+        assert "dataset_sha256" in err
+
     def test_refuses_mismatched_config_hash(self, dataset, tmp_path, capsys):
         src = default_config_yaml()
         tweaked = tmp_path / "tweaked.yaml"
@@ -305,6 +323,31 @@ class TestParserPlumbing:
         )
         assert code == EXIT_USAGE
         assert "FAILSAFE_JOBS" in err
+
+
+class TestPoolBounds:
+    def test_pool_size_clamps_huge_jobs(self):
+        # A pure call: no process is started for these values.
+        seeds = list(range(5))
+        assert pool_size(10**9, seeds) == min(5, os.cpu_count() or 1)
+        assert pool_size(10**9, seeds[:1]) == 1
+        assert pool_size(10**9, []) == 1
+        assert pool_size(0, seeds) == 1
+        assert pool_size(-3, seeds) == 1
+
+    def test_dead_pool_is_runtime_error(self, monkeypatch, capsys):
+        def dead(*args, **kwargs):
+            raise BrokenProcessPool("a worker was killed")
+
+        monkeypatch.setattr("failsafe.cli.supervise_task", dead)
+        code, payload, err = run_cli(
+            ["supervise", "--task", TASK, "--seeds", "1..4", "--assistant", "null",
+             "--jobs", "2"],
+            capsys,
+        )
+        assert code == EXIT_RUNTIME
+        assert payload is None
+        assert "a worker was killed" in err
 
 
 class TestPipelineFunctions:

@@ -24,7 +24,8 @@ from failsafe.supervisor import (
     sample_harness_fault,
     _window_frozen,
 )
-from failsafe.tasks import plan_task, rollout_plan, task_spec
+from failsafe.pipeline import run_episode_pair
+from failsafe.tasks import TASKS, plan_task, rollout_plan, task_spec
 from failsafe.verifier import verify_candidates
 
 
@@ -247,6 +248,116 @@ class TestRunSupervisedEpisode:
             "pick_cube", 5, None, null_assistant, cfg, sim
         )
         assert not result.success  # confirmed faults break unassisted runs
+
+
+def _same_episode(a, b) -> bool:
+    """Bit-identical trace, transit mask, step count and outcome."""
+    return (
+        a.success == b.success
+        and a.total_steps == b.total_steps
+        and a.transit_mask == b.transit_mask
+        and len(a.trace) == len(b.trace)
+        and all(
+            np.array_equal(p.position, q.position)
+            and np.array_equal(p.orientation, q.orientation)
+            and p.gripper == q.gripper
+            for p, q in zip(a.trace, b.trace)
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def cube_faults(cfg, sim):
+    """Confirmed harness fault per (cube task, seed 0..3)."""
+    return {
+        (task, seed): sample_harness_fault(task, seed, cfg, sim)
+        for task in ("pick_cube", "push_cube", "stack_cube")
+        for seed in range(4)
+    }
+
+
+class TestUnsupervisedEpisode:
+    @pytest.mark.parametrize("task", TASKS)
+    def test_plan_steps_equal_nominal_frames(self, task, cfg, sim):
+        # The unsupervised budget reads total_steps(); the nominal rollout
+        # it replaces records one frame per command.
+        for seed in range(2):
+            plan, world = plan_task(task, seed, cfg)
+            assert len(rollout_plan(plan, world, sim).frames) == plan.total_steps()
+
+    @pytest.mark.parametrize("cadence", (1, 3, 10))
+    @pytest.mark.parametrize("task", ("pick_cube", "push_cube", "stack_cube"))
+    def test_matches_null_assistant(self, task, cadence, cfg, sim, cube_faults):
+        for seed in range(4):
+            fault = cube_faults[(task, seed)]
+            runs = [
+                run_supervised_episode(
+                    task, seed, PerturbedStreamPolicy(task, seed, cfg, fault),
+                    assistant, cfg, sim, cadence,
+                )
+                for assistant in (None, null_assistant)
+            ]
+            assert _same_episode(*runs)
+
+    def test_observes_nothing_and_rolls_no_reference(self, cfg, sim, monkeypatch):
+        import failsafe.supervisor as supervisor
+
+        observed, rolled = [], []
+        observe, rollout = Simulator.observe, supervisor.rollout_plan
+        monkeypatch.setattr(
+            Simulator, "observe", lambda self, w: observed.append(w) or observe(self, w)
+        )
+        monkeypatch.setattr(
+            supervisor, "rollout_plan", lambda *a, **k: rolled.append(1) or rollout(*a, **k)
+        )
+        fault = sample_harness_fault("pick_cube", 1, cfg, sim)
+        assert fault is not None and not observed and not rolled
+        result = run_supervised_episode(
+            "pick_cube", 1, PerturbedStreamPolicy("pick_cube", 1, cfg, fault), None, cfg, sim
+        )
+        assert not result.success
+        assert observed == [] and rolled == []
+
+    @pytest.mark.parametrize("cadence", (3, 10))
+    def test_oracle_observes_each_world_at_most_once(self, cadence, cfg, sim, monkeypatch):
+        observed = []
+        observe = Simulator.observe
+        monkeypatch.setattr(
+            Simulator, "observe", lambda self, w: observed.append(w) or observe(self, w)
+        )
+        fault = sample_harness_fault("pick_cube", 1, cfg, sim)
+        observed.clear()
+        result = run_supervised_episode(
+            "pick_cube", 1, PerturbedStreamPolicy("pick_cube", 1, cfg, fault),
+            oracle_assistant_decide, cfg, sim, cadence,
+        )
+        assert result.success
+        # Only consulted windows are observed; settle worlds never are.
+        assert 0 < len(observed) < result.total_steps + 1
+        assert len({id(w) for w in observed}) == len(observed)
+
+
+class TestEpisodePair:
+    def test_unfaulted_bare_run_matches_null_assistant(self, cfg, sim):
+        bare = replace(cfg, supervisor=replace(cfg.supervisor, faults={}))
+        for seed in range(2):
+            bare_ok, _, _ = run_episode_pair("pick_cube", seed, bare, "oracle")
+            explicit = run_supervised_episode(
+                "pick_cube", seed, PerturbedStreamPolicy("pick_cube", seed, bare),
+                null_assistant, bare, sim,
+            )
+            assert bare_ok == explicit.success
+
+    @pytest.mark.parametrize("cadence", (None, 4))
+    def test_confirmed_fault_bare_run_fails(self, cadence, cfg, sim, cube_faults):
+        for task in ("pick_cube", "stack_cube"):
+            fault = cube_faults[(task, 0)]
+            bare_ok, _, _ = run_episode_pair(task, 0, cfg, "null", cadence)
+            explicit = run_supervised_episode(
+                task, 0, PerturbedStreamPolicy(task, 0, cfg, fault),
+                null_assistant, cfg, sim, cadence,
+            )
+            assert bare_ok is False and explicit.success is False
 
 
 class TestOracleOnEpisodes:
