@@ -6,11 +6,13 @@ score an assistant, and split by seed. Progress goes to standard error;
 each command's result is a single JSON object on standard output.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure,
-3 verification shortfall (re-verified fraction below 1.0, or a dataset.jsonl
-whose bytes differ from its manifest's dataset_sha256).
+3 verification shortfall (re-verified fraction below 1.0, or a dataset.jsonl,
+or a <task>.jsonl shard, whose bytes differ from what its manifest pins).
 """
 
 import argparse
+import hashlib
+import itertools
 import json
 import os
 import sys
@@ -135,15 +137,16 @@ def _cmd_generate(args) -> int:
 
     dataset_path = os.path.join(args.out, "dataset.jsonl")
     total = write_dataset(merged, dataset_path)
+    dataset_sha = file_sha256(dataset_path)
     manifest_path = os.path.join(args.out, "manifest.json")
-    manifest_sha = write_manifest(manifest_path, cfg, tasks, seeds, counts, dataset_path)
+    manifest_sha = write_manifest(manifest_path, cfg, tasks, seeds, counts, dataset_sha)
     _progress(f"merged {total} entries -> {dataset_path}")
     _emit(
         {
             "dataset": dataset_path,
             "manifest": manifest_path,
             "entries": total,
-            "dataset_sha256": file_sha256(dataset_path),
+            "dataset_sha256": dataset_sha,
             "manifest_sha256": manifest_sha,
         }
     )
@@ -169,10 +172,11 @@ def _cmd_verify(args) -> int:
                 f"config (manifest {theirs}, given {ours})"
             )
             return EXIT_USAGE
-        if os.path.basename(args.data) == "dataset.jsonl":
-            tampered = file_sha256(args.data) != manifest.get("dataset_sha256")
+        name = os.path.basename(args.data)
+        if name == "dataset.jsonl" or name.removesuffix(".jsonl") in TASKS:
+            tampered = not _matches_manifest(args.data, manifest)
             if tampered:
-                _progress(f"{args.data} does not match its manifest's dataset_sha256")
+                _progress(f"{args.data} does not match its manifest's dataset_sha256 and counts")
     else:
         _progress(f"no manifest next to {args.data}; skipping config-hash check")
 
@@ -190,11 +194,32 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if fraction >= 1.0 and not tampered else EXIT_VERIFY
 
 
+def _matches_manifest(path, manifest) -> bool:
+    """True when the dataset.jsonl beside the file matches the manifest's
+    dataset_sha256 and the file is all of it or, for a <task>.jsonl shard,
+    its task's block. dataset.jsonl is the shards concatenated in task-id
+    order (the sort key leads with the task id), so the manifest's per-task
+    counts give each block's line range."""
+    dataset = os.path.join(os.path.dirname(os.path.abspath(path)), "dataset.jsonl")
+    if file_sha256(dataset) != manifest.get("dataset_sha256"):
+        return False
+    task = os.path.basename(path).removesuffix(".jsonl")
+    if task == "dataset":
+        return True
+    try:
+        sizes = {t: c["failures"] + c["ground_truth"] for t, c in manifest["counts"].items()}
+        start = sum(n for t, n in sizes.items() if t < task)
+        with open(dataset, "rb") as fh:
+            block = b"".join(itertools.islice(fh, start, start + sizes[task]))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return False  # no usable per-task counts: nothing to match
+    return hashlib.sha256(block).hexdigest() == file_sha256(path)
+
+
 def _cmd_supervise(args) -> int:
     cfg = _load_config(args.config)
-    if args.task not in TASKS:
-        known = ", ".join(TASKS)
-        raise UsageError(f"unknown task {args.task!r} (choose from: {known})")
+    if args.cadence is not None and args.cadence < 1:
+        raise UsageError(f"--cadence must be at least 1, got {args.cadence}")
     seeds = _parse_seeds(args.seeds)
     jobs = _resolve_jobs(args)
     outcomes = supervise_task(args.task, seeds, cfg, args.assistant, args.cadence, jobs)
@@ -302,7 +327,7 @@ def _build_parser() -> _Parser:
 
     sup = sub.add_parser("supervise", help="run fixed-cadence assisted episodes")
     sup.add_argument("--config", help="YAML config path (omit for built-in defaults)")
-    sup.add_argument("--task", required=True, help="task id")
+    sup.add_argument("--task", required=True, choices=list(TASKS), help="task id")
     sup.add_argument("--seeds", required=True, help="seed range 'a..b' or list")
     sup.add_argument("--assistant", required=True, choices=sorted(ASSISTANTS))
     sup.add_argument("--cadence", type=int, help="steps between assistant queries")

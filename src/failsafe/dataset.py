@@ -27,7 +27,7 @@ from .geometry import DeltaAction, Pose
 from .recovery import even_subsample
 from .seeding import seed_stream
 from .sim import ObservationFrame, Simulator
-from .tasks import plan_task, rollout_plan, task_spec
+from .tasks import task_spec
 
 SCHEMA_VERSION = 1
 WINDOW_FRAMES = 10
@@ -189,25 +189,19 @@ def build_entry(case, candidate, cfg, sim=None):
     )
 
 
-def build_gt_entries(task_id, seed, cfg, sim=None, trajectory=None):
-    """Success windows cut from an unperturbed rollout at seeded end steps.
-
-    Pass trajectory to reuse an already-recorded correct rollout; otherwise
-    one is rolled out here.
-    """
+def build_gt_entries(trajectory, cfg, sim=None):
+    """Success windows cut from an unperturbed rollout at seeded end steps."""
     sim = sim or Simulator(cfg)
-    if trajectory is None:
-        plan, world = plan_task(task_id, seed, cfg)
-        trajectory = rollout_plan(plan, world, sim)
+    task_id, seed = trajectory.task_id, trajectory.seed
     if not trajectory.outcome:
         raise ContractViolation(
             f"unperturbed rollout failed for '{task_id}' seed {seed}"
         )
     eligible = np.arange(WINDOW_FRAMES - 1, len(trajectory.frames))
     count = min(cfg.dataset.gt_entries_per_seed, len(eligible))
-    rng = np.random.default_rng(seed_stream("gt-window", task_id, seed))
+    rng = seed_stream("gt-window", task_id, seed)
     ends = sorted(int(e) for e in rng.choice(eligible, size=count, replace=False))
-    names = task_spec(task_id).stage_names
+    spec = task_spec(task_id)
     entries = []
     for end in ends:
         stage = next(
@@ -216,8 +210,8 @@ def build_gt_entries(task_id, seed, cfg, sim=None, trajectory=None):
         entries.append(
             DatasetEntry(
                 task_id=task_id,
-                instruction=task_spec(task_id).instruction,
-                sub_task=names[stage],
+                instruction=spec.instruction,
+                sub_task=spec.stage_names[stage],
                 frames=_window(trajectory, end, sim),
                 is_failure=False,
                 failure_type=None,

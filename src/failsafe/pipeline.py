@@ -11,9 +11,11 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
+from itertools import repeat
 
 from .config import Config
 from .dataset import atomic_write_text, build_entry, build_gt_entries, enforce_ratio
+from .errors import FailSafeError
 from .failures import generate_failure_case
 from .recovery import collect_candidates
 from .sim import Simulator
@@ -24,6 +26,7 @@ from .supervisor import (
     run_supervised_episode,
     sample_harness_fault,
 )
+from .tasks import plan_task, rollout_plan
 from .verifier import verify_candidates
 
 ASSISTANTS = {"oracle": oracle_assistant_decide, "null": null_assistant}
@@ -34,29 +37,18 @@ def build_seed_entries(task_id, seed: int, cfg: Config, sim: Simulator | None = 
     entry building for every surviving candidate, plus the seed's success
     windows."""
     sim = sim or Simulator(cfg)
-    entries = []
     case = generate_failure_case(task_id, seed, cfg, sim)
-    if case is not None:
-        candidates = collect_candidates(case, seed, cfg.dataset.candidates_per_case)
-        verify_candidates(case, candidates, cfg, sim)
-        for candidate in candidates:
-            if candidate.verified:
-                entry = build_entry(case, candidate, cfg, sim)
-                if entry is not None:
-                    entries.append(entry)
-    correct = case.correct if case is not None else None
-    entries.extend(build_gt_entries(task_id, seed, cfg, sim, trajectory=correct))
-    return entries
+    if case is None:
+        return build_gt_entries(rollout_plan(*plan_task(task_id, seed, cfg), sim), cfg, sim)
+    candidates = collect_candidates(case, cfg.dataset.candidates_per_case)
+    verify_candidates(case, candidates, cfg, sim)
+    entries = [build_entry(case, c, cfg, sim) for c in candidates if c.verified]
+    return [e for e in entries if e is not None] + build_gt_entries(case.correct, cfg, sim)
 
 
 def pool_size(jobs: int, seeds) -> int:
     """Worker processes worth starting: never more than seeds or cores."""
     return max(1, min(jobs, len(seeds), os.cpu_count() or 1))
-
-
-def _entries_worker(args) -> list:
-    task_id, seed, cfg = args
-    return build_seed_entries(task_id, seed, cfg)
 
 
 def generate_task_entries(task_id, seeds, cfg: Config, jobs: int = 1) -> list:
@@ -74,8 +66,7 @@ def generate_task_entries(task_id, seeds, cfg: Config, jobs: int = 1) -> list:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             blocks = list(
                 pool.map(
-                    _entries_worker,
-                    [(task_id, seed, cfg) for seed in seeds],
+                    build_seed_entries, repeat(task_id), seeds, repeat(cfg),
                     chunksize=max(1, len(seeds) // (4 * jobs)),
                 )
             )
@@ -91,20 +82,15 @@ def run_episode_pair(task_id, seed: int, cfg: Config, assistant: str, cadence=No
     run (cadence only chunks an unconsulted stream), so it reruns only unfaulted.
     """
     sim = Simulator(cfg)
-    fault = sample_harness_fault(task_id, seed, cfg, sim)
+    plan, world = plan_task(task_id, seed, cfg)
+    fault = sample_harness_fault(plan, world, cfg, sim)
     bare_ok = fault is None and run_supervised_episode(
-        task_id, seed, PerturbedStreamPolicy(task_id, seed, cfg), None, cfg, sim, cadence
+        PerturbedStreamPolicy(plan, world), None, cfg, sim, cadence
     ).success
     helped = run_supervised_episode(
-        task_id, seed, PerturbedStreamPolicy(task_id, seed, cfg, fault),
-        ASSISTANTS[assistant], cfg, sim, cadence,
+        PerturbedStreamPolicy(plan, world, fault), ASSISTANTS[assistant], cfg, sim, cadence
     )
     return bare_ok, helped.success, helped
-
-
-def _episode_worker(args):
-    task_id, seed, cfg, assistant, cadence = args
-    return run_episode_pair(task_id, seed, cfg, assistant, cadence)
 
 
 def supervise_task(task_id, seeds, cfg: Config, assistant: str = "oracle",
@@ -117,10 +103,8 @@ def supervise_task(task_id, seeds, cfg: Config, assistant: str = "oracle",
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(
-                pool.map(
-                    _episode_worker,
-                    [(task_id, s, cfg, assistant, cadence) for s in seeds],
-                )
+                pool.map(run_episode_pair, repeat(task_id), seeds, repeat(cfg),
+                         repeat(assistant), repeat(cadence))
             )
     return [(seed, *outcome) for seed, outcome in zip(seeds, outcomes)]
 
@@ -140,7 +124,7 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(path, cfg: Config, tasks, seeds, counts: dict, dataset_path) -> str:
+def write_manifest(path, cfg: Config, tasks, seeds, counts: dict, dataset_sha256: str) -> str:
     """Atomically write the run manifest; returns its own file hash.
 
     The manifest pins everything a later `verify` needs to trust the file:
@@ -157,12 +141,19 @@ def write_manifest(path, cfg: Config, tasks, seeds, counts: dict, dataset_path) 
         "tasks": list(tasks),
         "seed_range": [min(seeds), max(seeds)] if seeds else [],
         "counts": counts,
-        "dataset_sha256": file_sha256(dataset_path),
+        "dataset_sha256": dataset_sha256,
     }
     atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return file_sha256(path)
 
 
 def read_manifest(path) -> dict:
+    """Parse a run manifest; FailSafeError if it is not a JSON object."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # undecodable bytes included
+            raise FailSafeError(f"{path} is not valid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise FailSafeError(f"{path} is not a JSON object")
+    return manifest

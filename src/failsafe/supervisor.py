@@ -21,11 +21,13 @@ from .failures import FailureSpec, perturb_stage, sample_failure_spec
 from .geometry import DeltaAction, Pose, apply_delta, delta_action, pose_distance
 from .recovery import CORRECTION_TAIL, DEVIATION_MARGIN
 from .seeding import seed_stream
-from .sim import Simulator
-from .tasks import Trajectory, plan_commands, plan_task, rollout_plan, task_spec
+from .sim import Simulator, WorldState
+from .tasks import Plan, Trajectory, plan_commands, rollout_plan, task_spec
 
 # Spread below which the last-10 end-effector history counts as stalled.
 FROZEN_EPS = 1e-9
+# Fault draws per scene before its harness fault counts as unconfirmable.
+MAX_FAULT_DRAWS = 20
 
 
 @dataclass
@@ -65,16 +67,13 @@ class Metrics:
 class PerturbedStreamPolicy:
     """Plan-following executor whose stream may carry one injected fault.
 
-    The stream is fixed at construction: the seed's plan, with the fault's
+    The stream is fixed at construction: the scene's plan, with the fault's
     stage perturbed when a fault is given. resync() lets the harness move
     the cursor after an intervention landed somewhere else on the table.
     """
 
-    def __init__(self, task_id, seed: int, cfg: Config, fault: FailureSpec | None = None):
-        self.task_id = task_id
-        self.seed = seed
+    def __init__(self, plan: Plan, world: WorldState, fault: FailureSpec | None = None):
         self.fault = fault
-        plan, world = plan_task(task_id, seed, cfg)
         self.correct_plan = plan
         self.initial_world = world
         stream_plan = plan if fault is None else perturb_stage(plan, fault)
@@ -139,26 +138,24 @@ def _within(pose: Pose, other: Pose, pos_tol, ang_tol, grip_tol=None) -> bool:
 
 
 def sample_harness_fault(
-    task_id, seed: int, cfg: Config, sim: Simulator | None = None, max_attempts: int = 20
+    plan: Plan, world: WorldState, cfg: Config, sim: Simulator | None = None
 ) -> FailureSpec | None:
-    """The confirmed online fault this (task, seed) episode carries.
+    """The confirmed online fault the planned scene's episode carries.
 
     Draws are re-rolled until one actually breaks the unsupervised episode,
     so a "perturbed policy" seed really is a failing seed. Each draw runs
     unsupervised (assistant None), so no frame is observed. Returns None when
     the task has no configured faults or no draw broke anything.
     """
-    entries = cfg.supervisor.faults.get(task_id, ())
+    entries = cfg.supervisor.faults.get(plan.task_id, ())
     if not entries:
         return None
     sim = sim or Simulator(cfg)
-    plan, _ = plan_task(task_id, seed, cfg)
-    rng = np.random.default_rng(seed_stream("harness", task_id, seed))
-    for _ in range(max_attempts):
+    rng = seed_stream("harness", plan.task_id, plan.seed)
+    for _ in range(MAX_FAULT_DRAWS):
         spec = sample_failure_spec(plan, entries, rng)
-        policy = PerturbedStreamPolicy(task_id, seed, cfg, spec)
-        outcome = run_supervised_episode(task_id, seed, policy, None, cfg, sim)
-        if not outcome.success:
+        policy = PerturbedStreamPolicy(plan, world, spec)
+        if not run_supervised_episode(policy, None, cfg, sim).success:
             return spec
     return None
 
@@ -168,8 +165,6 @@ class EpisodeContext:
     """What a ground-truth-aware assistant may consult during an episode."""
 
     task_id: str
-    seed: int
-    instruction: str
     fault: FailureSpec | None
     correct: Trajectory
     cfg: Config
@@ -287,17 +282,14 @@ def _context_stage(frames, context) -> str:
 
 
 def run_supervised_episode(
-    task_id,
-    seed: int,
-    policy: PerturbedStreamPolicy | None,
+    policy: PerturbedStreamPolicy,
     assistant,
     cfg: Config,
     sim: Simulator | None = None,
     cadence: int | None = None,
 ) -> EpisodeResult:
-    """Execute one episode under fixed-cadence supervision.
+    """Execute one episode of the policy's scene under fixed-cadence supervision.
 
-    policy None builds the configured fault-prone executor for the seed.
     The assistant is any callable(frames, context) -> AssistantDecision; an
     exception from it is logged and treated as "no failure" (fail-open).
     assistant None runs the episode unsupervised: no consultations, no
@@ -310,17 +302,13 @@ def run_supervised_episode(
     if cadence < 1:
         raise ContractViolation("cadence must be at least 1")
     sim = sim or Simulator(cfg)
-    if policy is None:
-        policy = PerturbedStreamPolicy(
-            task_id, seed, cfg, sample_harness_fault(task_id, seed, cfg, sim)
-        )
+    plan = policy.correct_plan
     world = policy.initial_world
     if assistant is not None:  # only an assistant reads the nominal reference
-        correct = rollout_plan(policy.correct_plan, world, sim)
-        context = EpisodeContext(task_id, seed, task_spec(task_id).instruction,
-                                 policy.fault, correct, cfg)
+        correct = rollout_plan(plan, world, sim)
+        context = EpisodeContext(plan.task_id, policy.fault, correct, cfg)
     # A nominal rollout records one frame per command: this is its frame count.
-    nominal = policy.correct_plan.total_steps()
+    nominal = plan.total_steps()
     budget = math.ceil(nominal * (1.0 + cfg.supervisor.budget_slack)) + cfg.supervisor.settle_steps
 
     worlds = [world]  # index = steps run; the trace is their EE poses
@@ -347,7 +335,7 @@ def run_supervised_episode(
                 decision = assistant(window(), context)
             except Exception as exc:  # fail-open: the baseline is the floor
                 print(
-                    f"assistant error at step {total} ({task_id} seed {seed}): {exc}",
+                    f"assistant error at step {total} ({plan.task_id} seed {plan.seed}): {exc}",
                     file=sys.stderr,
                 )
                 decision = None
@@ -377,7 +365,7 @@ def run_supervised_episode(
     world = record(world, sim.drive(world, holds), False)
 
     return EpisodeResult(
-        success=sim.evaluate_success(world, task_id),
+        success=sim.evaluate_success(world, plan.task_id),
         total_steps=len(worlds) - 1,
         interventions=interventions,
         trace=tuple(w.ee_pose for w in worlds),

@@ -233,7 +233,7 @@ def test_criterion_6_window_rule_conformance(capsys):
             if case is None:
                 continue
             d_range, c_range = candidate_index_ranges(case)
-            for cand in collect_candidates(case, seed, 7):
+            for cand in collect_candidates(case, 7):
                 n_candidates += 1
                 if cand.d_index not in d_range or cand.c_index not in c_range:
                     escapes += 1

@@ -9,6 +9,7 @@ import pytest
 from failsafe.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, _parse_seeds, cli_main
 from failsafe.config import default_config, load_config
 from failsafe.errors import ConfigError, FailSafeError
+from failsafe.tasks import TASKS
 from failsafe.pipeline import (
     config_fingerprint,
     generate_task_entries,
@@ -216,6 +217,40 @@ class TestVerify:
         assert payload is None
         assert "refusing" in err
 
+    def test_deleted_shard_line_fails_its_block(self, outdir, tmp_path, capsys):
+        for name in ("dataset.jsonl", "manifest.json"):
+            (tmp_path / name).write_bytes((outdir / name).read_bytes())
+        lines = (outdir / f"{TASK}.jsonl").read_bytes().splitlines(keepends=True)
+        shard = tmp_path / f"{TASK}.jsonl"
+        shard.write_bytes(b"".join(lines[1:]))
+        code, payload, err = run_cli(["verify", "--data", str(shard)], capsys)
+        assert code == EXIT_VERIFY
+        assert payload["entries"] == len(lines) - 1
+        assert "does not match its manifest" in err
+
+    def test_every_shard_matches_its_block(self, tmp_path, capsys):
+        # Six tasks: shard blocks sit in task-id order, not manifest order.
+        out = tmp_path / "all"
+        assert cli_main(["generate", "--task", "all", "--seeds", "3", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        for task in TASKS:
+            code, _, err = run_cli(["verify", "--data", str(out / f"{task}.jsonl")], capsys)
+            assert code == EXIT_OK, err
+        # A shard stale against a rewritten dataset.jsonl no longer matches.
+        (out / "dataset.jsonl").write_bytes((out / "pick_cube.jsonl").read_bytes())
+        code, _, _ = run_cli(["verify", "--data", str(out / "pick_cube.jsonl")], capsys)
+        assert code == EXIT_VERIFY
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\udcff"])
+    def test_malformed_manifest_is_runtime_error(self, dataset, tmp_path, capsys, text):
+        lone = tmp_path / "dataset.jsonl"
+        lone.write_bytes(open(dataset, "rb").read())
+        (tmp_path / "manifest.json").write_bytes(text.encode("utf-8", "surrogateescape"))
+        code, payload, err = run_cli(["verify", "--data", str(lone)], capsys)
+        assert code == EXIT_RUNTIME
+        assert payload is None
+        assert err.count("\n") == 1 and "manifest.json" in err
+
     def test_no_manifest_warns_but_verifies(self, dataset, tmp_path, capsys):
         lone = tmp_path / "lone.jsonl"
         lone.write_bytes(open(dataset, "rb").read())
@@ -270,6 +305,16 @@ class TestSupervise:
             ["supervise", "--task", TASK, "--seeds", "5..1", "--assistant", "oracle"], capsys
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("cadence", ["0", "-3"])
+    def test_nonpositive_cadence_is_usage_error(self, capsys, cadence):
+        code, _, err = run_cli(
+            ["supervise", "--task", TASK, "--seeds", "1", "--assistant", "oracle",
+             "--cadence", cadence],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "--cadence" in err
 
 
 class TestEvaluateAndSplit:

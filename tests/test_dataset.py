@@ -30,7 +30,7 @@ from failsafe.errors import (
 from failsafe.failures import generate_failure_case
 from failsafe.recovery import collect_candidates
 from failsafe.sim import Simulator
-from failsafe.tasks import task_spec
+from failsafe.tasks import plan_task, rollout_plan, task_spec
 from failsafe.verifier import verify_candidates
 
 
@@ -51,17 +51,20 @@ def corpus(cfg, sim):
     entries = []
     for seed in range(8):
         case = generate_failure_case("pick_cube", seed, cfg, sim)
-        correct = None
         if case is not None:
-            cands = collect_candidates(case, seed, cfg.dataset.candidates_per_case)
+            cands = collect_candidates(case, cfg.dataset.candidates_per_case)
             verify_candidates(case, cands, cfg, sim)
             good = [c for c in cands if c.verified]
             if good:
                 cases[seed] = (case, good)
                 entries.extend(build_entry(case, c, cfg, sim) for c in good)
-        entries.extend(build_gt_entries("pick_cube", seed, cfg, sim, trajectory=correct))
+        entries.extend(build_gt_entries(correct_rollout(seed, cfg, sim), cfg, sim))
     assert cases and any(e.is_failure for e in entries)
     return cases, entries
+
+
+def correct_rollout(seed, cfg, sim):
+    return rollout_plan(*plan_task("pick_cube", seed, cfg), sim)
 
 
 def reseeded(entry, new_seed):
@@ -105,8 +108,8 @@ class TestBuildEntry:
             build_entry(case, pristine, cfg, sim)
 
     def test_gt_entries_shape_and_determinism(self, cfg, sim):
-        first = build_gt_entries("pick_cube", 3, cfg, sim)
-        again = build_gt_entries("pick_cube", 3, cfg, sim)
+        first = build_gt_entries(correct_rollout(3, cfg, sim), cfg, sim)
+        again = build_gt_entries(correct_rollout(3, cfg, sim), cfg, sim)
         assert first == again
         assert len(first) == cfg.dataset.gt_entries_per_seed
         for entry in first:
@@ -119,11 +122,8 @@ class TestBuildEntry:
             assert entry.provenance["magnitude"] is None
 
     def test_gt_sub_task_names_the_containing_stage(self, cfg, sim):
-        from failsafe.tasks import plan_task, rollout_plan
-
-        plan, world = plan_task("pick_cube", 3, cfg)
-        traj = rollout_plan(plan, world, sim)
-        for entry in build_gt_entries("pick_cube", 3, cfg, sim):
+        traj = correct_rollout(3, cfg, sim)
+        for entry in build_gt_entries(traj, cfg, sim):
             end = entry.end_step
             stage = next(
                 i for i, last in enumerate(traj.stage_boundaries) if end <= last

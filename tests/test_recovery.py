@@ -108,8 +108,8 @@ def offset_case(n=40, x_offset=0.05):
 
 class TestCollectCandidates:
     def test_deterministic(self, pick_case):
-        a = collect_candidates(pick_case, 4, 5)
-        b = collect_candidates(pick_case, 4, 5)
+        a = collect_candidates(pick_case, 5)
+        b = collect_candidates(pick_case, 5)
         assert [(c.d_index, c.c_index) for c in a] == [
             (c.d_index, c.c_index) for c in b
         ]
@@ -121,7 +121,7 @@ class TestCollectCandidates:
         lf = pick_case.failed.stage_length(idx)
         lc = pick_case.correct.stage_length(idx)
         for k in (1, 3, 5, 9):
-            cands = collect_candidates(pick_case, 7, k)
+            cands = collect_candidates(pick_case, k)
             assert 0 < len(cands) <= k
             d_seen = [c.d_index for c in cands]
             assert d_seen == sorted(d_seen)
@@ -131,7 +131,7 @@ class TestCollectCandidates:
                 assert not cand.verified
 
     def test_k_one_starts_at_the_window_floor(self, pick_case):
-        cands = collect_candidates(pick_case, 0, 1)
+        cands = collect_candidates(pick_case, 1)
         assert len(cands) == 1
         assert cands[0].d_index == 10
 
@@ -150,14 +150,14 @@ class TestCollectCandidates:
 
     def test_collected_actions_point_from_failed_to_correct(self):
         case = offset_case()
-        cands = collect_candidates(case, 3, 5)
+        cands = collect_candidates(case, 5)
         assert cands
         for cand in cands:
             assert cand.action.d_position[0] == pytest.approx(-0.05, abs=1e-9)
 
     def test_short_segment_yields_nothing(self):
         case = offset_case(n=12)  # correct segment below the 15-step floor
-        assert collect_candidates(case, 0, 5) == []
+        assert collect_candidates(case, 5) == []
 
     def test_candidate_dataclass_roundtrip(self):
         cand = CandidateRecovery(10, 12, delta_action(

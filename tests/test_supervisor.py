@@ -25,7 +25,7 @@ from failsafe.supervisor import (
     _window_frozen,
 )
 from failsafe.pipeline import run_episode_pair
-from failsafe.tasks import TASKS, plan_task, rollout_plan, task_spec
+from failsafe.tasks import TASKS, plan_task, rollout_plan
 from failsafe.verifier import verify_candidates
 
 
@@ -39,6 +39,14 @@ def sim(cfg):
     return Simulator(cfg)
 
 
+def policy_for(task, seed, cfg, fault=None):
+    return PerturbedStreamPolicy(*plan_task(task, seed, cfg), fault)
+
+
+def harness_fault(task, seed, cfg, sim):
+    return sample_harness_fault(*plan_task(task, seed, cfg), cfg, sim)
+
+
 @pytest.fixture(scope="module")
 def entries(cfg, sim):
     """Labeled evaluation entries: verified failures plus ground truth."""
@@ -46,12 +54,13 @@ def entries(cfg, sim):
     for seed in range(6):
         case = generate_failure_case("pick_cube", seed, cfg, sim)
         if case is not None:
-            cands = collect_candidates(case, seed, cfg.dataset.candidates_per_case)
+            cands = collect_candidates(case, cfg.dataset.candidates_per_case)
             verify_candidates(case, cands, cfg, sim)
             out.extend(
                 build_entry(case, c, cfg, sim) for c in cands if c.verified
             )
-        out.extend(build_gt_entries("pick_cube", seed, cfg, sim))
+        correct = rollout_plan(*plan_task("pick_cube", seed, cfg), sim)
+        out.extend(build_gt_entries(correct, cfg, sim))
     assert any(e.is_failure for e in out) and any(not e.is_failure for e in out)
     return out
 
@@ -79,8 +88,8 @@ class TestAssistantDecision:
 
 class TestHarnessFaultSampling:
     def test_deterministic_per_seed(self, cfg, sim):
-        a = sample_harness_fault("pick_cube", 3, cfg, sim)
-        b = sample_harness_fault("pick_cube", 3, cfg, sim)
+        a = harness_fault("pick_cube", 3, cfg, sim)
+        b = harness_fault("pick_cube", 3, cfg, sim)
         assert a == b
 
     def test_draw_matches_configured_menu(self, cfg, sim):
@@ -89,25 +98,23 @@ class TestHarnessFaultSampling:
             for entry in cfg.supervisor.faults["pick_cube"]
         }
         for seed in range(5):
-            fault = sample_harness_fault("pick_cube", seed, cfg, sim)
+            fault = harness_fault("pick_cube", seed, cfg, sim)
             assert (fault.mode, fault.axis) in menu
 
     def test_confirmed_to_break_unassisted_run(self, cfg, sim):
-        fault = sample_harness_fault("pick_cube", 0, cfg, sim)
-        policy = PerturbedStreamPolicy("pick_cube", 0, cfg, fault)
-        result = run_supervised_episode(
-            "pick_cube", 0, policy, null_assistant, cfg, sim
-        )
+        fault = harness_fault("pick_cube", 0, cfg, sim)
+        policy = policy_for("pick_cube", 0, cfg, fault)
+        result = run_supervised_episode(policy, null_assistant, cfg, sim)
         assert not result.success
 
     def test_unconfigured_task_draws_nothing(self, cfg, sim):
         bare = replace(cfg, supervisor=replace(cfg.supervisor, faults={}))
-        assert sample_harness_fault("pick_cube", 0, bare, sim) is None
+        assert harness_fault("pick_cube", 0, bare, sim) is None
 
 
 class TestResync:
     def test_resumes_after_closest_waypoint(self, cfg):
-        policy = PerturbedStreamPolicy("pick_cube", 0, cfg)
+        policy = policy_for("pick_cube", 0, cfg)
         k = 57  # mid-grasp, deep inside a dense run of nearby waypoints
         target = policy.commands[k]
         ee = Pose(target.position.copy(), target.orientation.copy(), target.gripper)
@@ -118,7 +125,7 @@ class TestResync:
     def test_skips_identical_hold_block(self, cfg, sim):
         fault = None
         for seed in range(50):
-            cand = sample_harness_fault("pick_cube", seed, cfg, sim)
+            cand = harness_fault("pick_cube", seed, cfg, sim)
             if cand is not None and cand.mode == "no_ops":
                 fault = cand
                 break
@@ -131,7 +138,7 @@ class TestResync:
                 and a.gripper == b.gripper
             )
 
-        policy = PerturbedStreamPolicy("pick_cube", seed, cfg, fault)
+        policy = policy_for("pick_cube", seed, cfg, fault)
         # Locate the hold block: the stream is longer than the nominal one
         # by exactly the stall, a run of consecutive identical commands.
         start = next(
@@ -151,14 +158,14 @@ class TestResync:
         )
 
     def test_no_match_leaves_cursor(self, cfg):
-        policy = PerturbedStreamPolicy("pick_cube", 0, cfg)
+        policy = policy_for("pick_cube", 0, cfg)
         policy.cursor = 20
         far = Pose(np.array([0.31, 0.31, 0.29]), np.array([1.0, 0.0, 0.0, 0.0]), 0.5)
         policy.resync(far, cfg)
         assert policy.cursor == 20
 
     def test_orientation_mismatch_does_not_block(self, cfg):
-        policy = PerturbedStreamPolicy("pick_cube", 0, cfg)
+        policy = policy_for("pick_cube", 0, cfg)
         k = 57
         target = policy.commands[k]
         tilted = Pose(
@@ -173,8 +180,8 @@ class TestResync:
 
 class TestRunSupervisedEpisode:
     def test_unperturbed_null_episode(self, cfg, sim):
-        policy = PerturbedStreamPolicy("pick_cube", 0, cfg)
-        result = run_supervised_episode("pick_cube", 0, policy, null_assistant, cfg, sim)
+        policy = policy_for("pick_cube", 0, cfg)
+        result = run_supervised_episode(policy, null_assistant, cfg, sim)
         nominal = len(rollout_plan(policy.correct_plan, policy.initial_world, sim).frames)
         assert result.success
         assert result.interventions == 0
@@ -182,21 +189,19 @@ class TestRunSupervisedEpisode:
         assert len(result.trace) == result.total_steps + 1
 
     def test_cadence_must_be_positive(self, cfg, sim):
-        policy = PerturbedStreamPolicy("pick_cube", 0, cfg)
+        policy = policy_for("pick_cube", 0, cfg)
         with pytest.raises(ContractViolation):
-            run_supervised_episode(
-                "pick_cube", 0, policy, null_assistant, cfg, sim, cadence=0
-            )
+            run_supervised_episode(policy, null_assistant, cfg, sim, cadence=0)
 
     def test_oracle_rescues_confirmed_fault(self, cfg, sim):
-        fault = sample_harness_fault("pick_cube", 1, cfg, sim)
+        fault = harness_fault("pick_cube", 1, cfg, sim)
         assert fault is not None
         broken = run_supervised_episode(
-            "pick_cube", 1, PerturbedStreamPolicy("pick_cube", 1, cfg, fault),
+            policy_for("pick_cube", 1, cfg, fault),
             null_assistant, cfg, sim,
         )
         rescued = run_supervised_episode(
-            "pick_cube", 1, PerturbedStreamPolicy("pick_cube", 1, cfg, fault),
+            policy_for("pick_cube", 1, cfg, fault),
             oracle_assistant_decide, cfg, sim,
         )
         assert not broken.success
@@ -205,23 +210,21 @@ class TestRunSupervisedEpisode:
 
     def test_interventions_bounded_by_consultations(self, cfg, sim):
         for seed in range(4):
-            fault = sample_harness_fault("pick_cube", seed, cfg, sim)
+            fault = harness_fault("pick_cube", seed, cfg, sim)
             result = run_supervised_episode(
-                "pick_cube", seed, PerturbedStreamPolicy("pick_cube", seed, cfg, fault),
+                policy_for("pick_cube", seed, cfg, fault),
                 oracle_assistant_decide, cfg, sim,
             )
             assert result.interventions <= result.total_steps // cfg.supervisor.cadence
 
     def test_budget_caps_total_steps(self, cfg, sim):
         for seed in range(4):
-            fault = sample_harness_fault("pick_cube", seed, cfg, sim)
-            policy = PerturbedStreamPolicy("pick_cube", seed, cfg, fault)
+            fault = harness_fault("pick_cube", seed, cfg, sim)
+            policy = policy_for("pick_cube", seed, cfg, fault)
             nominal = len(rollout_plan(policy.correct_plan, policy.initial_world, sim).frames)
             budget = math.ceil(nominal * (1 + cfg.supervisor.budget_slack))
             budget += cfg.supervisor.settle_steps
-            result = run_supervised_episode(
-                "pick_cube", seed, policy, null_assistant, cfg, sim
-            )
+            result = run_supervised_episode(policy, null_assistant, cfg, sim)
             assert result.total_steps <= budget
             assert len(result.trace) == result.total_steps + 1
 
@@ -229,25 +232,19 @@ class TestRunSupervisedEpisode:
         def shaky(frames, context):
             raise RuntimeError("model server unreachable")
 
-        fault = sample_harness_fault("pick_cube", 2, cfg, sim)
+        fault = harness_fault("pick_cube", 2, cfg, sim)
         with_shaky = run_supervised_episode(
-            "pick_cube", 2, PerturbedStreamPolicy("pick_cube", 2, cfg, fault),
+            policy_for("pick_cube", 2, cfg, fault),
             shaky, cfg, sim,
         )
         with_null = run_supervised_episode(
-            "pick_cube", 2, PerturbedStreamPolicy("pick_cube", 2, cfg, fault),
+            policy_for("pick_cube", 2, cfg, fault),
             null_assistant, cfg, sim,
         )
         assert with_shaky.success == with_null.success
         assert with_shaky.total_steps == with_null.total_steps
         assert with_shaky.interventions == 0
         assert "model server unreachable" in capsys.readouterr().err
-
-    def test_policy_none_builds_configured_executor(self, cfg, sim):
-        result = run_supervised_episode(
-            "pick_cube", 5, None, null_assistant, cfg, sim
-        )
-        assert not result.success  # confirmed faults break unassisted runs
 
 
 def _same_episode(a, b) -> bool:
@@ -270,7 +267,7 @@ def _same_episode(a, b) -> bool:
 def cube_faults(cfg, sim):
     """Confirmed harness fault per (cube task, seed 0..3)."""
     return {
-        (task, seed): sample_harness_fault(task, seed, cfg, sim)
+        (task, seed): harness_fault(task, seed, cfg, sim)
         for task in ("pick_cube", "push_cube", "stack_cube")
         for seed in range(4)
     }
@@ -292,7 +289,7 @@ class TestUnsupervisedEpisode:
             fault = cube_faults[(task, seed)]
             runs = [
                 run_supervised_episode(
-                    task, seed, PerturbedStreamPolicy(task, seed, cfg, fault),
+                    policy_for(task, seed, cfg, fault),
                     assistant, cfg, sim, cadence,
                 )
                 for assistant in (None, null_assistant)
@@ -310,10 +307,10 @@ class TestUnsupervisedEpisode:
         monkeypatch.setattr(
             supervisor, "rollout_plan", lambda *a, **k: rolled.append(1) or rollout(*a, **k)
         )
-        fault = sample_harness_fault("pick_cube", 1, cfg, sim)
+        fault = harness_fault("pick_cube", 1, cfg, sim)
         assert fault is not None and not observed and not rolled
         result = run_supervised_episode(
-            "pick_cube", 1, PerturbedStreamPolicy("pick_cube", 1, cfg, fault), None, cfg, sim
+            policy_for("pick_cube", 1, cfg, fault), None, cfg, sim
         )
         assert not result.success
         assert observed == [] and rolled == []
@@ -325,10 +322,10 @@ class TestUnsupervisedEpisode:
         monkeypatch.setattr(
             Simulator, "observe", lambda self, w: observed.append(w) or observe(self, w)
         )
-        fault = sample_harness_fault("pick_cube", 1, cfg, sim)
+        fault = harness_fault("pick_cube", 1, cfg, sim)
         observed.clear()
         result = run_supervised_episode(
-            "pick_cube", 1, PerturbedStreamPolicy("pick_cube", 1, cfg, fault),
+            policy_for("pick_cube", 1, cfg, fault),
             oracle_assistant_decide, cfg, sim, cadence,
         )
         assert result.success
@@ -343,7 +340,7 @@ class TestEpisodePair:
         for seed in range(2):
             bare_ok, _, _ = run_episode_pair("pick_cube", seed, bare, "oracle")
             explicit = run_supervised_episode(
-                "pick_cube", seed, PerturbedStreamPolicy("pick_cube", seed, bare),
+                policy_for("pick_cube", seed, bare),
                 null_assistant, bare, sim,
             )
             assert bare_ok == explicit.success
@@ -354,21 +351,37 @@ class TestEpisodePair:
             fault = cube_faults[(task, 0)]
             bare_ok, _, _ = run_episode_pair(task, 0, cfg, "null", cadence)
             explicit = run_supervised_episode(
-                task, 0, PerturbedStreamPolicy(task, 0, cfg, fault),
+                policy_for(task, 0, cfg, fault),
                 null_assistant, cfg, sim, cadence,
             )
             assert bare_ok is False and explicit.success is False
 
 
+    def test_plans_the_scene_once(self, cfg, monkeypatch):
+        import failsafe
+
+        calls = []
+        plan = failsafe.tasks.plan_task
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return plan(*args, **kwargs)
+
+        for module in vars(failsafe).values():
+            if getattr(module, "plan_task", None) is plan:
+                monkeypatch.setattr(module, "plan_task", counted)
+        _, helped_ok, _ = run_episode_pair("pick_cube", 1, cfg, "oracle")
+        assert helped_ok
+        assert calls == [("pick_cube", 1)]
+
+
 class TestOracleOnEpisodes:
     def test_quiet_before_onset(self, cfg, sim):
-        fault = sample_harness_fault("pick_cube", 0, cfg, sim)
-        policy = PerturbedStreamPolicy("pick_cube", 0, cfg, fault)
+        fault = harness_fault("pick_cube", 0, cfg, sim)
+        policy = policy_for("pick_cube", 0, cfg, fault)
         correct = rollout_plan(policy.correct_plan, policy.initial_world, sim)
         context = EpisodeContext(
             task_id="pick_cube",
-            seed=0,
-            instruction=task_spec("pick_cube").instruction,
             fault=fault,
             correct=correct,
             cfg=cfg,
@@ -383,7 +396,7 @@ class TestOracleOnEpisodes:
             assert not decision.is_failure
 
     def test_reports_true_failure_type(self, cfg, sim):
-        fault = sample_harness_fault("pick_cube", 1, cfg, sim)
+        fault = harness_fault("pick_cube", 1, cfg, sim)
         seen = []
 
         def spy(frames, context):
@@ -393,7 +406,7 @@ class TestOracleOnEpisodes:
             return decision
 
         run_supervised_episode(
-            "pick_cube", 1, PerturbedStreamPolicy("pick_cube", 1, cfg, fault),
+            policy_for("pick_cube", 1, cfg, fault),
             spy, cfg, sim,
         )
         assert seen
@@ -422,7 +435,7 @@ class TestWindowFrozen:
         assert _window_frozen(frames)
 
     def test_moving_window_is_not_frozen(self, cfg, sim):
-        policy = PerturbedStreamPolicy("pick_cube", 0, cfg)
+        policy = policy_for("pick_cube", 0, cfg)
         world = policy.initial_world
         frames = [sim.observe(world)]
         for _ in range(12):

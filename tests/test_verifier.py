@@ -43,7 +43,7 @@ class TestVerifyCandidate:
 
     def test_good_candidates_verify_and_get_marked(self, cfg, sim):
         case = case_with_mode("pick_cube", "translation", cfg, sim)
-        cands = collect_candidates(case, case.seed, 5)
+        cands = collect_candidates(case, 5)
         results = verify_candidates(case, cands, cfg, sim)
         assert any(results)
         for cand, ok in zip(cands, results):
@@ -63,7 +63,7 @@ class TestVerifyCandidate:
 
     def test_reverification_agrees(self, cfg, sim):
         case = case_with_mode("pick_cube", "translation", cfg, sim)
-        cands = collect_candidates(case, case.seed, 5)
+        cands = collect_candidates(case, 5)
         first = verify_candidates(case, cands, cfg, sim)
         second = verify_candidates(case, cands, cfg, sim)
         assert first == second
@@ -75,7 +75,7 @@ class TestVerifyCandidate:
                 case = generate_failure_case(task_id, seed, cfg, sim)
                 if case is None:
                     continue
-                cands = collect_candidates(case, seed, 3)
+                cands = collect_candidates(case, 3)
                 results.extend(verify_candidates(case, cands, cfg, sim))
         frac = sum(results) / len(results)
         assert 0.0 < frac < 1.0
@@ -93,7 +93,7 @@ class TestVerifyCandidate:
 
     def test_tight_budget_rejects_more(self, cfg, sim):
         case = case_with_mode("pick_cube", "translation", cfg, sim)
-        cands = collect_candidates(case, case.seed, 5)
+        cands = collect_candidates(case, 5)
         normal = sum(verify_candidates(case, cands, cfg, sim))
         strangled = replace(
             cfg, verifier=replace(cfg.verifier, budget_slack=0.0)
@@ -103,7 +103,7 @@ class TestVerifyCandidate:
 
     def test_sim_error_counts_as_failure(self, cfg, sim):
         case = case_with_mode("pick_cube", "translation", cfg, sim)
-        cands = collect_candidates(case, case.seed, 5)
+        cands = collect_candidates(case, 5)
 
         class Tripwire(Simulator):
             def __init__(self, config, blow_after):
@@ -120,6 +120,6 @@ class TestVerifyCandidate:
 
     def test_no_ops_cases_verify_via_catch_up(self, cfg, sim):
         case = case_with_mode("pick_cube", "no_ops", cfg, sim)
-        cands = collect_candidates(case, case.seed, 5)
+        cands = collect_candidates(case, 5)
         results = verify_candidates(case, cands, cfg, sim)
         assert any(results)
