@@ -11,6 +11,7 @@ or a <task>.jsonl shard, whose bytes differ from what its manifest pins).
 """
 
 import argparse
+import collections
 import hashlib
 import itertools
 import json
@@ -20,7 +21,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from .config import Config, default_config, load_config
 from .dataset import (
-    atomic_write_text,
+    atomic_writer,
     dataset_stats,
     read_dataset,
     split_by_seed,
@@ -72,7 +73,7 @@ def _parse_seeds(text) -> list:
     """'4..12' (inclusive) or a single integer. Commas pick out several
     of either form. Seeds lie in [0, 2**32): scene streams key on a 32-bit
     word, so larger seeds would alias, and negative ones would not read
-    back from the dataset they produced."""
+    back from the dataset they produced. A repeated seed would count twice."""
     seeds = []
     for part in text.split(","):
         part = part.strip()
@@ -87,6 +88,9 @@ def _parse_seeds(text) -> list:
         if lo < 0 or hi >= SEED_LIMIT:
             raise UsageError(f"seed {part!r} outside [0, {SEED_LIMIT})")
         seeds.extend(range(lo, hi + 1))
+    repeated = [s for s, n in collections.Counter(seeds).items() if n > 1]
+    if repeated:
+        raise UsageError(f"seed {repeated[0]} is listed more than once")
     return seeds
 
 
@@ -105,39 +109,37 @@ def _load_config(path) -> Config:
     return default_config() if path is None else load_config(path)
 
 
-def _resolve_tasks(name) -> list:
-    if name == "all":
-        return list(TASKS)
-    if name not in TASKS:
-        known = ", ".join(TASKS)
-        raise UsageError(f"unknown task {name!r} (choose from: {known}, all)")
-    return [name]
-
-
 # -- subcommand handlers -----------------------------------------------------
 
 
 def _cmd_generate(args) -> int:
     cfg = _load_config(args.config)
-    tasks = _resolve_tasks(args.task)
+    tasks = list(TASKS) if args.task == "all" else [args.task]
     seeds = _parse_seeds(args.seeds)
     jobs = _resolve_jobs(args)
     os.makedirs(args.out, exist_ok=True)
 
-    merged = []
+    # One task's entries in memory at a time: each shard is written once and
+    # its bytes streamed into dataset.jsonl through one hash. The sort key
+    # leads with the task id, so shards in task-id order are the merged file.
     counts = {}
-    for task in tasks:
-        entries = generate_task_entries(task, seeds, cfg, jobs)
-        failures = sum(1 for e in entries if e.is_failure)
-        counts[task] = {"failures": failures, "ground_truth": len(entries) - failures}
-        shard = os.path.join(args.out, f"{task}.jsonl")
-        write_dataset(entries, shard)
-        _progress(f"{task}: {len(entries)} entries ({failures} failures) -> {shard}")
-        merged.extend(entries)
-
+    total = 0
+    digest = hashlib.sha256()
     dataset_path = os.path.join(args.out, "dataset.jsonl")
-    total = write_dataset(merged, dataset_path)
-    dataset_sha = file_sha256(dataset_path)
+    with atomic_writer(dataset_path) as merged:
+        for task in sorted(tasks):
+            entries = generate_task_entries(task, seeds, cfg, jobs)
+            failures = sum(1 for e in entries if e.is_failure)
+            counts[task] = {"failures": failures, "ground_truth": len(entries) - failures}
+            shard = os.path.join(args.out, f"{task}.jsonl")
+            total += write_dataset(entries, shard)
+            _progress(f"{task}: {len(entries)} entries ({failures} failures) -> {shard}")
+            del entries  # free this task's entries before the next task runs
+            with open(shard, "rb") as fh:
+                for chunk in iter(lambda: fh.read(1 << 16), b""):
+                    digest.update(chunk)
+                    merged.write(chunk)
+    dataset_sha = digest.hexdigest()
     manifest_path = os.path.join(args.out, "manifest.json")
     manifest_sha = write_manifest(manifest_path, cfg, tasks, seeds, counts, dataset_sha)
     _progress(f"merged {total} entries -> {dataset_path}")
@@ -227,10 +229,8 @@ def _cmd_supervise(args) -> int:
     if args.trace is not None:
         os.makedirs(args.trace, exist_ok=True)
         for seed, _, _, result in outcomes:
-            atomic_write_text(
-                os.path.join(args.trace, f"{args.task}_{seed:05d}.trace"),
-                _trace_text(result),
-            )
+            with atomic_writer(os.path.join(args.trace, f"{args.task}_{seed:05d}.trace")) as fh:
+                fh.write(_trace_text(result).encode("utf-8"))
         _progress(f"wrote {len(outcomes)} trace files to {args.trace}")
 
     bare = sum(1 for _, ok, _, _ in outcomes if ok)
@@ -310,7 +310,7 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("generate", help="produce a labeled recovery dataset")
     gen.add_argument("--config", help="YAML config path (omit for built-in defaults)")
-    gen.add_argument("--task", required=True, help="task id or 'all'")
+    gen.add_argument("--task", required=True, choices=[*TASKS, "all"], help="task id or 'all'")
     gen.add_argument("--seeds", required=True, help="seed range 'a..b' or list")
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--jobs", type=int, help="worker processes (env FAILSAFE_JOBS)")

@@ -3,7 +3,7 @@
 An entry is a 10-frame observation window with supervision attached: either
 a verified recovery label cut from a failed trajectory, or a success label
 cut from an unperturbed rollout. Files hold one JSON record per line with
-an explicit schema version, written atomically (atomic_write_text, shared by
+an explicit schema version, written atomically (atomic_writer, shared by
 every file the package writes) in a canonical sort order so the same inputs
 always produce the same bytes.
 """
@@ -26,7 +26,7 @@ from .errors import (
 from .geometry import DeltaAction, Pose
 from .recovery import even_subsample
 from .seeding import seed_stream
-from .sim import ObservationFrame, Simulator
+from .sim import ObservationFrame
 from .tasks import task_spec
 
 SCHEMA_VERSION = 1
@@ -156,20 +156,17 @@ class DatasetEntry:
 # -- building entries ------------------------------------------------------
 
 
-def build_entry(case, candidate, cfg, sim=None):
+def build_entry(case, candidate, sim):
     """Label one verified recovery with the failure window that precedes it.
 
-    Returns None when the deviation sits too early in the episode to cut a
-    full window (cannot happen for in-range deviation indices, kept as a
-    guard).
+    Deviation indices start at recovery.DEVIATION_MARGIN, past a full
+    window; a window that would start before step 0 leaves fewer than
+    WINDOW_FRAMES frames, which DatasetEntry rejects.
     """
     if not candidate.verified:
         raise ContractViolation("refusing to export an unverified recovery")
-    sim = sim or Simulator(cfg)
     start, _ = case.failed.stage_bounds(case.spec.stage_index)
     global_d = start + candidate.d_index
-    if global_d < WINDOW_FRAMES - 1:
-        return None
     spec = case.spec
     return DatasetEntry(
         task_id=case.task_id,
@@ -189,9 +186,8 @@ def build_entry(case, candidate, cfg, sim=None):
     )
 
 
-def build_gt_entries(trajectory, cfg, sim=None):
+def build_gt_entries(trajectory, cfg, sim):
     """Success windows cut from an unperturbed rollout at seeded end steps."""
-    sim = sim or Simulator(cfg)
     task_id, seed = trajectory.task_id, trajectory.seed
     if not trajectory.outcome:
         raise ContractViolation(
@@ -295,21 +291,21 @@ def _frame_record(frame: ObservationFrame) -> dict:
 def write_dataset(entries, path) -> int:
     """Sort, serialize, and atomically replace `path`. Returns entry count."""
     ordered = sorted(entries, key=_sort_key)
-    payload = "".join(
-        json.dumps(e.to_record(), separators=(",", ":")) + "\n" for e in ordered
-    )
-    atomic_write_text(path, payload)
+    with atomic_writer(path) as fh:
+        for e in ordered:
+            fh.write((json.dumps(e.to_record(), separators=(",", ":")) + "\n").encode("utf-8"))
     return len(ordered)
 
 
-def atomic_write_text(path, text) -> None:
-    """Write text beside `path`, then swap it into place: readers see the
-    old file or the new one, never a partial write."""
+@contextlib.contextmanager
+def atomic_writer(path):
+    """A binary file beside `path`, swapped into place when the block exits
+    cleanly: readers see the old file or the new one, never a partial write."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".", suffix=".part")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

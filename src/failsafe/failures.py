@@ -13,6 +13,9 @@ A perturbed rollout runs under the unperturbed plan's step budget, so a
 stretched plan that runs out of time fails its success check the same way
 a geometrically broken one does. Perturbations whose rollout still succeeds
 are discarded; those seeds only contribute ground-truth windows.
+
+The caller plans the scene and rolls its correct plan once; the failure
+case and the ground-truth windows share that rollout.
 """
 
 from dataclasses import dataclass, replace as dc_replace
@@ -22,7 +25,7 @@ from .errors import ContractViolation
 from .geometry import ROTATION_AXES, TRANSLATION_AXES, Pose, quat_about_axis, quat_multiply
 from .seeding import seed_stream
 from .sim import Simulator
-from .tasks import Plan, Stage, Trajectory, plan_task, rollout_plan, task_spec
+from .tasks import Plan, Stage, Trajectory, rollout_plan
 
 
 @dataclass(frozen=True)
@@ -113,27 +116,23 @@ def sample_failure_spec(plan: Plan, entries, rng) -> FailureSpec:
     )
 
 
-def generate_failure_case(task, seed: int, cfg: Config, sim: Simulator | None = None):
-    """Sample, inject, and confirm one failure for (task, seed).
+def generate_failure_case(plan: Plan, world, correct: Trajectory, cfg: Config, sim: Simulator):
+    """Sample, inject, and confirm one failure for a planned scene.
 
-    Returns a FailureCase, or None when the task has no configured
+    `correct` is the plan's own rollout from `world`; the case carries it
+    as is. Returns a FailureCase, or None when the task has no configured
     perturbations or the sampled one fails to break the rollout. The latter
     seeds still serve as ground-truth material.
     """
-    spec_t = task_spec(task)
-    entries = cfg.tasks.get(spec_t.task_id, [])
+    entries = cfg.tasks.get(plan.task_id, [])
     if not entries:
         return None
-    sim = sim or Simulator(cfg)
-
-    plan, world = plan_task(spec_t.task_id, seed, cfg)
-    correct = rollout_plan(plan, world, sim)
     if not correct.outcome:
         raise ContractViolation(
-            f"nominal rollout failed for {spec_t.task_id} seed {seed}"
+            f"nominal rollout failed for {plan.task_id} seed {plan.seed}"
         )
 
-    rng = seed_stream("failure", spec_t.task_id, seed)
+    rng = seed_stream("failure", plan.task_id, plan.seed)
     spec = sample_failure_spec(plan, entries, rng)
     failed_plan = perturb_stage(plan, spec)
 
@@ -142,8 +141,8 @@ def generate_failure_case(task, seed: int, cfg: Config, sim: Simulator | None = 
     if failed.outcome:
         return None
     return FailureCase(
-        task_id=spec_t.task_id,
-        seed=seed,
+        task_id=plan.task_id,
+        seed=plan.seed,
         spec=spec,
         correct=correct,
         failed=failed,

@@ -14,7 +14,7 @@ from dataclasses import asdict
 from itertools import repeat
 
 from .config import Config
-from .dataset import atomic_write_text, build_entry, build_gt_entries, enforce_ratio
+from .dataset import atomic_writer, build_entry, build_gt_entries, enforce_ratio
 from .errors import FailSafeError
 from .failures import generate_failure_case
 from .recovery import collect_candidates
@@ -35,15 +35,18 @@ ASSISTANTS = {"oracle": oracle_assistant_decide, "null": null_assistant}
 def build_seed_entries(task_id, seed: int, cfg: Config, sim: Simulator | None = None) -> list:
     """One scene seed's dataset rows: injection, collection, verification,
     entry building for every surviving candidate, plus the seed's success
-    windows."""
+    windows. The scene is planned and its correct plan rolled once; the
+    failure case and the success windows share that rollout."""
     sim = sim or Simulator(cfg)
-    case = generate_failure_case(task_id, seed, cfg, sim)
-    if case is None:
-        return build_gt_entries(rollout_plan(*plan_task(task_id, seed, cfg), sim), cfg, sim)
-    candidates = collect_candidates(case, cfg.dataset.candidates_per_case)
-    verify_candidates(case, candidates, cfg, sim)
-    entries = [build_entry(case, c, cfg, sim) for c in candidates if c.verified]
-    return [e for e in entries if e is not None] + build_gt_entries(case.correct, cfg, sim)
+    plan, world = plan_task(task_id, seed, cfg)
+    correct = rollout_plan(plan, world, sim)
+    case = generate_failure_case(plan, world, correct, cfg, sim)
+    entries = []
+    if case is not None:
+        candidates = collect_candidates(case, cfg.dataset.candidates_per_case)
+        verify_candidates(case, candidates, cfg, sim)
+        entries = [build_entry(case, c, sim) for c in candidates if c.verified]
+    return entries + build_gt_entries(correct, cfg, sim)
 
 
 def pool_size(jobs: int, seeds) -> int:
@@ -125,7 +128,7 @@ def file_sha256(path) -> str:
 
 
 def write_manifest(path, cfg: Config, tasks, seeds, counts: dict, dataset_sha256: str) -> str:
-    """Atomically write the run manifest; returns its own file hash.
+    """Atomically write the run manifest; returns the sha256 of its bytes.
 
     The manifest pins everything a later `verify` needs to trust the file:
     config hash, seed range, per-task counts, the merged dataset's hash,
@@ -143,8 +146,10 @@ def write_manifest(path, cfg: Config, tasks, seeds, counts: dict, dataset_sha256
         "counts": counts,
         "dataset_sha256": dataset_sha256,
     }
-    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return file_sha256(path)
+    data = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    with atomic_writer(path) as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def read_manifest(path) -> dict:

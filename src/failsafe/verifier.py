@@ -1,11 +1,11 @@
 """Executable verification of recovery candidates.
 
 A candidate is verified by replaying it, not by inspecting it. The failure
-case is regenerated from the seed, so its failed rollout is the replay of
-the failure up to the deviation point; from the world recorded there, drive
-the arm through the candidate's delta until the simulator lands on the
-corrected pose, then hand control back to the correct plan's recorded
-commands from the first post-window waypoint of the deviated stage onward.
+case's failed rollout is the replay of the failure up to the deviation
+point; from the world recorded there, drive the arm through the
+candidate's delta until the simulator lands on the corrected pose, then
+hand control back to the correct plan's recorded commands from the first
+post-window waypoint of the deviated stage onward.
 The candidate passes only if the task's success check holds at the end and
 the whole replay, failed prefix included, fits the step budget.
 
@@ -20,20 +20,15 @@ from .failures import generate_failure_case
 from .geometry import apply_delta
 from .recovery import CORRECTION_TAIL, CandidateRecovery
 from .sim import Simulator
+from .tasks import plan_task, rollout_plan
 
 
 def step_budget(nominal_steps: int, cfg: Config) -> int:
     return math.ceil(nominal_steps * (1.0 + cfg.verifier.budget_slack))
 
 
-def verify_candidate(
-    case,
-    candidate: CandidateRecovery,
-    cfg: Config,
-    sim: Simulator | None = None,
-) -> bool:
+def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simulator) -> bool:
     """Replay one candidate from the deviation point. Marks and returns success."""
-    sim = sim or Simulator(cfg)
     budget = step_budget(case.nominal_steps, cfg)
     idx = case.spec.stage_index
     failed_start, _ = case.failed.stage_bounds(idx)
@@ -73,9 +68,8 @@ def verify_candidate(
     return ok
 
 
-def verify_candidates(case, candidates, cfg: Config, sim: Simulator | None = None) -> list:
+def verify_candidates(case, candidates, cfg: Config, sim: Simulator) -> list:
     """Verify a batch; returns the per-candidate outcomes in order."""
-    sim = sim or Simulator(cfg)
     return [verify_candidate(case, cand, cfg, sim) for cand in candidates]
 
 
@@ -83,7 +77,8 @@ def reverify_entries(entries, cfg: Config, sim: Simulator | None = None) -> floa
     """Re-replay every exported failure recovery; returns the passing fraction.
 
     A failure entry pins its scene seed and window indices in provenance;
-    the failure case itself is regenerated from config + seed, which is
+    the failure case itself is regenerated from config + seed (the scene
+    planned and its correct plan rolled once per (task, seed)), which is
     deterministic, so anything exported as verified must verify again. An
     entry whose regenerated case no longer matches its provenance counts
     as failed rather than raising: the point is to distrust the file.
@@ -97,7 +92,9 @@ def reverify_entries(entries, cfg: Config, sim: Simulator | None = None) -> floa
     for entry in failures:
         key = (entry.task_id, entry.seed)
         if key not in cases:
-            cases[key] = generate_failure_case(entry.task_id, entry.seed, cfg, sim)
+            plan, world = plan_task(entry.task_id, entry.seed, cfg)
+            correct = rollout_plan(plan, world, sim)
+            cases[key] = generate_failure_case(plan, world, correct, cfg, sim)
         case = cases[key]
         prov = entry.provenance
         if (

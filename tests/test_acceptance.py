@@ -35,6 +35,12 @@ from failsafe.verifier import reverify_entries
 CUBE_TASKS = ("pick_cube", "push_cube", "stack_cube")
 
 
+def failure_case(task_id, seed, cfg, sim):
+    """Plan the scene and roll its correct plan, then inject and confirm."""
+    plan, world = plan_task(task_id, seed, cfg)
+    return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
+
+
 def report(capsys, number, ok, detail):
     with capsys.disabled():
         print(f"\ncriterion {number}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -88,7 +94,7 @@ def test_criterion_2_ground_truth_validity(capsys):
     leaked = []
     for task in CUBE_TASKS:
         for seed in range(100):
-            case = generate_failure_case(task, seed, cfg, sim)
+            case = failure_case(task, seed, cfg, sim)
             if case is not None:
                 emitted += 1
                 if case.failed.outcome:
@@ -229,7 +235,7 @@ def test_criterion_6_window_rule_conformance(capsys):
     escapes = 0
     for task in CUBE_TASKS:
         for seed in range(40, 52):
-            case = generate_failure_case(task, seed, cfg, sim)
+            case = failure_case(task, seed, cfg, sim)
             if case is None:
                 continue
             d_range, c_range = candidate_index_ranges(case)

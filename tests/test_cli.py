@@ -63,6 +63,11 @@ class TestSeedParsing:
             with pytest.raises(FailSafeError, match="outside"):
                 _parse_seeds(text)
 
+    def test_rejects_repeated_seed(self):
+        for text in ("3,3", "0..5,3..8", "2,0..4"):
+            with pytest.raises(FailSafeError, match="more than once"):
+                _parse_seeds(text)
+
 
 class TestGenerate:
     def test_writes_shard_dataset_manifest(self, outdir, dataset):
@@ -99,6 +104,16 @@ class TestGenerate:
         )
         assert code == EXIT_USAGE
         assert "bogus" in err
+
+    def test_repeated_seed_is_usage_error(self, tmp_path, capsys):
+        # A repeat would write the seed's entries twice.
+        out = tmp_path / "dup"
+        code, _, err = run_cli(
+            ["generate", "--task", TASK, "--seeds", "3,3", "--out", str(out)], capsys
+        )
+        assert code == EXIT_USAGE
+        assert "seed 3 is listed more than once" in err
+        assert not out.exists()
 
     def test_negative_seeds_are_usage_error(self, tmp_path, capsys):
         # Such seeds would write provenance that stats and verify reject.

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from failsafe.config import default_config
+from failsafe.config import default_config, parse_failure_entry
 from failsafe.dataset import (
     SCHEMA_VERSION,
     WINDOW_FRAMES,
@@ -28,6 +28,7 @@ from failsafe.errors import (
     DatasetVersionError,
 )
 from failsafe.failures import generate_failure_case
+from failsafe.pipeline import build_seed_entries
 from failsafe.recovery import collect_candidates
 from failsafe.sim import Simulator
 from failsafe.tasks import plan_task, rollout_plan, task_spec
@@ -50,14 +51,14 @@ def corpus(cfg, sim):
     cases = {}
     entries = []
     for seed in range(8):
-        case = generate_failure_case("pick_cube", seed, cfg, sim)
+        case = failure_case("pick_cube", seed, cfg, sim)
         if case is not None:
             cands = collect_candidates(case, cfg.dataset.candidates_per_case)
             verify_candidates(case, cands, cfg, sim)
             good = [c for c in cands if c.verified]
             if good:
                 cases[seed] = (case, good)
-                entries.extend(build_entry(case, c, cfg, sim) for c in good)
+                entries.extend(build_entry(case, c, sim) for c in good)
         entries.extend(build_gt_entries(correct_rollout(seed, cfg, sim), cfg, sim))
     assert cases and any(e.is_failure for e in entries)
     return cases, entries
@@ -65,6 +66,12 @@ def corpus(cfg, sim):
 
 def correct_rollout(seed, cfg, sim):
     return rollout_plan(*plan_task("pick_cube", seed, cfg), sim)
+
+
+def failure_case(task_id, seed, cfg, sim):
+    """Plan the scene and roll its correct plan, then inject and confirm."""
+    plan, world = plan_task(task_id, seed, cfg)
+    return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
 
 
 def reseeded(entry, new_seed):
@@ -77,7 +84,7 @@ class TestBuildEntry:
         cases, _ = corpus
         seed, (case, good) = next(iter(cases.items()))
         cand = good[0]
-        entry = build_entry(case, cand, cfg, sim)
+        entry = build_entry(case, cand, sim)
         start, _ = case.failed.stage_bounds(case.spec.stage_index)
         assert len(entry.frames) == WINDOW_FRAMES
         assert entry.end_step == start + cand.d_index
@@ -105,7 +112,16 @@ class TestBuildEntry:
         _, (case, good) = next(iter(cases.items()))
         pristine = replace(good[0], verified=False)
         with pytest.raises(ContractViolation):
-            build_entry(case, pristine, cfg, sim)
+            build_entry(case, pristine, sim)
+
+    def test_window_before_step_zero_rejected(self, cfg, sim, corpus):
+        cases, _ = corpus
+        _, (case, good) = next(iter(cases.items()))
+        # Deviate in the first stage, two steps short of a full window.
+        first = task_spec(case.task_id).stage_names[0]
+        early = replace(case, spec=replace(case.spec, stage_index=0, stage_name=first))
+        with pytest.raises(ContractViolation):
+            build_entry(early, replace(good[0], d_index=WINDOW_FRAMES - 2), sim)
 
     def test_gt_entries_shape_and_determinism(self, cfg, sim):
         first = build_gt_entries(correct_rollout(3, cfg, sim), cfg, sim)
@@ -129,6 +145,34 @@ class TestBuildEntry:
                 i for i, last in enumerate(traj.stage_boundaries) if end <= last
             )
             assert entry.sub_task == task_spec("pick_cube").stage_names[stage]
+
+
+class TestBuildSeedEntries:
+    @pytest.mark.parametrize("benign", [True, False], ids=["benign", "confirmed"])
+    def test_plans_once_and_rolls_at_most_twice(self, cfg, sim, benign, monkeypatch):
+        import failsafe
+
+        if benign:  # a shift far too small to break the rollout
+            cfg = replace(cfg, tasks={"pick_cube": [parse_failure_entry(
+                {"mode": "translation", "axis": "x", "range": [1e-4, 2e-4],
+                 "stages": ["grasp"]}, "test")]})
+        calls = {"plan_task": 0, "rollout_plan": 0}
+        for name in calls:
+            original = getattr(failsafe.tasks, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for module in vars(failsafe).values():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        entries = build_seed_entries("pick_cube", 4, cfg, sim)
+        assert any(e.is_failure for e in entries) is not benign
+        assert calls == {"plan_task": 1, "rollout_plan": 2}
+        assert [e for e in entries if not e.is_failure] == build_gt_entries(
+            correct_rollout(4, cfg, sim), cfg, sim
+        )
 
 
 class TestEntryInvariants:

@@ -16,7 +16,7 @@ from failsafe.failures import (
 from failsafe.geometry import quat_about_axis, quat_multiply
 from failsafe.seeding import seed_stream
 from failsafe.sim import Simulator
-from failsafe.tasks import TASKS, plan_task
+from failsafe.tasks import TASKS, plan_task, rollout_plan
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +27,12 @@ def cfg():
 @pytest.fixture(scope="module")
 def sim(cfg):
     return Simulator(cfg)
+
+
+def failure_case(task_id, seed, cfg, sim):
+    """Plan the scene and roll its correct plan, then inject and confirm."""
+    plan, world = plan_task(task_id, seed, cfg)
+    return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
 
 
 def entry(**kw):
@@ -125,8 +131,8 @@ class TestSampling:
 
 class TestGenerateFailureCase:
     def test_deterministic(self, cfg, sim):
-        a = generate_failure_case("pick_cube", 4, cfg, sim)
-        b = generate_failure_case("pick_cube", 4, cfg, sim)
+        a = failure_case("pick_cube", 4, cfg, sim)
+        b = failure_case("pick_cube", 4, cfg, sim)
         assert a.spec == b.spec
         assert len(a.failed.frames) == len(b.failed.frames)
         assert np.array_equal(
@@ -135,7 +141,7 @@ class TestGenerateFailureCase:
         )
 
     def test_confirmed_case_shape(self, cfg, sim):
-        case = generate_failure_case("pick_cube", 4, cfg, sim)
+        case = failure_case("pick_cube", 4, cfg, sim)
         assert case is not None
         assert case.correct.outcome and not case.failed.outcome
         assert case.nominal_steps == 120
@@ -143,16 +149,23 @@ class TestGenerateFailureCase:
         assert len(case.failed.frames) == case.nominal_steps
         assert case.spec.stage_name in TASKS["pick_cube"].stage_names
 
+    def test_carries_the_given_correct_rollout(self, cfg, sim):
+        plan, world = plan_task("pick_cube", 4, cfg)
+        correct = rollout_plan(plan, world, sim)
+        case = generate_failure_case(plan, world, correct, cfg, sim)
+        assert case.correct is correct
+        assert (case.task_id, case.seed) == ("pick_cube", 4)
+
     def test_empty_failure_list_is_a_no_op(self, cfg, sim):
         bare = replace(cfg, tasks={})
-        assert generate_failure_case("pick_cube", 0, bare, sim) is None
+        assert failure_case("pick_cube", 0, bare, sim) is None
 
     def test_benign_perturbation_returns_none(self, cfg, sim):
         gentle = replace(
             cfg,
             tasks={"pick_cube": [entry(range=[1e-4, 2e-4])]},
         )
-        assert generate_failure_case("pick_cube", 0, gentle, sim) is None
+        assert failure_case("pick_cube", 0, gentle, sim) is None
 
     def test_mild_rotations_below_align_tol_stay_benign(self, cfg, sim):
         gentle = replace(
@@ -161,7 +174,7 @@ class TestGenerateFailureCase:
                                          range=[0.1, 0.2], stages=["grasp"])]},
         )
         for seed in range(5):
-            assert generate_failure_case("stack_cube", seed, gentle, sim) is None
+            assert failure_case("stack_cube", seed, gentle, sim) is None
 
 
 class TestStageNameValidation:

@@ -14,6 +14,14 @@ from failsafe.cli import EXIT_OK, cli_main
 DATASET_SHA256 = "75f9f5f661e863f922179ac84e6bef48516580a9831f858dd5e747c610b2e29e"
 MANIFEST_SHA256 = "b41d09d45969ff639b5119ce83da20991d578b9b5981ea4a389884ddbbaf2aa2"
 TRACES_SHA256 = "46c19fe68ef1eb62f54f30fd7696cdb0e6d5d9f562979ee067a4ad20b267de03"
+SHARD_SHA256 = {
+    "pick_charger": "0ebafd65dc8362194e290ff13129bed7db48abd636c797278fc26df90c436abd",
+    "pick_cube": "6055e653638db02035cd28f4d80b99c9ff54c379e826a241ec3e6e5f86e78f92",
+    "pick_sphere": "dd8a6327b7fd59d2b9656d86b2573405aa9cdbb62ffa04467edb53baab7523a9",
+    "place_sphere": "dd38b7074d7d8d624ce71b16548d2aeaaadc0b46244175f2b752532f435ca742",
+    "push_cube": "1f00fd8181684fb3d9820e09d2a286a59312daf5975c477e84f636c8a1e4547f",
+    "stack_cube": "9f1362a2b9a8d01a5f203387ec2673be639d126fd01124e3a591c97c0fa205bf",
+}
 TRACE_TASKS = ("pick_cube", "push_cube", "stack_cube")
 
 
@@ -30,6 +38,11 @@ def test_generate_all_bytes(tmp_path, capsys):
     assert code == EXIT_OK
     assert _sha256(out / "dataset.jsonl") == DATASET_SHA256
     assert _sha256(out / "manifest.json") == MANIFEST_SHA256
+    shards = {task: _sha256(out / f"{task}.jsonl") for task in SHARD_SHA256}
+    assert shards == SHARD_SHA256
+    # dataset.jsonl is the shards back to back in task-id order.
+    joined = b"".join((out / f"{task}.jsonl").read_bytes() for task in sorted(SHARD_SHA256))
+    assert joined == (out / "dataset.jsonl").read_bytes()
 
 
 def test_supervise_oracle_trace_bytes(tmp_path, capsys):

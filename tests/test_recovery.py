@@ -15,7 +15,7 @@ from failsafe.recovery import (
 )
 from failsafe.failures import generate_failure_case
 from failsafe.sim import Simulator, WorldState
-from failsafe.tasks import Frame, Trajectory
+from failsafe.tasks import Frame, Trajectory, plan_task, rollout_plan
 
 
 @pytest.fixture(scope="module")
@@ -23,9 +23,15 @@ def cfg():
     return default_config()
 
 
+def failure_case(task_id, seed, cfg, sim):
+    """Plan the scene and roll its correct plan, then inject and confirm."""
+    plan, world = plan_task(task_id, seed, cfg)
+    return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
+
+
 @pytest.fixture(scope="module")
 def pick_case(cfg):
-    return generate_failure_case("pick_cube", 4, cfg, Simulator(cfg))
+    return failure_case("pick_cube", 4, cfg, Simulator(cfg))
 
 
 class TestWindowRanges:

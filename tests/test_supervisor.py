@@ -39,6 +39,12 @@ def sim(cfg):
     return Simulator(cfg)
 
 
+def failure_case(task_id, seed, cfg, sim):
+    """Plan the scene and roll its correct plan, then inject and confirm."""
+    plan, world = plan_task(task_id, seed, cfg)
+    return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
+
+
 def policy_for(task, seed, cfg, fault=None):
     return PerturbedStreamPolicy(*plan_task(task, seed, cfg), fault)
 
@@ -52,12 +58,12 @@ def entries(cfg, sim):
     """Labeled evaluation entries: verified failures plus ground truth."""
     out = []
     for seed in range(6):
-        case = generate_failure_case("pick_cube", seed, cfg, sim)
+        case = failure_case("pick_cube", seed, cfg, sim)
         if case is not None:
             cands = collect_candidates(case, cfg.dataset.candidates_per_case)
             verify_candidates(case, cands, cfg, sim)
             out.extend(
-                build_entry(case, c, cfg, sim) for c in cands if c.verified
+                build_entry(case, c, sim) for c in cands if c.verified
             )
         correct = rollout_plan(*plan_task("pick_cube", seed, cfg), sim)
         out.extend(build_gt_entries(correct, cfg, sim))

@@ -15,6 +15,7 @@ from failsafe.recovery import (
     collect_candidates,
 )
 from failsafe.sim import Simulator
+from failsafe.tasks import plan_task, rollout_plan
 from failsafe.verifier import step_budget, verify_candidate, verify_candidates
 
 
@@ -28,9 +29,15 @@ def sim(cfg):
     return Simulator(cfg)
 
 
+def failure_case(task_id, seed, cfg, sim):
+    """Plan the scene and roll its correct plan, then inject and confirm."""
+    plan, world = plan_task(task_id, seed, cfg)
+    return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
+
+
 def case_with_mode(task_id, mode, cfg, sim, start_seed=0):
     for seed in range(start_seed, start_seed + 200):
-        case = generate_failure_case(task_id, seed, cfg, sim)
+        case = failure_case(task_id, seed, cfg, sim)
         if case is not None and case.spec.mode == mode:
             return case
     raise AssertionError(f"no {mode} case found for {task_id}")
@@ -72,7 +79,7 @@ class TestVerifyCandidate:
         results = []
         for task_id in ("pick_cube", "push_cube"):
             for seed in range(12):
-                case = generate_failure_case(task_id, seed, cfg, sim)
+                case = failure_case(task_id, seed, cfg, sim)
                 if case is None:
                     continue
                 cands = collect_candidates(case, 3)
