@@ -3,7 +3,7 @@ for stage-waypoint manipulation tasks in a deterministic kinematic simulator."""
 
 __version__ = "0.1.0"
 
-from .config import Config, default_config, load_config
+from .config import TASKS, Config, default_config, load_config, task_spec
 from .dataset import (
     DatasetEntry,
     DatasetStats,
@@ -48,7 +48,7 @@ from .supervisor import (
     oracle_assistant_decide,
     run_supervised_episode,
 )
-from .tasks import TASKS, plan_task, rollout_plan, task_spec
+from .tasks import plan_task, rollout_plan
 from .verifier import reverify_entries, verify_candidate, verify_candidates
 
 __all__ = [

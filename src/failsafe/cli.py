@@ -19,7 +19,7 @@ import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
-from .config import Config, default_config, load_config
+from .config import TASKS, Config, default_config, load_config
 from .dataset import (
     atomic_writer,
     dataset_stats,
@@ -39,7 +39,6 @@ from .pipeline import (
     write_manifest,
 )
 from .supervisor import evaluate_assistant
-from .tasks import TASKS
 from .verifier import reverify_entries
 
 EXIT_OK = 0

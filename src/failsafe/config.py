@@ -1,4 +1,4 @@
-"""Typed run configuration.
+"""Typed run configuration and the task table.
 
 All tunable constants live here: simulator physics surrogates, planner
 geometry, failure-injection ranges, dataset knobs, and the supervised-loop
@@ -6,6 +6,11 @@ settings. Configs load from YAML with strict unknown-key checking (typos
 fail loudly, naming the offending key, and failure entries may only name
 stages their task has). The one config hash a run manifest pins lives in
 pipeline.config_fingerprint.
+
+TASKS is the one table that says what each task is: its family (which
+stage plan and success test it runs) and the ids of the objects its scene
+places. The planner and the simulator read it, and config validation
+checks task ids and stage names against it.
 
 Units in YAML: translation ranges in meters (`unit: m`), rotation ranges in
 degrees or radians (`unit: deg|rad`), stall durations in steps
@@ -21,6 +26,80 @@ from .errors import ConfigError
 from .geometry import ROTATION_AXES, TRANSLATION_AXES
 
 FAILURE_MODES = ("translation", "rotation", "no_ops")
+
+# Each task family's stage names, in plan order.
+FAMILY_STAGES = {
+    "pick": ("reach", "grasp", "lift"),
+    "push": ("approach", "push"),
+    "place": ("reach", "grasp", "lift", "align", "lower", "release"),
+}
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    """One task. Its family picks the stage plan and the success test, and a
+    push scene also draws a goal. The scene places `objects` in order; the
+    first is the object the task moves, and a place task's second is the
+    base it is set on."""
+
+    task_id: str
+    instruction: str
+    family: str  # a FAMILY_STAGES key
+    objects: tuple
+
+    @property
+    def stage_names(self) -> tuple:
+        return FAMILY_STAGES[self.family]
+
+
+TASKS = {
+    spec.task_id: spec
+    for spec in (
+        TaskSpec(
+            "pick_cube",
+            "pick up the red cube",
+            "pick",
+            ("cube",),
+        ),
+        TaskSpec(
+            "push_cube",
+            "push the cube to the goal marker",
+            "push",
+            ("cube",),
+        ),
+        TaskSpec(
+            "stack_cube",
+            "stack the red cube on top of the green cube",
+            "place",
+            ("cube_a", "cube_b"),
+        ),
+        TaskSpec(
+            "pick_sphere",
+            "pick up the ball",
+            "pick",
+            ("sphere",),
+        ),
+        TaskSpec(
+            "place_sphere",
+            "place the ball on the pad",
+            "place",
+            ("sphere", "pad"),
+        ),
+        TaskSpec(
+            "pick_charger",
+            "pick up the charger",
+            "pick",
+            ("charger",),
+        ),
+    )
+}
+
+
+def task_spec(task_id: str) -> TaskSpec:
+    try:
+        return TASKS[task_id]
+    except KeyError:
+        raise ConfigError(f"unknown task '{task_id}'") from None
 
 
 def _reject_unknown(raw: dict, allowed, prefix: str):
@@ -221,7 +300,7 @@ def _parse_section(cls, raw, prefix: str):
     values = {}
     for name, value in raw.items():
         path = prefix + name
-        if name in ("faults",):
+        if name == "faults":
             values[name] = _parse_fault_map(value, path)
         elif name == "task_steps":
             values[name] = _parse_task_steps(value, path)
@@ -234,10 +313,6 @@ def _parse_section(cls, raw, prefix: str):
             if lo > hi:
                 raise ConfigError(f"'{path}' inverted range [{lo}, {hi}]")
             values[name] = (lo, hi)
-        elif isinstance(getattr(cls, name), bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"'{path}' must be a boolean")
-            values[name] = value
         elif isinstance(getattr(cls, name), int):
             values[name] = _integer(value, path)
         elif isinstance(getattr(cls, name), float):
@@ -248,16 +323,12 @@ def _parse_section(cls, raw, prefix: str):
 
 
 def _check_task(task_id, path: str):
-    from .tasks import TASKS  # tasks imports this module
-
     if task_id not in TASKS:
         raise ConfigError(f"unknown task '{path}.{task_id}'")
 
 
 def _parse_entries(task_id, raw, path: str) -> list:
     """A task's failure entries; each may name only stages the task has."""
-    from .tasks import TASKS
-
     if not isinstance(raw, (list, tuple)):
         raise ConfigError(f"'{path}' must be a list")
     entries = [parse_failure_entry(e, f"{path}[{i}]") for i, e in enumerate(raw)]

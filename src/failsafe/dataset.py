@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import task_spec
 from .errors import (
     ContractViolation,
     DatasetFormatError,
@@ -27,7 +28,6 @@ from .geometry import DeltaAction, Pose
 from .recovery import even_subsample
 from .seeding import seed_stream
 from .sim import ObservationFrame
-from .tasks import task_spec
 
 SCHEMA_VERSION = 1
 WINDOW_FRAMES = 10
@@ -313,12 +313,11 @@ def atomic_writer(path):
         raise
 
 
-def read_dataset(path, tolerant=False):
+def read_dataset(path):
     """Parse a dataset file back into entries.
 
-    Strict mode raises DatasetFormatError (or DatasetVersionError) naming
-    the 1-based offending line. Tolerant mode instead stops at the first
-    bad line and returns everything parsed before it.
+    A bad line raises DatasetFormatError (or DatasetVersionError) naming
+    its 1-based line number.
     """
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -333,8 +332,6 @@ def read_dataset(path, tolerant=False):
                     raise DatasetFormatError(f"not valid JSON ({exc})") from None
                 entries.append(entry_from_record(record))
             except DatasetFormatError as exc:
-                if tolerant:
-                    return entries
                 raise type(exc)(f"line {number}: {exc}", line=number) from None
     return entries
 
@@ -551,10 +548,6 @@ class DatasetStats:
             key = (entry.task_id, label)
             counts[key] = counts.get(key, 0) + 1
         return cls(counts)
-
-    @classmethod
-    def from_counts(cls, counts) -> "DatasetStats":
-        return cls(dict(counts))
 
     def tasks(self) -> list:
         return sorted({task for task, _ in self.counts})

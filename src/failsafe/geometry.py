@@ -92,13 +92,6 @@ def quat_to_rpy(q) -> np.ndarray:
     return np.array([roll, pitch, yaw])
 
 
-def quat_distance(a, b) -> float:
-    """Chordal distance min(|a-b|, |a+b|); 0 for identical rotations."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return min(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
-
-
 def slerp(q0, q1, t: float) -> np.ndarray:
     """Spherical interpolation along the shorter arc."""
     q0 = np.asarray(q0, dtype=float)
@@ -177,13 +170,6 @@ class DeltaAction:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.d_position, self.d_rotation, [self.d_gripper]])
-
-    @classmethod
-    def from_vector(cls, v) -> "DeltaAction":
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (7,):
-            raise InvalidPoseError("action vector must have 7 components")
-        return cls(v[0:3], v[3:6], float(v[6]))
 
     @classmethod
     def zero(cls) -> "DeltaAction":

@@ -19,7 +19,7 @@ def _key_word(part) -> int:
 def seed_stream(*parts) -> np.random.Generator:
     """Return a fresh Generator for the stream named by `parts`.
 
-    Parts may be strings or integers, e.g. seed_stream("scene", "pick_cube", 7).
+    Parts may be strings or integers, e.g. seed_stream("scene", task_id, seed).
     """
     if not parts:
         raise ValueError("seed_stream needs at least one part")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import SimConfig
+from .config import TASKS, Config
 from .errors import InvalidCommandError, SceneError
 from .geometry import (
     Pose,
@@ -77,13 +77,10 @@ def _segment_point_distance(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> floa
 
 
 class Simulator:
-    """Pure-function stepper over WorldState values under one SimConfig."""
+    """Pure-function stepper over WorldState values under one Config."""
 
-    def __init__(self, config=None):
-        if config is None:
-            config = SimConfig()
-        # Accept the full bundle or just the sim section.
-        self.config = getattr(config, "sim", config)
+    def __init__(self, cfg: Config):
+        self.config = cfg.sim
         # The fixed cameras never move: build their bases once.
         self._front = self._fixed_camera(self.config.front_camera)
         self._side = self._fixed_camera(self.config.side_camera)
@@ -233,39 +230,38 @@ class Simulator:
 
     # -- success predicates ------------------------------------------------
 
-    def evaluate_success(self, world: WorldState, task) -> bool:
-        task_id = getattr(task, "task_id", task)
-        if task_id in ("pick_cube", "pick_sphere", "pick_charger"):
-            target = {"pick_cube": "cube", "pick_sphere": "sphere", "pick_charger": "charger"}[task_id]
-            obj = self._require(world, target)
-            if world.attached != target:
+    def evaluate_success(self, world: WorldState, task_id: str) -> bool:
+        """Whether world completes the task; the task table's family says
+        which test applies and its objects say what the test looks at."""
+        try:
+            spec = TASKS[task_id]
+        except KeyError:
+            raise SceneError(f"unknown task '{task_id}'") from None
+        moved_id = spec.objects[0]
+        moved = self._require(world, moved_id)
+        if spec.family == "pick":
+            if world.attached != moved_id:
                 return False
-            return bool(obj.pose.position[2] >= world.table_z + self.config.lift_threshold)
-        if task_id == "push_cube":
-            obj = self._require(world, "cube")
+            return bool(moved.pose.position[2] >= world.table_z + self.config.lift_threshold)
+        if spec.family == "push":
             if world.goal is None:
-                raise SceneError("push_cube world has no goal")
+                raise SceneError(f"{task_id} world has no goal")
             gap = math.hypot(
-                obj.pose.position[0] - world.goal[0],
-                obj.pose.position[1] - world.goal[1],
+                moved.pose.position[0] - world.goal[0],
+                moved.pose.position[1] - world.goal[1],
             )
             return gap <= self.config.goal_radius
-        if task_id in ("stack_cube", "place_sphere"):
-            top_id, base_id = (
-                ("cube_a", "cube_b") if task_id == "stack_cube" else ("sphere", "pad")
-            )
-            top = self._require(world, top_id)
-            base = self._require(world, base_id)
-            if world.attached == top_id:
-                return False
-            dx = top.pose.position[0] - base.pose.position[0]
-            dy = top.pose.position[1] - base.pose.position[1]
-            if math.hypot(dx, dy) > self.config.stack_xy_tol:
-                return False
-            stack_height = base.half_extents[2] + top.half_extents[2]
-            target_z = base.pose.position[2] + stack_height
-            return bool(abs(top.pose.position[2] - target_z) <= self.config.stack_z_tol)
-        raise SceneError(f"unknown task '{task_id}'")
+        # place: the moved object rests, let go, on top of the base.
+        base = self._require(world, spec.objects[1])
+        if world.attached == moved_id:
+            return False
+        dx = moved.pose.position[0] - base.pose.position[0]
+        dy = moved.pose.position[1] - base.pose.position[1]
+        if math.hypot(dx, dy) > self.config.stack_xy_tol:
+            return False
+        stack_height = base.half_extents[2] + moved.half_extents[2]
+        target_z = base.pose.position[2] + stack_height
+        return bool(abs(moved.pose.position[2] - target_z) <= self.config.stack_z_tol)
 
     @staticmethod
     def _require(world: WorldState, obj_id: str) -> ObjectState:

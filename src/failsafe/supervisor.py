@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config
+from .config import Config, task_spec
 from .dataset import WINDOW_FRAMES, DatasetEntry
 from .errors import ContractViolation, MetricsError
 from .failures import FailureSpec, perturb_stage, sample_failure_spec
@@ -22,7 +22,7 @@ from .geometry import DeltaAction, Pose, apply_delta, delta_action, pose_distanc
 from .recovery import CORRECTION_TAIL, DEVIATION_MARGIN
 from .seeding import seed_stream
 from .sim import Simulator, WorldState
-from .tasks import Plan, Trajectory, plan_commands, rollout_plan, task_spec
+from .tasks import Plan, Trajectory, plan_commands, rollout_plan
 
 # Spread below which the last-10 end-effector history counts as stalled.
 FROZEN_EPS = 1e-9

@@ -1,16 +1,21 @@
 """Stage-waypoint task library and rollout: the correct-trajectory generator.
 
 Each task is a fixed stage decomposition whose targets are computed from
-seeded random object placements. Rollouts feed interpolated waypoints to the
+seeded random object placements. What a task is comes from its row in the
+task table (config.TASKS, re-exported here): the row's family picks the
+stage plan (and a push scene's goal), and its objects are the ids the scene
+places, one random xy each, the moved object first. Rollouts feed interpolated waypoints to the
 simulator one step per waypoint and record every frame, so a (task, seed,
 config) triple fully determines the resulting trajectory.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config
+from .config import TASKS  # noqa: F401  (re-exported: failsafe.tasks.TASKS is public)
+from .config import Config, SimConfig, TaskSpec, task_spec
 from .errors import ConfigError, SceneGenerationError
 from .geometry import IDENTITY_QUAT, Pose, interpolate_stage
 from .seeding import seed_stream
@@ -19,65 +24,6 @@ from .sim import ObjectState, Simulator, WorldState
 GRIP_OPEN = 1.0
 GRIP_HOLD = 0.05
 GRIP_PUSH = 0.0
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    task_id: str
-    instruction: str
-    stage_names: tuple
-    objects: tuple  # object ids placed by the scene sampler
-
-
-TASKS = {
-    spec.task_id: spec
-    for spec in (
-        TaskSpec(
-            "pick_cube",
-            "pick up the red cube",
-            ("reach", "grasp", "lift"),
-            ("cube",),
-        ),
-        TaskSpec(
-            "push_cube",
-            "push the cube to the goal marker",
-            ("approach", "push"),
-            ("cube",),
-        ),
-        TaskSpec(
-            "stack_cube",
-            "stack the red cube on top of the green cube",
-            ("reach", "grasp", "lift", "align", "lower", "release"),
-            ("cube_a", "cube_b"),
-        ),
-        TaskSpec(
-            "pick_sphere",
-            "pick up the ball",
-            ("reach", "grasp", "lift"),
-            ("sphere",),
-        ),
-        TaskSpec(
-            "place_sphere",
-            "place the ball on the pad",
-            ("reach", "grasp", "lift", "align", "lower", "release"),
-            ("sphere", "pad"),
-        ),
-        TaskSpec(
-            "pick_charger",
-            "pick up the charger",
-            ("reach", "grasp", "lift"),
-            ("charger",),
-        ),
-    )
-}
-
-
-def task_spec(task) -> TaskSpec:
-    task_id = getattr(task, "task_id", task)
-    try:
-        return TASKS[task_id]
-    except KeyError:
-        raise ConfigError(f"unknown task '{task_id}'") from None
 
 
 @dataclass(frozen=True)
@@ -177,97 +123,64 @@ def _sample_xy(rng, half_range):
     return rng.uniform(-half_range, half_range, size=2)
 
 
-def _build_scene(task_id: str, rng, cfg: Config) -> WorldState:
-    sim_cfg = cfg.sim
+def _scene_object(obj_id: str, xy, sim_cfg: SimConfig) -> ObjectState:
+    """An object resting on the table at xy. The id up to its first '_'
+    names the kind (`cube_a` is a cube); the pad is the one object the arm
+    can neither grasp nor push."""
+    kind = obj_id.split("_")[0]
+    shape, half = {
+        "cube": ("box", (sim_cfg.cube_half_extent,) * 3),
+        "sphere": ("sphere", (sim_cfg.sphere_radius,) * 3),
+        "charger": ("charger-slab", sim_cfg.charger_half_extents),
+        "pad": ("box", sim_cfg.pad_half_extents),
+    }[kind]
+    movable = kind != "pad"
+    return ObjectState(
+        shape=shape,
+        half_extents=half,
+        pose=_upright([xy[0], xy[1], half[2]], 0.0),
+        graspable=movable,
+        pushable=movable,
+    )
+
+
+def _build_scene(spec: TaskSpec, rng, cfg: Config) -> WorldState:
+    """Place the task's objects, one xy each in table order, redrawing all
+    of them until every pair is apart; a push task then draws its goal."""
     pl = cfg.planner
-    cube_z = sim_cfg.cube_half_extent
-    sphere_z = sim_cfg.sphere_radius
-    objects = {}
-    goal = None
-
-    def box(obj_id, xy, half, z, shape="box", graspable=True, pushable=True):
-        objects[obj_id] = ObjectState(
-            shape=shape,
-            half_extents=half,
-            pose=_upright([xy[0], xy[1], z], 0.0),
-            graspable=graspable,
-            pushable=pushable,
-        )
-
-    cube_half = (sim_cfg.cube_half_extent,) * 3
-    if task_id in ("pick_cube", "push_cube"):
-        xy = _sample_xy(rng, pl.placement_half_range)
-        box("cube", xy, cube_half, cube_z)
-        if task_id == "push_cube":
-            for _ in range(pl.max_placement_attempts):
-                angle = rng.uniform(0.0, 2.0 * np.pi)
-                dist = rng.uniform(*pl.push_distance_range)
-                candidate = xy + dist * np.array([np.cos(angle), np.sin(angle)])
-                if np.all(np.abs(candidate) <= pl.push_goal_limit):
-                    goal = (float(candidate[0]), float(candidate[1]))
-                    break
-            else:
-                raise SceneGenerationError(
-                    f"no in-bounds push goal for seed after {pl.max_placement_attempts} attempts"
-                )
-    elif task_id == "stack_cube":
-        for _ in range(pl.max_placement_attempts):
-            a = _sample_xy(rng, pl.placement_half_range)
-            b = _sample_xy(rng, pl.placement_half_range)
-            if float(np.linalg.norm(a - b)) >= pl.min_object_separation:
-                break
-        else:
-            raise SceneGenerationError(
-                f"stack placements never separated after {pl.max_placement_attempts} attempts"
-            )
-        box("cube_a", a, cube_half, cube_z)
-        box("cube_b", b, cube_half, cube_z)
-    elif task_id == "pick_sphere":
-        xy = _sample_xy(rng, pl.placement_half_range)
-        objects["sphere"] = ObjectState(
-            shape="sphere",
-            half_extents=(sim_cfg.sphere_radius,) * 3,
-            pose=_upright([xy[0], xy[1], sphere_z], 0.0),
-        )
-    elif task_id == "place_sphere":
-        for _ in range(pl.max_placement_attempts):
-            s = _sample_xy(rng, pl.placement_half_range)
-            p = _sample_xy(rng, pl.placement_half_range)
-            if float(np.linalg.norm(s - p)) >= pl.min_object_separation:
-                break
-        else:
-            raise SceneGenerationError(
-                f"place placements never separated after {pl.max_placement_attempts} attempts"
-            )
-        objects["sphere"] = ObjectState(
-            shape="sphere",
-            half_extents=(sim_cfg.sphere_radius,) * 3,
-            pose=_upright([s[0], s[1], sphere_z], 0.0),
-        )
-        box(
-            "pad",
-            p,
-            sim_cfg.pad_half_extents,
-            sim_cfg.pad_half_extents[2],
-            graspable=False,
-            pushable=False,
-        )
-    elif task_id == "pick_charger":
-        xy = _sample_xy(rng, pl.placement_half_range)
-        box(
-            "charger",
-            xy,
-            sim_cfg.charger_half_extents,
-            sim_cfg.charger_half_extents[2],
-            shape="charger-slab",
-        )
+    for _ in range(pl.max_placement_attempts):
+        xys = [_sample_xy(rng, pl.placement_half_range) for _ in spec.objects]
+        if all(
+            float(np.linalg.norm(a - b)) >= pl.min_object_separation
+            for a, b in itertools.combinations(xys, 2)
+        ):
+            break
     else:
-        raise ConfigError(f"unknown task '{task_id}'")
+        raise SceneGenerationError(
+            f"{spec.task_id} placements never separated after {pl.max_placement_attempts} attempts"
+        )
+
+    goal = None
+    if spec.family == "push":
+        for _ in range(pl.max_placement_attempts):
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            dist = rng.uniform(*pl.push_distance_range)
+            candidate = xys[0] + dist * np.array([np.cos(angle), np.sin(angle)])
+            if np.all(np.abs(candidate) <= pl.push_goal_limit):
+                goal = (float(candidate[0]), float(candidate[1]))
+                break
+        else:
+            raise SceneGenerationError(
+                f"no in-bounds push goal for seed after {pl.max_placement_attempts} attempts"
+            )
 
     return WorldState(
         ee_pose=home_pose(cfg),
-        objects=objects,
-        table_z=sim_cfg.table_z,
+        objects={
+            obj_id: _scene_object(obj_id, xy, cfg.sim)
+            for obj_id, xy in zip(spec.objects, xys)
+        },
+        table_z=cfg.sim.table_z,
         goal=goal,
     )
 
@@ -296,64 +209,55 @@ def grasp_attach_height(cfg: Config, steps: int) -> float:
     )
 
 
-def plan_task(task, seed: int, cfg: Config) -> tuple:
+def plan_task(task_id: str, seed: int, cfg: Config) -> tuple:
     """Sample a scene and emit the task's canonical stage sequence.
 
-    Returns (Plan, WorldState). Same (task, seed, cfg) gives identical output.
+    Returns (Plan, WorldState). Same (task_id, seed, cfg) gives identical
+    output.
     """
-    spec = task_spec(task)
-    rng = seed_stream("scene", spec.task_id, seed)
-    world = _build_scene(spec.task_id, rng, cfg)
+    spec = task_spec(task_id)
+    rng = seed_stream("scene", task_id, seed)
+    world = _build_scene(spec, rng, cfg)
     pl = cfg.planner
-    steps = pl.stage_steps(spec.task_id)
+    steps = pl.stage_steps(task_id)
     if steps < pl.min_stage_steps:
         raise ConfigError(
-            f"stage steps {steps} for '{spec.task_id}' below minimum {pl.min_stage_steps}"
+            f"stage steps {steps} for '{task_id}' below minimum {pl.min_stage_steps}"
         )
-
-    def obj_pos(obj_id):
-        return world.objects[obj_id].pose.position
-
-    def obj_top_offset(obj_id):
-        return world.objects[obj_id].half_extents[2]
 
     stages = []
 
     def add(name, position, gripper):
         stages.append(Stage(name, _upright(position, gripper), steps))
 
-    if spec.task_id in ("pick_cube", "pick_sphere", "pick_charger"):
-        target = spec.objects[0]
-        ox, oy, oz = obj_pos(target)
-        add("reach", [ox, oy, oz + pl.approach_height], GRIP_OPEN)
-        add("grasp", [ox, oy, oz + pl.grasp_approach_offset], GRIP_HOLD)
-        add("lift", [ox, oy, pl.lift_height], GRIP_HOLD)
-    elif spec.task_id == "push_cube":
-        cx, cy, cz = obj_pos("cube")
+    moved = world.objects[spec.objects[0]]
+    mx, my, mz = moved.pose.position
+    if spec.family == "push":
         gx, gy = world.goal
-        direction = np.array([gx - cx, gy - cy])
+        direction = np.array([gx - mx, gy - my])
         direction = direction / np.linalg.norm(direction)
-        behind = np.array([cx, cy]) - direction * pl.push_standoff
+        behind = np.array([mx, my]) - direction * pl.push_standoff
         through = np.array([gx, gy]) - direction * cfg.sim.contact_radius
-        add("approach", [behind[0], behind[1], cz], GRIP_PUSH)
-        add("push", [through[0], through[1], cz], GRIP_PUSH)
-    elif spec.task_id in ("stack_cube", "place_sphere"):
-        top_id, base_id = spec.objects
-        tx, ty, tz = obj_pos(top_id)
-        bx, by, bz = obj_pos(base_id)
-        stack_z = bz + obj_top_offset(base_id) + obj_top_offset(top_id)
-        # The held object hangs grasp_attach_height below the EE.
-        place_z = stack_z + grasp_attach_height(cfg, steps)
-        add("reach", [tx, ty, tz + pl.approach_height], GRIP_OPEN)
-        add("grasp", [tx, ty, tz + pl.grasp_approach_offset], GRIP_HOLD)
-        add("lift", [tx, ty, pl.carry_height], GRIP_HOLD)
-        add("align", [bx, by, pl.carry_height], GRIP_HOLD)
-        add("lower", [bx, by, place_z], GRIP_HOLD)
-        add("release", [bx, by, place_z], GRIP_OPEN)
+        add("approach", [behind[0], behind[1], mz], GRIP_PUSH)
+        add("push", [through[0], through[1], mz], GRIP_PUSH)
     else:
-        raise ConfigError(f"unknown task '{spec.task_id}'")
+        # Pick and place reach for and grasp the moved object alike.
+        add("reach", [mx, my, mz + pl.approach_height], GRIP_OPEN)
+        add("grasp", [mx, my, mz + pl.grasp_approach_offset], GRIP_HOLD)
+        if spec.family == "pick":
+            add("lift", [mx, my, pl.lift_height], GRIP_HOLD)
+        else:
+            base = world.objects[spec.objects[1]]
+            bx, by, bz = base.pose.position
+            stack_z = bz + base.half_extents[2] + moved.half_extents[2]
+            # The held object hangs grasp_attach_height below the EE.
+            place_z = stack_z + grasp_attach_height(cfg, steps)
+            add("lift", [mx, my, pl.carry_height], GRIP_HOLD)
+            add("align", [bx, by, pl.carry_height], GRIP_HOLD)
+            add("lower", [bx, by, place_z], GRIP_HOLD)
+            add("release", [bx, by, place_z], GRIP_OPEN)
 
-    return Plan(spec.task_id, tuple(stages), seed), world
+    return Plan(task_id, tuple(stages), seed), world
 
 
 def plan_commands(plan: Plan, start: Pose) -> list:

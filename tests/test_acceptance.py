@@ -18,7 +18,6 @@ from failsafe.geometry import (
     apply_delta,
     delta_action,
     pose_distance,
-    quat_distance,
     slerp,
 )
 from failsafe.pipeline import file_sha256, generate_task_entries, supervise_task
@@ -33,6 +32,12 @@ from failsafe.tasks import TASKS, plan_task, rollout_plan
 from failsafe.verifier import reverify_entries
 
 CUBE_TASKS = ("pick_cube", "push_cube", "stack_cube")
+
+
+def quat_distance(a, b) -> float:
+    """Chordal distance min(|a-b|, |a+b|); 0 for identical rotations."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return min(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
 
 
 def failure_case(task_id, seed, cfg, sim):
@@ -189,7 +194,7 @@ def test_criterion_5_reference_table_arithmetic(capsys):
             "rot_x": 12057, "rot_y": 6270, "rot_z": 738, "gt": 14717,
         },
     }
-    stats = DatasetStats.from_counts(
+    stats = DatasetStats(
         {(task, label): count for task, row in rows.items() for label, count in row.items()}
     )
     summary = stats.summary()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from failsafe.config import SimConfig, default_config
+from failsafe.config import Config, default_config
 from failsafe.errors import InvalidCommandError, SceneError
 from failsafe.geometry import (
     IDENTITY_QUAT,
@@ -44,7 +44,7 @@ def pose(x, y, z, quat=None, grip=1.0):
 
 @pytest.fixture
 def sim():
-    return Simulator(SimConfig())
+    return Simulator(Config())
 
 
 class TestStepping:

@@ -488,7 +488,7 @@ class TestEvaluateAssistant:
         from failsafe.supervisor import _recovery_cosine
 
         zero = DeltaAction.zero()
-        some = DeltaAction.from_vector([0.01, 0, 0, 0, 0, 0, 0])
+        some = DeltaAction([0.01, 0, 0], [0, 0, 0])
         assert _recovery_cosine(None, some) == 0.0
         assert _recovery_cosine(zero, some) == 0.0
         # a zero label answered with exactly zero is a perfect prediction

@@ -93,6 +93,17 @@ class TestPlanning:
             task_spec("juggle")
 
 
+class TestTaskTable:
+    @pytest.mark.parametrize("task_id", TASKS)
+    def test_table_drives_scene_and_plan(self, cfg, task_id):
+        spec = TASKS[task_id]
+        assert spec.family in ("pick", "push", "place")
+        for seed in range(4):
+            plan, world = plan_task(task_id, seed, cfg)
+            assert tuple(world.objects) == spec.objects
+            assert tuple(s.name for s in plan.stages) == spec.stage_names
+
+
 class TestAttachHeight:
     def test_default_pinned(self, cfg):
         assert grasp_attach_height(cfg, 40) == pytest.approx(0.00935, abs=1e-12)
