@@ -425,6 +425,8 @@ def _check_ranges(cfg: Config):
         raise ConfigError(
             "'planner.grasp_approach_offset' must sit inside the grasp radius"
         )
+    if planner.max_placement_attempts < 1:
+        raise ConfigError("'planner.max_placement_attempts' must be >= 1")
     for task_id, steps in planner.task_steps.items():
         if steps < planner.min_stage_steps:
             raise ConfigError(

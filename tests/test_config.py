@@ -128,6 +128,11 @@ class TestMappingValidation:
         with pytest.raises(ConfigError, match="min_stage_steps"):
             config_from_mapping({"planner": {"steps_per_stage": 5}})
 
+    @pytest.mark.parametrize("attempts", [0, -1])
+    def test_placement_attempts_must_be_positive(self, attempts):
+        with pytest.raises(ConfigError, match="max_placement_attempts"):
+            config_from_mapping({"planner": {"max_placement_attempts": attempts}})
+
     def test_grasp_offset_must_sit_inside_radius(self):
         with pytest.raises(ConfigError, match="grasp_approach_offset"):
             config_from_mapping({"planner": {"grasp_approach_offset": 0.02}})
