@@ -6,8 +6,8 @@ score an assistant, and split by seed. Progress goes to standard error;
 each command's result is a single JSON object on standard output.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure,
-3 verification shortfall (re-verified fraction below 1.0, or a dataset.jsonl,
-or a <task>.jsonl shard, whose bytes differ from what its manifest pins).
+3 verification shortfall (re-verified fraction below 1.0, or a data file
+whose bytes differ from what the manifest beside it pins).
 """
 
 import argparse
@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 from .config import TASKS, Config, default_config, load_config
 from .dataset import (
@@ -173,11 +174,9 @@ def _cmd_verify(args) -> int:
                 f"config (manifest {theirs}, given {ours})"
             )
             return EXIT_USAGE
-        name = os.path.basename(args.data)
-        if name == "dataset.jsonl" or name.removesuffix(".jsonl") in TASKS:
-            tampered = not _matches_manifest(args.data, manifest)
-            if tampered:
-                _progress(f"{args.data} does not match its manifest's dataset_sha256 and counts")
+        tampered = not _matches_manifest(args.data, manifest)
+        if tampered:
+            _progress(f"{args.data} does not match its manifest's dataset_sha256 and counts")
     else:
         _progress(f"no manifest next to {args.data}; skipping config-hash check")
 
@@ -197,16 +196,20 @@ def _cmd_verify(args) -> int:
 
 def _matches_manifest(path, manifest) -> bool:
     """True when the dataset.jsonl beside the file matches the manifest's
-    dataset_sha256 and the file is all of it or, for a <task>.jsonl shard,
-    its task's block. dataset.jsonl is the shards concatenated in task-id
-    order (the sort key leads with the task id), so the manifest's per-task
-    counts give each block's line range."""
+    dataset_sha256 and the file is all of it, or for a <task>.jsonl shard
+    its task's block, or for any other file (a split's train.jsonl or
+    test.jsonl) its lines of the (task, seed) pairs the file holds.
+    dataset.jsonl is the shards concatenated in task-id order (the sort key
+    leads with the task id), so the manifest's per-task counts give each
+    block's line range."""
     dataset = os.path.join(os.path.dirname(os.path.abspath(path)), "dataset.jsonl")
     if file_sha256(dataset) != manifest.get("dataset_sha256"):
         return False
     task = os.path.basename(path).removesuffix(".jsonl")
     if task == "dataset":
         return True
+    if task not in TASKS:
+        return _matches_seed_lines(path, dataset)
     try:
         sizes = {t: c["failures"] + c["ground_truth"] for t, c in manifest["counts"].items()}
         start = sum(n for t, n in sizes.items() if t < task)
@@ -217,13 +220,38 @@ def _matches_manifest(path, manifest) -> bool:
     return hashlib.sha256(block).hexdigest() == file_sha256(path)
 
 
+def _matches_seed_lines(path, dataset) -> bool:
+    """True when the file is, byte for byte, the lines of dataset.jsonl whose
+    (task, seed) pairs it holds, in dataset.jsonl's order. Every written
+    file is in the canonical sort order, so a seed split of the dataset or
+    of a shard is exactly such a subsequence."""
+
+    def pair(line):
+        record = json.loads(line)
+        return record["task"], record["provenance"]["seed"]
+
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            pairs = {pair(line) for line in fh}
+        with open(dataset, "rb") as fh:
+            for line in fh:
+                if pair(line) in pairs:
+                    digest.update(line)
+    except (KeyError, TypeError, ValueError):
+        return False  # a line that names no (task, seed) pins nothing
+    return digest.hexdigest() == file_sha256(path)
+
+
 def _cmd_supervise(args) -> int:
     cfg = _load_config(args.config)
-    if args.cadence is not None and args.cadence < 1:
-        raise UsageError(f"--cadence must be at least 1, got {args.cadence}")
+    if args.cadence is not None:
+        if args.cadence < 1:
+            raise UsageError(f"--cadence must be at least 1, got {args.cadence}")
+        cfg = replace(cfg, supervisor=replace(cfg.supervisor, cadence=args.cadence))
     seeds = _parse_seeds(args.seeds)
     jobs = _resolve_jobs(args)
-    outcomes = supervise_task(args.task, seeds, cfg, args.assistant, args.cadence, jobs)
+    outcomes = supervise_task(args.task, seeds, cfg, args.assistant, jobs)
 
     if args.trace is not None:
         os.makedirs(args.trace, exist_ok=True)
@@ -239,7 +267,7 @@ def _cmd_supervise(args) -> int:
         {
             "task": args.task,
             "assistant": args.assistant,
-            "cadence": cfg.supervisor.cadence if args.cadence is None else args.cadence,
+            "cadence": cfg.supervisor.cadence,
             "episodes": n,
             "success_rate_unassisted": bare / n,
             "success_rate_assisted": helped / n,

@@ -27,7 +27,7 @@ from .errors import (
 from .geometry import DeltaAction, Pose
 from .recovery import even_subsample
 from .seeding import seed_stream
-from .sim import ObservationFrame
+from .sim import CAMERA_IDS, ObservationFrame
 
 SCHEMA_VERSION = 1
 WINDOW_FRAMES = 10
@@ -57,7 +57,6 @@ _TOP_KEYS = (
     "provenance",
 )
 _PROVENANCE_KEYS = ("seed", "stage", "d_index", "c_index", "magnitude")
-_CAMERA_KEYS = ("front", "side", "hand")
 
 
 def failure_label(mode, axis) -> str:
@@ -282,7 +281,7 @@ def _frame_record(frame: ObservationFrame) -> dict:
         },
         "cameras": {
             cam: [[kp, float(u), float(v)] for kp, u, v in frame.cameras[cam]]
-            for cam in _CAMERA_KEYS
+            for cam in CAMERA_IDS
         },
         "image_path": None,  # reserved for an attached renderer
     }
@@ -300,11 +299,15 @@ def write_dataset(entries, path) -> int:
 @contextlib.contextmanager
 def atomic_writer(path):
     """A binary file beside `path`, swapped into place when the block exits
-    cleanly: readers see the old file or the new one, never a partial write."""
+    cleanly: readers see the old file or the new one, never a partial write.
+    The file gets the mode open() would give it under the process umask."""
+    umask = os.umask(0)  # reading the umask means setting it; put it back
+    os.umask(umask)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp made it 0600
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -418,9 +421,9 @@ def _frame_from_record(record, what) -> ObservationFrame:
         if not isinstance(obj_id, str) or not obj_id:
             raise DatasetFormatError(f"{what}.objects keys must be non-empty strings")
         objects[obj_id] = _pose_from_record(objects_rec[obj_id], f"{what}.objects[{obj_id}]")
-    _require_keys(record["cameras"], _CAMERA_KEYS, f"{what}.cameras")
+    _require_keys(record["cameras"], CAMERA_IDS, f"{what}.cameras")
     cameras = {}
-    for cam in _CAMERA_KEYS:
+    for cam in CAMERA_IDS:
         points = record["cameras"][cam]
         if not isinstance(points, list):
             raise DatasetFormatError(f"{what}.cameras.{cam} must be a list")

@@ -1,9 +1,9 @@
 """End-to-end generation and episode batches: one seed's funnel, fanned out
 across a worker pool, merged deterministically.
 
-Workers are plain top-level functions over picklable arguments so the pool
-can be a process pool; jobs=1 short-circuits to in-process loops, which is
-also the reference order every parallel merge must reproduce.
+Per-seed workers are top-level functions of (task_id, seed, cfg, ...) that
+build their own Simulator; _per_seed fans them out over a process pool, or
+in-process for jobs=1, the reference order every parallel merge reproduces.
 """
 
 import hashlib
@@ -20,7 +20,6 @@ from .failures import generate_failure_case
 from .recovery import collect_candidates
 from .sim import Simulator
 from .supervisor import (
-    PerturbedStreamPolicy,
     null_assistant,
     oracle_assistant_decide,
     run_supervised_episode,
@@ -32,12 +31,12 @@ from .verifier import verify_candidates
 ASSISTANTS = {"oracle": oracle_assistant_decide, "null": null_assistant}
 
 
-def build_seed_entries(task_id, seed: int, cfg: Config, sim: Simulator | None = None) -> list:
+def build_seed_entries(task_id, seed: int, cfg: Config) -> list:
     """One scene seed's dataset rows: injection, collection, verification,
     entry building for every surviving candidate, plus the seed's success
     windows. The scene is planned and its correct plan rolled once; the
     failure case and the success windows share that rollout."""
-    sim = sim or Simulator(cfg)
+    sim = Simulator(cfg)
     plan, world = plan_task(task_id, seed, cfg)
     correct = rollout_plan(plan, world, sim)
     case = generate_failure_case(plan, world, correct, cfg, sim)
@@ -54,30 +53,31 @@ def pool_size(jobs: int, seeds) -> int:
     return max(1, min(jobs, len(seeds), os.cpu_count() or 1))
 
 
-def generate_task_entries(task_id, seeds, cfg: Config, jobs: int = 1) -> list:
-    """All entries for one task over a seed range, ratio enforced.
-
-    The merge concatenates per-seed blocks in ascending seed order whether
-    or not a pool is used, so the output is identical for any jobs value.
-    """
+def _per_seed(worker, task_id, seeds, jobs: int, *args) -> list:
+    """worker(task_id, seed, *args) for every seed, in seed order for any
+    jobs value: in-process for one job, else on a process pool."""
     seeds = list(seeds)
     jobs = pool_size(jobs, seeds)
     if jobs == 1:
-        sim = Simulator(cfg)
-        blocks = [build_seed_entries(task_id, seed, cfg, sim) for seed in seeds]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(
-                pool.map(
-                    build_seed_entries, repeat(task_id), seeds, repeat(cfg),
-                    chunksize=max(1, len(seeds) // (4 * jobs)),
-                )
+        return [worker(task_id, seed, *args) for seed in seeds]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(
+            pool.map(
+                worker, repeat(task_id), seeds, *(repeat(arg) for arg in args),
+                chunksize=max(1, len(seeds) // (4 * jobs)),
             )
+        )
+
+
+def generate_task_entries(task_id, seeds, cfg: Config, jobs: int = 1) -> list:
+    """All entries for one task over a seed range, merged in seed order,
+    ratio enforced."""
+    blocks = _per_seed(build_seed_entries, task_id, seeds, jobs, cfg)
     merged = [entry for block in blocks for entry in block]
     return enforce_ratio(merged, cfg)
 
 
-def run_episode_pair(task_id, seed: int, cfg: Config, assistant: str, cadence=None):
+def run_episode_pair(task_id, seed: int, cfg: Config, assistant: str):
     """(unassisted success, assisted success, assisted result) for one seed.
 
     Both runs carry the same confirmed fault, so the pair isolates exactly
@@ -88,27 +88,16 @@ def run_episode_pair(task_id, seed: int, cfg: Config, assistant: str, cadence=No
     plan, world = plan_task(task_id, seed, cfg)
     fault = sample_harness_fault(plan, world, cfg, sim)
     bare_ok = fault is None and run_supervised_episode(
-        PerturbedStreamPolicy(plan, world), None, cfg, sim, cadence
+        plan, world, None, None, cfg, sim
     ).success
-    helped = run_supervised_episode(
-        PerturbedStreamPolicy(plan, world, fault), ASSISTANTS[assistant], cfg, sim, cadence
-    )
+    helped = run_supervised_episode(plan, world, fault, ASSISTANTS[assistant], cfg, sim)
     return bare_ok, helped.success, helped
 
 
-def supervise_task(task_id, seeds, cfg: Config, assistant: str = "oracle",
-                   cadence=None, jobs: int = 1) -> list:
+def supervise_task(task_id, seeds, cfg: Config, assistant: str, jobs: int = 1) -> list:
     """Episode pairs over a seed range: [(seed, bare_ok, helped_ok, result)]."""
     seeds = list(seeds)
-    jobs = pool_size(jobs, seeds)
-    if jobs == 1:
-        outcomes = [run_episode_pair(task_id, s, cfg, assistant, cadence) for s in seeds]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(
-                pool.map(run_episode_pair, repeat(task_id), seeds, repeat(cfg),
-                         repeat(assistant), repeat(cadence))
-            )
+    outcomes = _per_seed(run_episode_pair, task_id, seeds, jobs, cfg, assistant)
     return [(seed, *outcome) for seed, outcome in zip(seeds, outcomes)]
 
 

@@ -274,10 +274,9 @@ class Simulator:
 
     def observe(self, world: WorldState) -> "ObservationFrame":
         keypoints = self._keypoints(world)
+        bases = (self._front, self._side, self._hand_camera(world.ee_pose))
         cameras = {
-            "front": self._project_all(self._front, keypoints),
-            "side": self._project_all(self._side, keypoints),
-            "hand": self._project_all(self._hand_camera(world.ee_pose), keypoints),
+            cam: self._project_all(basis, keypoints) for cam, basis in zip(CAMERA_IDS, bases)
         }
         object_poses = {
             obj_id: world.objects[obj_id].pose.copy() for obj_id in sorted(world.objects)

@@ -1,11 +1,10 @@
 """Supervised execution: a fault-prone executor checked at a fixed cadence.
 
-The policy replays a plan's waypoint stream (optionally carrying one sampled
-online fault). Every `cadence` steps an assistant sees the last ten
-observation frames and may inject a corrective end-effector command; the
-harness drives that command to arrival, re-synchronizes the stream cursor,
-and hands control back. The same assistant interface is scored offline by
-evaluate_assistant against labeled dataset entries.
+One episode loop replays a planned scene's waypoint stream, perturbed by an
+optional online fault. Every `cfg.supervisor.cadence` steps an assistant sees
+the last ten observation frames and may inject a corrective end-effector
+command; the loop drives it to arrival, resyncs its stream cursor, and hands
+control back. evaluate_assistant scores the same interface offline on labeled entries.
 """
 
 import math
@@ -64,70 +63,46 @@ class Metrics:
     mean_cosine: float
 
 
-class PerturbedStreamPolicy:
-    """Plan-following executor whose stream may carry one injected fault.
+def resync(commands, cursor: int, ee: Pose, cfg: Config) -> int:
+    """The cursor past the stream run the arm now sits on.
 
-    The stream is fixed at construction: the scene's plan, with the fault's
-    stage perturbed when a fault is given. resync() lets the harness move
-    the cursor after an intervention landed somewhere else on the table.
+    Scans forward from the cursor for the first upcoming waypoint whose
+    position and grip are within the resume tolerances, walks the
+    consecutive run of such matches, and resumes after the closest one. Ties
+    resolve forward so a block of identical hold waypoints is consumed whole.
+    Orientation is deliberately not part of the match: an orientation fault
+    leaves stream positions intact, and the cursor must still advance past
+    them once the arm is back on the line. No match returns the cursor
+    unchanged, so the stream continues where it left off.
     """
+    sup = cfg.supervisor
 
-    def __init__(self, plan: Plan, world: WorldState, fault: FailureSpec | None = None):
-        self.fault = fault
-        self.correct_plan = plan
-        self.initial_world = world
-        stream_plan = plan if fault is None else perturb_stage(plan, fault)
-        self.commands = plan_commands(stream_plan, world.ee_pose)
-        self.cursor = 0
+    def gap(j):
+        command = commands[j]
+        translational, _ = pose_distance(ee, command)
+        if translational > sup.resume_pos_tol:
+            return None
+        if abs(ee.gripper - command.gripper) > sup.resume_grip_tol:
+            return None
+        return translational
 
-    def exhausted(self) -> bool:
-        return self.cursor >= len(self.commands)
-
-    def next_command(self) -> Pose:
-        command = self.commands[self.cursor]
-        self.cursor += 1
-        return command
-
-    def resync(self, ee: Pose, cfg: Config) -> None:
-        """Skip the cursor past the stream run the arm now sits on.
-
-        Scans forward for the first upcoming waypoint whose position and
-        grip are within the resume tolerances, walks the consecutive run of
-        such matches, and resumes after the closest one. Ties resolve
-        forward so a block of identical hold waypoints is consumed whole.
-        Orientation is deliberately not part of the match: an orientation
-        fault leaves stream positions intact, and the cursor must still
-        advance past them once the arm is back on the line. No match leaves
-        the cursor alone, so the stream continues where it left off.
-        """
-        sup = cfg.supervisor
-
-        def gap(j):
-            command = self.commands[j]
-            translational, _ = pose_distance(ee, command)
-            if translational > sup.resume_pos_tol:
-                return None
-            if abs(ee.gripper - command.gripper) > sup.resume_grip_tol:
-                return None
-            return translational
-
-        first = None
-        for j in range(self.cursor, len(self.commands)):
-            if gap(j) is not None:
-                first = j
-                break
-        if first is None:
-            return
-        best, best_gap = first, gap(first)
-        j = first
-        while j + 1 < len(self.commands):
-            nxt = gap(j + 1)
-            if nxt is None:
-                break
-            j += 1
-            if nxt <= best_gap:
-                best, best_gap = j, nxt
-        self.cursor = best + 1
+    first = None
+    for j in range(cursor, len(commands)):
+        if gap(j) is not None:
+            first = j
+            break
+    if first is None:
+        return cursor
+    best, best_gap = first, gap(first)
+    j = first
+    while j + 1 < len(commands):
+        nxt = gap(j + 1)
+        if nxt is None:
+            break
+        j += 1
+        if nxt <= best_gap:
+            best, best_gap = j, nxt
+    return best + 1
 
 
 def _within(pose: Pose, other: Pose, pos_tol, ang_tol, grip_tol=None) -> bool:
@@ -138,7 +113,7 @@ def _within(pose: Pose, other: Pose, pos_tol, ang_tol, grip_tol=None) -> bool:
 
 
 def sample_harness_fault(
-    plan: Plan, world: WorldState, cfg: Config, sim: Simulator | None = None
+    plan: Plan, world: WorldState, cfg: Config, sim: Simulator
 ) -> FailureSpec | None:
     """The confirmed online fault the planned scene's episode carries.
 
@@ -150,12 +125,10 @@ def sample_harness_fault(
     entries = cfg.supervisor.faults.get(plan.task_id, ())
     if not entries:
         return None
-    sim = sim or Simulator(cfg)
     rng = seed_stream("harness", plan.task_id, plan.seed)
     for _ in range(MAX_FAULT_DRAWS):
         spec = sample_failure_spec(plan, entries, rng)
-        policy = PerturbedStreamPolicy(plan, world, spec)
-        if not run_supervised_episode(policy, None, cfg, sim).success:
+        if not run_supervised_episode(plan, world, spec, None, cfg, sim).success:
             return spec
     return None
 
@@ -282,13 +255,15 @@ def _context_stage(frames, context) -> str:
 
 
 def run_supervised_episode(
-    policy: PerturbedStreamPolicy,
+    plan: Plan,
+    world: WorldState,
+    fault: FailureSpec | None,
     assistant,
     cfg: Config,
-    sim: Simulator | None = None,
-    cadence: int | None = None,
+    sim: Simulator,
 ) -> EpisodeResult:
-    """Execute one episode of the policy's scene under fixed-cadence supervision.
+    """Execute one episode of the planned scene, its stream perturbed by the
+    fault if one is given, consulting the assistant every cfg.supervisor.cadence steps.
 
     The assistant is any callable(frames, context) -> AssistantDecision; an
     exception from it is logged and treated as "no failure" (fail-open).
@@ -298,15 +273,14 @@ def run_supervised_episode(
     During an intervention's transit the stream pauses and no further
     consultations happen until the arm lands and the cursor re-syncs.
     """
-    cadence = cfg.supervisor.cadence if cadence is None else cadence
+    cadence = cfg.supervisor.cadence
     if cadence < 1:
         raise ContractViolation("cadence must be at least 1")
-    sim = sim or Simulator(cfg)
-    plan = policy.correct_plan
-    world = policy.initial_world
     if assistant is not None:  # only an assistant reads the nominal reference
         correct = rollout_plan(plan, world, sim)
-        context = EpisodeContext(plan.task_id, policy.fault, correct, cfg)
+        context = EpisodeContext(plan.task_id, fault, correct, cfg)
+    commands = plan_commands(plan if fault is None else perturb_stage(plan, fault), world.ee_pose)
+    cursor = 0  # next stream command to run
     # A nominal rollout records one frame per command: this is its frame count.
     nominal = plan.total_steps()
     budget = math.ceil(nominal * (1.0 + cfg.supervisor.budget_slack)) + cfg.supervisor.settle_steps
@@ -328,7 +302,7 @@ def run_supervised_episode(
         transit_mask.extend([transit] * len(stepped))
         return stepped[-1] if stepped else start
 
-    while len(worlds) - 1 < budget and not policy.exhausted():
+    while len(worlds) - 1 < budget and cursor < len(commands):
         total = len(worlds) - 1
         if assistant is not None and total > 0 and total % cadence == 0:
             try:
@@ -348,19 +322,15 @@ def run_supervised_episode(
                 stepped, arrived = sim.drive_to(world, target, budget - total - 1)
                 world = record(world, stepped, True)
                 if arrived:
-                    policy.resync(world.ee_pose, cfg)
+                    cursor = resync(commands, cursor, world.ee_pose, cfg)
                 continue
         # The stream runs on until the next consultation.
         run = min(cadence - total % cadence, budget - total)
-        commands = [policy.next_command() for _ in range(run) if not policy.exhausted()]
-        world = record(world, sim.drive(world, commands), False)
+        world = record(world, sim.drive(world, commands[cursor : cursor + run]), False)
+        cursor += run
 
     # Plan exhausted (or budget hit): hold position briefly, then judge.
-    settle = Pose(
-        world.ee_pose.position.copy(),
-        world.ee_pose.orientation.copy(),
-        world.ee_pose.gripper,
-    )
+    settle = world.ee_pose.copy()
     holds = [settle] * min(cfg.supervisor.settle_steps, budget - (len(worlds) - 1))
     world = record(world, sim.drive(world, holds), False)
 

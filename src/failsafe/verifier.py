@@ -73,7 +73,7 @@ def verify_candidates(case, candidates, cfg: Config, sim: Simulator) -> list:
     return [verify_candidate(case, cand, cfg, sim) for cand in candidates]
 
 
-def reverify_entries(entries, cfg: Config, sim: Simulator | None = None) -> float:
+def reverify_entries(entries, cfg: Config) -> float:
     """Re-replay every exported failure recovery; returns the passing fraction.
 
     A failure entry pins its scene seed and window indices in provenance;
@@ -83,10 +83,10 @@ def reverify_entries(entries, cfg: Config, sim: Simulator | None = None) -> floa
     entry whose regenerated case no longer matches its provenance counts
     as failed rather than raising: the point is to distrust the file.
     """
-    sim = sim or Simulator(cfg)
     failures = [e for e in entries if e.is_failure]
     if not failures:
         return 1.0
+    sim = Simulator(cfg)
     cases = {}
     passed = 0
     for entry in failures:

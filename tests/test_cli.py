@@ -256,6 +256,50 @@ class TestVerify:
         code, _, _ = run_cli(["verify", "--data", str(out / "pick_cube.jsonl")], capsys)
         assert code == EXIT_VERIFY
 
+    def split_beside_manifest(self, outdir, tmp_path, capsys):
+        """split --out into a copy of the run directory; returns that directory."""
+        for name in ("dataset.jsonl", "manifest.json"):
+            (tmp_path / name).write_bytes((outdir / name).read_bytes())
+        code, _, _ = run_cli(
+            ["split", "--data", str(tmp_path / "dataset.jsonl"), "--test-seeds", "4",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        return tmp_path
+
+    def test_untouched_split_verifies(self, outdir, tmp_path, capsys):
+        run = self.split_beside_manifest(outdir, tmp_path, capsys)
+        for side in ("train.jsonl", "test.jsonl"):
+            code, payload, err = run_cli(["verify", "--data", str(run / side)], capsys)
+            assert code == EXIT_OK, err
+            assert payload["verified_fraction"] == 1.0
+
+    def test_deleted_split_line_exits_three(self, outdir, tmp_path, capsys):
+        run = self.split_beside_manifest(outdir, tmp_path, capsys)
+        test = run / "test.jsonl"
+        lines = test.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 1
+        test.write_bytes(b"".join(lines[1:]))
+        code, payload, err = run_cli(["verify", "--data", str(test)], capsys)
+        assert code == EXIT_VERIFY
+        # The replay still runs and reports; only the byte check failed.
+        assert payload["entries"] == len(lines) - 1
+        assert "test.jsonl does not match its manifest" in err
+
+    def test_edited_split_frame_exits_three(self, outdir, tmp_path, capsys):
+        run = self.split_beside_manifest(outdir, tmp_path, capsys)
+        test = run / "test.jsonl"
+        lines = test.read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        record["frames"][0]["ee"]["position"][0] += 1e-3
+        lines[0] = json.dumps(record, separators=(",", ":")) + "\n"
+        test.write_text("".join(lines))
+        code, payload, err = run_cli(["verify", "--data", str(test)], capsys)
+        assert code == EXIT_VERIFY
+        assert payload["entries"] == len(lines)
+        assert "test.jsonl does not match its manifest" in err
+
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\udcff"])
     def test_malformed_manifest_is_runtime_error(self, dataset, tmp_path, capsys, text):
         lone = tmp_path / "dataset.jsonl"
@@ -320,6 +364,35 @@ class TestSupervise:
             ["supervise", "--task", TASK, "--seeds", "5..1", "--assistant", "oracle"], capsys
         )
         assert code == EXIT_USAGE
+
+    def supervise_run(self, extra, traces, capsys):
+        """(exit code, stdout text, {trace name: bytes}) of one supervise run."""
+        code = cli_main(
+            ["supervise", "--task", TASK, "--seeds", "1..3", "--assistant", "oracle",
+             "--trace", str(traces), *extra]
+        )
+        out = capsys.readouterr().out
+        return code, out, {p.name: p.read_bytes() for p in sorted(traces.iterdir())}
+
+    def test_cadence_flag_matches_config_file(self, tmp_path, capsys):
+        # The packaged defaults with supervisor.cadence 4: a file holding only
+        # that key would also drop the default fault menus.
+        src = default_config_yaml()
+        assert src.count("\nsupervisor:\n") == 1 and "cadence" not in src
+        config = tmp_path / "cadence4.yaml"
+        config.write_text(src.replace("\nsupervisor:\n", "\nsupervisor:\n  cadence: 4\n"))
+        flag = self.supervise_run(["--cadence", "4"], tmp_path / "flag", capsys)
+        file = self.supervise_run(["--config", str(config)], tmp_path / "file", capsys)
+        default = self.supervise_run([], tmp_path / "default", capsys)
+        assert flag[0] == EXIT_OK and json.loads(flag[1])["cadence"] == 4
+        assert flag == file
+        assert default[2] != flag[2]  # cadence 4 really changed the episodes
+
+    def test_pool_matches_in_process(self, tmp_path, capsys):
+        serial = self.supervise_run(["--jobs", "1"], tmp_path / "serial", capsys)
+        pooled = self.supervise_run(["--jobs", "2"], tmp_path / "pooled", capsys)
+        assert serial[0] == EXIT_OK and len(serial[2]) == 3
+        assert serial == pooled
 
     @pytest.mark.parametrize("cadence", ["0", "-3"])
     def test_nonpositive_cadence_is_usage_error(self, capsys, cadence):

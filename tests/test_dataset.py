@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 from dataclasses import replace
 
 import pytest
@@ -167,7 +169,7 @@ class TestBuildSeedEntries:
             for module in vars(failsafe).values():
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
-        entries = build_seed_entries("pick_cube", 4, cfg, sim)
+        entries = build_seed_entries("pick_cube", 4, cfg)
         assert any(e.is_failure for e in entries) is not benign
         assert calls == {"plan_task": 1, "rollout_plan": 2}
         assert [e for e in entries if not e.is_failure] == build_gt_entries(
@@ -209,6 +211,16 @@ class TestSerialization:
         from failsafe.dataset import _sort_key
 
         assert back == sorted(entries, key=_sort_key)
+
+    def test_written_file_mode_follows_umask(self, corpus, tmp_path):
+        _, entries = corpus
+        path = tmp_path / "moded.jsonl"
+        previous = os.umask(0o022)
+        try:
+            write_dataset(entries, path)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
 
     def test_write_is_canonical(self, corpus, tmp_path):
         _, entries = corpus

@@ -9,23 +9,23 @@ import pytest
 from failsafe.config import default_config
 from failsafe.dataset import build_entry, build_gt_entries
 from failsafe.errors import ContractViolation, MetricsError
-from failsafe.failures import generate_failure_case
+from failsafe.failures import generate_failure_case, perturb_stage
 from failsafe.geometry import DeltaAction, Pose
 from failsafe.recovery import collect_candidates
 from failsafe.sim import Simulator
 from failsafe.supervisor import (
     AssistantDecision,
     EpisodeContext,
-    PerturbedStreamPolicy,
     evaluate_assistant,
     null_assistant,
     oracle_assistant_decide,
+    resync,
     run_supervised_episode,
     sample_harness_fault,
     _window_frozen,
 )
 from failsafe.pipeline import run_episode_pair
-from failsafe.tasks import TASKS, plan_task, rollout_plan
+from failsafe.tasks import TASKS, plan_commands, plan_task, rollout_plan
 from failsafe.verifier import verify_candidates
 
 
@@ -45,8 +45,19 @@ def failure_case(task_id, seed, cfg, sim):
     return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
 
 
-def policy_for(task, seed, cfg, fault=None):
-    return PerturbedStreamPolicy(*plan_task(task, seed, cfg), fault)
+def scene_for(task, seed, cfg, fault=None):
+    """(plan, world, fault): the first three arguments of an episode."""
+    return (*plan_task(task, seed, cfg), fault)
+
+
+def stream_for(task, seed, cfg, fault=None):
+    """The command stream an episode of (task, seed) carrying fault replays."""
+    plan, world = plan_task(task, seed, cfg)
+    return plan_commands(plan if fault is None else perturb_stage(plan, fault), world.ee_pose)
+
+
+def with_cadence(cfg, cadence):
+    return replace(cfg, supervisor=replace(cfg.supervisor, cadence=cadence))
 
 
 def harness_fault(task, seed, cfg, sim):
@@ -109,8 +120,9 @@ class TestHarnessFaultSampling:
 
     def test_confirmed_to_break_unassisted_run(self, cfg, sim):
         fault = harness_fault("pick_cube", 0, cfg, sim)
-        policy = policy_for("pick_cube", 0, cfg, fault)
-        result = run_supervised_episode(policy, null_assistant, cfg, sim)
+        result = run_supervised_episode(
+            *scene_for("pick_cube", 0, cfg, fault), null_assistant, cfg, sim
+        )
         assert not result.success
 
     def test_unconfigured_task_draws_nothing(self, cfg, sim):
@@ -120,13 +132,11 @@ class TestHarnessFaultSampling:
 
 class TestResync:
     def test_resumes_after_closest_waypoint(self, cfg):
-        policy = policy_for("pick_cube", 0, cfg)
+        commands = stream_for("pick_cube", 0, cfg)
         k = 57  # mid-grasp, deep inside a dense run of nearby waypoints
-        target = policy.commands[k]
+        target = commands[k]
         ee = Pose(target.position.copy(), target.orientation.copy(), target.gripper)
-        policy.cursor = 45
-        policy.resync(ee, cfg)
-        assert policy.cursor == k + 1
+        assert resync(commands, 45, ee, cfg) == k + 1
 
     def test_skips_identical_hold_block(self, cfg, sim):
         fault = None
@@ -144,70 +154,65 @@ class TestResync:
                 and a.gripper == b.gripper
             )
 
-        policy = policy_for("pick_cube", seed, cfg, fault)
+        commands = stream_for("pick_cube", seed, cfg, fault)
         # Locate the hold block: the stream is longer than the nominal one
         # by exactly the stall, a run of consecutive identical commands.
         start = next(
             i
-            for i in range(1, len(policy.commands) - 1)
-            if same(policy.commands[i], policy.commands[i - 1])
-            and same(policy.commands[i], policy.commands[i + 1])
+            for i in range(1, len(commands) - 1)
+            if same(commands[i], commands[i - 1])
+            and same(commands[i], commands[i + 1])
         )
-        hold = policy.commands[start]
+        hold = commands[start]
         ee = Pose(hold.position.copy(), hold.orientation.copy(), hold.gripper)
-        policy.cursor = start
-        policy.resync(ee, cfg)
-        assert policy.cursor > start
-        assert same(policy.commands[policy.cursor - 1], hold)
-        assert policy.cursor == len(policy.commands) or not same(
-            policy.commands[policy.cursor], hold
-        )
+        cursor = resync(commands, start, ee, cfg)
+        assert cursor > start
+        assert same(commands[cursor - 1], hold)
+        assert cursor == len(commands) or not same(commands[cursor], hold)
 
     def test_no_match_leaves_cursor(self, cfg):
-        policy = policy_for("pick_cube", 0, cfg)
-        policy.cursor = 20
+        commands = stream_for("pick_cube", 0, cfg)
         far = Pose(np.array([0.31, 0.31, 0.29]), np.array([1.0, 0.0, 0.0, 0.0]), 0.5)
-        policy.resync(far, cfg)
-        assert policy.cursor == 20
+        assert resync(commands, 20, far, cfg) == 20
 
     def test_orientation_mismatch_does_not_block(self, cfg):
-        policy = policy_for("pick_cube", 0, cfg)
+        commands = stream_for("pick_cube", 0, cfg)
         k = 57
-        target = policy.commands[k]
+        target = commands[k]
         tilted = Pose(
             target.position.copy(),
             np.array([math.cos(0.45), math.sin(0.45), 0.0, 0.0]),
             target.gripper,
         )
-        policy.cursor = 45
-        policy.resync(tilted, cfg)
-        assert policy.cursor == k + 1
+        assert resync(commands, 45, tilted, cfg) == k + 1
 
 
 class TestRunSupervisedEpisode:
     def test_unperturbed_null_episode(self, cfg, sim):
-        policy = policy_for("pick_cube", 0, cfg)
-        result = run_supervised_episode(policy, null_assistant, cfg, sim)
-        nominal = len(rollout_plan(policy.correct_plan, policy.initial_world, sim).frames)
+        plan, world, _ = scene = scene_for("pick_cube", 0, cfg)
+        result = run_supervised_episode(*scene, null_assistant, cfg, sim)
+        nominal = len(rollout_plan(plan, world, sim).frames)
         assert result.success
         assert result.interventions == 0
         assert result.total_steps == nominal + cfg.supervisor.settle_steps
         assert len(result.trace) == result.total_steps + 1
 
     def test_cadence_must_be_positive(self, cfg, sim):
-        policy = policy_for("pick_cube", 0, cfg)
+        # Config loading rejects cadence 0; a library caller can still build one.
         with pytest.raises(ContractViolation):
-            run_supervised_episode(policy, null_assistant, cfg, sim, cadence=0)
+            run_supervised_episode(
+                *scene_for("pick_cube", 0, cfg), null_assistant, with_cadence(cfg, 0), sim
+            )
 
     def test_oracle_rescues_confirmed_fault(self, cfg, sim):
         fault = harness_fault("pick_cube", 1, cfg, sim)
         assert fault is not None
         broken = run_supervised_episode(
-            policy_for("pick_cube", 1, cfg, fault),
+            *scene_for("pick_cube", 1, cfg, fault),
             null_assistant, cfg, sim,
         )
         rescued = run_supervised_episode(
-            policy_for("pick_cube", 1, cfg, fault),
+            *scene_for("pick_cube", 1, cfg, fault),
             oracle_assistant_decide, cfg, sim,
         )
         assert not broken.success
@@ -218,7 +223,7 @@ class TestRunSupervisedEpisode:
         for seed in range(4):
             fault = harness_fault("pick_cube", seed, cfg, sim)
             result = run_supervised_episode(
-                policy_for("pick_cube", seed, cfg, fault),
+                *scene_for("pick_cube", seed, cfg, fault),
                 oracle_assistant_decide, cfg, sim,
             )
             assert result.interventions <= result.total_steps // cfg.supervisor.cadence
@@ -226,11 +231,11 @@ class TestRunSupervisedEpisode:
     def test_budget_caps_total_steps(self, cfg, sim):
         for seed in range(4):
             fault = harness_fault("pick_cube", seed, cfg, sim)
-            policy = policy_for("pick_cube", seed, cfg, fault)
-            nominal = len(rollout_plan(policy.correct_plan, policy.initial_world, sim).frames)
+            plan, world, _ = scene = scene_for("pick_cube", seed, cfg, fault)
+            nominal = len(rollout_plan(plan, world, sim).frames)
             budget = math.ceil(nominal * (1 + cfg.supervisor.budget_slack))
             budget += cfg.supervisor.settle_steps
-            result = run_supervised_episode(policy, null_assistant, cfg, sim)
+            result = run_supervised_episode(*scene, null_assistant, cfg, sim)
             assert result.total_steps <= budget
             assert len(result.trace) == result.total_steps + 1
 
@@ -240,11 +245,11 @@ class TestRunSupervisedEpisode:
 
         fault = harness_fault("pick_cube", 2, cfg, sim)
         with_shaky = run_supervised_episode(
-            policy_for("pick_cube", 2, cfg, fault),
+            *scene_for("pick_cube", 2, cfg, fault),
             shaky, cfg, sim,
         )
         with_null = run_supervised_episode(
-            policy_for("pick_cube", 2, cfg, fault),
+            *scene_for("pick_cube", 2, cfg, fault),
             null_assistant, cfg, sim,
         )
         assert with_shaky.success == with_null.success
@@ -291,12 +296,13 @@ class TestUnsupervisedEpisode:
     @pytest.mark.parametrize("cadence", (1, 3, 10))
     @pytest.mark.parametrize("task", ("pick_cube", "push_cube", "stack_cube"))
     def test_matches_null_assistant(self, task, cadence, cfg, sim, cube_faults):
+        paced = with_cadence(cfg, cadence)
         for seed in range(4):
             fault = cube_faults[(task, seed)]
             runs = [
                 run_supervised_episode(
-                    policy_for(task, seed, cfg, fault),
-                    assistant, cfg, sim, cadence,
+                    *scene_for(task, seed, cfg, fault),
+                    assistant, paced, sim,
                 )
                 for assistant in (None, null_assistant)
             ]
@@ -316,7 +322,7 @@ class TestUnsupervisedEpisode:
         fault = harness_fault("pick_cube", 1, cfg, sim)
         assert fault is not None and not observed and not rolled
         result = run_supervised_episode(
-            policy_for("pick_cube", 1, cfg, fault), None, cfg, sim
+            *scene_for("pick_cube", 1, cfg, fault), None, cfg, sim
         )
         assert not result.success
         assert observed == [] and rolled == []
@@ -331,8 +337,8 @@ class TestUnsupervisedEpisode:
         fault = harness_fault("pick_cube", 1, cfg, sim)
         observed.clear()
         result = run_supervised_episode(
-            policy_for("pick_cube", 1, cfg, fault),
-            oracle_assistant_decide, cfg, sim, cadence,
+            *scene_for("pick_cube", 1, cfg, fault),
+            oracle_assistant_decide, with_cadence(cfg, cadence), sim,
         )
         assert result.success
         # Only consulted windows are observed; settle worlds never are.
@@ -346,19 +352,20 @@ class TestEpisodePair:
         for seed in range(2):
             bare_ok, _, _ = run_episode_pair("pick_cube", seed, bare, "oracle")
             explicit = run_supervised_episode(
-                policy_for("pick_cube", seed, bare),
+                *scene_for("pick_cube", seed, bare),
                 null_assistant, bare, sim,
             )
             assert bare_ok == explicit.success
 
     @pytest.mark.parametrize("cadence", (None, 4))
     def test_confirmed_fault_bare_run_fails(self, cadence, cfg, sim, cube_faults):
+        paced = cfg if cadence is None else with_cadence(cfg, cadence)
         for task in ("pick_cube", "stack_cube"):
             fault = cube_faults[(task, 0)]
-            bare_ok, _, _ = run_episode_pair(task, 0, cfg, "null", cadence)
+            bare_ok, _, _ = run_episode_pair(task, 0, paced, "null")
             explicit = run_supervised_episode(
-                policy_for(task, 0, cfg, fault),
-                null_assistant, cfg, sim, cadence,
+                *scene_for(task, 0, cfg, fault),
+                null_assistant, paced, sim,
             )
             assert bare_ok is False and explicit.success is False
 
@@ -384,19 +391,19 @@ class TestEpisodePair:
 class TestOracleOnEpisodes:
     def test_quiet_before_onset(self, cfg, sim):
         fault = harness_fault("pick_cube", 0, cfg, sim)
-        policy = policy_for("pick_cube", 0, cfg, fault)
-        correct = rollout_plan(policy.correct_plan, policy.initial_world, sim)
+        plan, world = plan_task("pick_cube", 0, cfg)
+        commands = stream_for("pick_cube", 0, cfg, fault)
+        correct = rollout_plan(plan, world, sim)
         context = EpisodeContext(
             task_id="pick_cube",
             fault=fault,
             correct=correct,
             cfg=cfg,
         )
-        world = policy.initial_world
         frames = [sim.observe(world)]
         onset = context.onset_step()
-        for _ in range(min(onset, 30)):
-            world = sim.step(world, policy.next_command())
+        for command in commands[: min(onset, 30)]:
+            world = sim.step(world, command)
             frames.append(sim.observe(world))
             decision = oracle_assistant_decide(frames[-10:], context)
             assert not decision.is_failure
@@ -412,7 +419,7 @@ class TestOracleOnEpisodes:
             return decision
 
         run_supervised_episode(
-            policy_for("pick_cube", 1, cfg, fault),
+            *scene_for("pick_cube", 1, cfg, fault),
             spy, cfg, sim,
         )
         assert seen
@@ -441,11 +448,10 @@ class TestWindowFrozen:
         assert _window_frozen(frames)
 
     def test_moving_window_is_not_frozen(self, cfg, sim):
-        policy = policy_for("pick_cube", 0, cfg)
-        world = policy.initial_world
+        _, world = plan_task("pick_cube", 0, cfg)
         frames = [sim.observe(world)]
-        for _ in range(12):
-            world = sim.step(world, policy.next_command())
+        for command in stream_for("pick_cube", 0, cfg)[:12]:
+            world = sim.step(world, command)
             frames.append(sim.observe(world))
         assert not _window_frozen(frames[-10:])
 
