@@ -19,6 +19,7 @@ degrees or radians (`unit: deg|rad`), stall durations in steps
 
 import math
 from dataclasses import dataclass, field, fields
+from importlib.resources import files
 
 import yaml
 
@@ -440,8 +441,20 @@ def _check_ranges(cfg: Config):
         raise ConfigError("'supervisor.cadence' must be >= 1")
 
 
+def _overlay(base, top):
+    """top laid over base: mappings merge key by key, anything else replaces."""
+    if not (isinstance(base, dict) and isinstance(top, dict)):
+        return top
+    return {**base, **{key: _overlay(base.get(key), value) for key, value in top.items()}}
+
+
+def _packaged() -> dict:
+    return yaml.safe_load(files("failsafe").joinpath("data/default.yaml").read_text("utf-8"))
+
+
 def load_config(path) -> Config:
-    """Parse and validate a YAML config file."""
+    """Parse and validate a YAML config file laid over data/default.yaml: mappings merge
+    key by key, so a task's menu under `tasks` or `supervisor.faults` replaces its default."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
@@ -449,13 +462,9 @@ def load_config(path) -> Config:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
-    return config_from_mapping(data)
+    return config_from_mapping(_overlay(_packaged(), {} if data is None else data))
 
 
 def default_config() -> Config:
     """The packaged default configuration (data/default.yaml)."""
-    from importlib.resources import files
-
-    text = files("failsafe").joinpath("data/default.yaml").read_text("utf-8")
-    return config_from_mapping(yaml.safe_load(text))
-
+    return config_from_mapping(_packaged())

@@ -443,7 +443,7 @@ def _frame_from_record(record, what) -> ObservationFrame:
         cameras[cam] = parsed
     if record["image_path"] is not None and not isinstance(record["image_path"], str):
         raise DatasetFormatError(f"{what}.image_path must be a string or null")
-    return ObservationFrame(ee_pose=ee, object_poses=objects, cameras=cameras, step=step)
+    return ObservationFrame(ee_pose=ee, object_poses=objects, _cameras=cameras, step=step)
 
 
 def entry_from_record(record) -> DatasetEntry:

@@ -273,20 +273,18 @@ class Simulator:
     # -- observation -------------------------------------------------------
 
     def observe(self, world: WorldState) -> "ObservationFrame":
-        keypoints = self._keypoints(world)
-        bases = (self._front, self._side, self._hand_camera(world.ee_pose))
-        cameras = {
-            cam: self._project_all(basis, keypoints) for cam, basis in zip(CAMERA_IDS, bases)
-        }
-        object_poses = {
-            obj_id: world.objects[obj_id].pose.copy() for obj_id in sorted(world.objects)
-        }
+        """The frame of world: poses copied now, cameras projected on first read."""
         return ObservationFrame(
             ee_pose=world.ee_pose.copy(),
-            object_poses=object_poses,
-            cameras=cameras,
+            object_poses={obj_id: obj.pose.copy() for obj_id, obj in sorted(world.objects.items())},
+            _cameras=lambda: self._project_cameras(world),
             step=world.step_count,
         )
+
+    def _project_cameras(self, world: WorldState) -> dict:
+        keypoints = self._keypoints(world)
+        bases = (self._front, self._side, self._hand_camera(world.ee_pose))
+        return {cam: self._project_all(basis, keypoints) for cam, basis in zip(CAMERA_IDS, bases)}
 
     def _keypoints(self, world: WorldState):
         pts = [("ee:center", world.ee_pose.position)]
@@ -295,8 +293,7 @@ class Simulator:
             pts.append((f"{obj_id}:center", obj.pose.position))
             if obj.shape in ("box", "charger-slab"):
                 hx, hy, hz = obj.half_extents
-                corners = itertools.product((-1, 1), (-1, 1), (-1, 1))
-                for i, (sx, sy, sz) in enumerate(corners):
+                for i, (sx, sy, sz) in enumerate(itertools.product((-1, 1), repeat=3)):
                     corner = obj.pose.position + quat_rotate(
                         obj.pose.orientation, np.array([sx * hx, sy * hy, sz * hz])
                     )
@@ -315,36 +312,45 @@ class Simulator:
         else:
             right = right / norm
         down = np.cross(forward, right)
-        return pos, right, down, forward
+        return pos, np.stack([forward, right, down]).T
 
     def _hand_camera(self, ee: Pose):
         forward = quat_rotate(ee.orientation, DOWN)
         right = quat_rotate(ee.orientation, np.array([1.0, 0.0, 0.0]))
         down = np.cross(forward, right)
-        return ee.position.copy(), right, down, forward
+        return ee.position.copy(), np.stack([forward, right, down]).T
 
     def _project_all(self, camera, keypoints):
-        pos, right, down, forward = camera
+        pos, basis = camera  # basis columns: forward (depth), right, down
         cfg = self.config
         cx = cfg.image_width / 2.0
         cy = cfg.image_height / 2.0
+        offsets = ((np.array([point for _, point in keypoints]) - pos) @ basis).tolist()
         out = []
-        for kp_id, point in keypoints:
-            rel = point - pos
-            z = float(np.dot(rel, forward))
+        for (kp_id, _), (z, r, d) in zip(keypoints, offsets):
             if z <= 1e-9:  # behind the camera: absent, never projected
                 continue
-            u = cx + cfg.focal_px * float(np.dot(rel, right)) / z
-            v = cy + cfg.focal_px * float(np.dot(rel, down)) / z
-            out.append((kp_id, u, v))
+            out.append((kp_id, cx + cfg.focal_px * r / z, cy + cfg.focal_px * d / z))
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationFrame:
-    """Numeric observation: poses plus per-camera pixel keypoints."""
+    """Numeric observation: poses plus per-camera pixel keypoints, projected on first read."""
 
     ee_pose: Pose
     object_poses: dict
-    cameras: dict  # camera-id -> list of (keypoint-id, u, v)
+    _cameras: object  # camera-id -> list of (keypoint-id, u, v), or a callable making it
     step: int
+
+    @property
+    def cameras(self) -> dict:
+        if callable(self._cameras):  # project once, and let go of the world
+            object.__setattr__(self, "_cameras", self._cameras())
+        return self._cameras
+
+    def __eq__(self, other):  # every field, with the cameras projected
+        return isinstance(other, ObservationFrame) and self.__getstate__() == other.__getstate__()
+
+    def __getstate__(self):  # a pickle carries the cameras, not the world
+        return {**vars(self), "_cameras": self.cameras}

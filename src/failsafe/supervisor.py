@@ -1,9 +1,9 @@
 """Supervised execution: a fault-prone executor checked at a fixed cadence.
 
-One episode loop replays a planned scene's waypoint stream, perturbed by an
-optional online fault. Every `cfg.supervisor.cadence` steps an assistant sees
-the last ten observation frames and may inject a corrective end-effector
-command; the loop drives it to arrival, resyncs its stream cursor, and hands
+One episode loop replays a planned scene's waypoint stream, perturbed by an optional
+online fault. Every `cfg.supervisor.cadence` steps an assistant sees the last ten
+observation frames (cameras projected only if it reads them) and may inject a corrective
+end-effector command; the loop drives it to arrival, resyncs its stream cursor, and hands
 control back. evaluate_assistant scores the same interface offline on labeled entries.
 """
 
@@ -268,8 +268,8 @@ def run_supervised_episode(
     The assistant is any callable(frames, context) -> AssistantDecision; an
     exception from it is logged and treated as "no failure" (fail-open).
     assistant None runs the episode unsupervised: no consultations, no
-    observations and no nominal reference rollout. Frames are observed only
-    when an assistant is consulted, and only for the window it reads.
+    observations and no nominal reference rollout. Frames are observed only for
+    consulted windows, and their cameras are projected only if the assistant reads them.
     During an intervention's transit the stream pauses and no further
     consultations happen until the arm lands and the cursor re-syncs.
     """

@@ -164,6 +164,16 @@ class TestGenerate:
         }
         assert payload["entries"] > 0
 
+    def test_one_key_config_keeps_default_menus(self, tmp_path, capsys):
+        config = tmp_path / "one_key.yaml"
+        config.write_text("dataset: {candidates_per_case: 5}\n")
+        argv = ["generate", "--task", TASK, "--seeds", SEEDS, "--out"]
+        code, payload, _ = run_cli([*argv, str(tmp_path / "file"), "--config", str(config)], capsys)
+        assert code == EXIT_OK and payload["entries"] > 0
+        # candidates_per_case 5 is the packaged value, so the run is the default one.
+        _, default, _ = run_cli([*argv, str(tmp_path / "default")], capsys)
+        assert payload["dataset_sha256"] == default["dataset_sha256"]
+
 
 class TestStats:
     def test_reports_distribution(self, dataset, capsys):
@@ -375,8 +385,7 @@ class TestSupervise:
         return code, out, {p.name: p.read_bytes() for p in sorted(traces.iterdir())}
 
     def test_cadence_flag_matches_config_file(self, tmp_path, capsys):
-        # The packaged defaults with supervisor.cadence 4: a file holding only
-        # that key would also drop the default fault menus.
+        # The packaged defaults with supervisor.cadence 4, spelled out in full.
         src = default_config_yaml()
         assert src.count("\nsupervisor:\n") == 1 and "cadence" not in src
         config = tmp_path / "cadence4.yaml"
@@ -387,6 +396,15 @@ class TestSupervise:
         assert flag[0] == EXIT_OK and json.loads(flag[1])["cadence"] == 4
         assert flag == file
         assert default[2] != flag[2]  # cadence 4 really changed the episodes
+
+    def test_one_key_config_still_draws_faults(self, tmp_path, capsys):
+        config = tmp_path / "cadence4.yaml"
+        config.write_text("supervisor: {cadence: 4}\n")
+        file = self.supervise_run(["--config", str(config)], tmp_path / "file", capsys)
+        payload = json.loads(file[1])
+        assert file[0] == EXIT_OK and payload["cadence"] == 4
+        assert payload["success_rate_unassisted"] == 0.0 and payload["uplift"] > 0
+        assert file == self.supervise_run(["--cadence", "4"], tmp_path / "flag", capsys)
 
     def test_pool_matches_in_process(self, tmp_path, capsys):
         serial = self.supervise_run(["--jobs", "1"], tmp_path / "serial", capsys)

@@ -185,6 +185,30 @@ class TestLoadConfig:
         assert entry.mode == "rotation"
         assert entry.lo == pytest.approx(math.radians(20))
 
+    def test_file_is_laid_over_the_packaged_defaults(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "sim: {max_ee_speed: 0.02}\n"
+            "tasks:\n"
+            "  pick_cube:\n"
+            "    failures: [{mode: no_ops, range: [5, 9], unit: steps, stages: [lift]}]\n"
+            "supervisor:\n"
+            "  faults: {push_cube: []}\n"
+        )
+        cfg, default = load_config(path), default_config()
+        assert cfg.sim == replace(default.sim, max_ee_speed=0.02)
+        assert cfg.planner == default.planner and cfg.dataset == default.dataset
+        # A task named in the file gets the file's menu; every other keeps its own.
+        assert [e.mode for e in cfg.tasks["pick_cube"]] == ["no_ops"]
+        assert cfg.tasks == {**default.tasks, "pick_cube": cfg.tasks["pick_cube"]}
+        faults = {**default.supervisor.faults, "push_cube": []}
+        assert cfg.supervisor == replace(default.supervisor, faults=faults)
+
+    def test_empty_file_is_the_packaged_default(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text("# nothing overridden\n")
+        assert config_fingerprint(load_config(path)) == config_fingerprint(default_config())
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cfg.yaml"):
             load_config(tmp_path / "cfg.yaml")

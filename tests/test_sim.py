@@ -1,24 +1,33 @@
 """Simulator stepping rules, grasping, pushing, and the camera model."""
 
+import gc
 import math
+import pickle
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from failsafe.config import Config, default_config
+from failsafe.config import TASKS, Config, default_config
 from failsafe.errors import InvalidCommandError, SceneError
 from failsafe.geometry import (
     IDENTITY_QUAT,
     Pose,
     pose_distance,
     quat_about_axis,
+    quat_rotate,
 )
 from failsafe.sim import (
+    CAMERA_IDS,
+    LOOK_AT,
     ObjectState,
+    ObservationFrame,
     Simulator,
     WorldState,
     attached_object_pose,
 )
+from failsafe.tasks import plan_task, rollout_plan
 
 CUBE_HALF = (0.02, 0.02, 0.02)
 
@@ -45,6 +54,52 @@ def pose(x, y, z, quat=None, grip=1.0):
 @pytest.fixture
 def sim():
     return Simulator(Config())
+
+
+def camera_axes(sim, world):
+    """(position, forward, right, down) of each camera, built from the config."""
+    axes = []
+    for position in (sim.config.front_camera, sim.config.side_camera):
+        pos = np.asarray(position, dtype=float)
+        forward = LOOK_AT - pos
+        forward = forward / np.linalg.norm(forward)
+        right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
+        right = right / np.linalg.norm(right)
+        axes.append((pos, forward, right, np.cross(forward, right)))
+    ee = world.ee_pose
+    forward = quat_rotate(ee.orientation, np.array([0.0, 0.0, -1.0]))
+    right = quat_rotate(ee.orientation, np.array([1.0, 0.0, 0.0]))
+    axes.append((ee.position, forward, right, np.cross(forward, right)))
+    return axes
+
+
+def eager_cameras(sim, world):
+    """Reference projection of every camera: a loop with one np.dot per
+    keypoint and camera axis, which the one-pass product must match bit for bit."""
+    cfg = sim.config
+    keypoints = sim._keypoints(world)
+    cameras = {}
+    for cam, (pos, forward, right, down) in zip(CAMERA_IDS, camera_axes(sim, world)):
+        cameras[cam] = []
+        for kp_id, point in keypoints:
+            rel = point - pos
+            z = float(np.dot(rel, forward))
+            if z <= 1e-9:
+                continue
+            u = cfg.image_width / 2.0 + cfg.focal_px * float(np.dot(rel, right)) / z
+            v = cfg.image_height / 2.0 + cfg.focal_px * float(np.dot(rel, down)) / z
+            cameras[cam].append((kp_id, u, v))
+    return cameras
+
+
+def count_projections(monkeypatch):
+    """A list that grows by one per camera projected."""
+    projected = []
+    project = Simulator._project_all
+    monkeypatch.setattr(
+        Simulator, "_project_all", lambda self, *a: projected.append(1) or project(self, *a)
+    )
+    return projected
 
 
 class TestStepping:
@@ -397,3 +452,43 @@ class TestObservation:
         world = sim.step(world, pose(0.0, 0.0, 0.19))
         frame = sim.observe(world)
         assert frame.step == 1
+
+    @pytest.mark.parametrize("task_id", sorted(TASKS))
+    def test_lazy_cameras_equal_eager_projection(self, sim, task_id):
+        plan, world = plan_task(task_id, 0, Config())
+        for frame in rollout_plan(plan, world, sim).frames:
+            assert sim.observe(frame.world).cameras == eager_cameras(sim, frame.world)
+
+    def test_cameras_projected_on_first_read_only(self, sim, monkeypatch):
+        projected = count_projections(monkeypatch)
+        world = make_world(objects={"cube": cube_at(0.05, 0.0)})
+        copy = replace(sim.observe(world), step=7)
+        assert projected == []
+        assert copy.step == 7 and copy.cameras == eager_cameras(sim, world)
+        assert len(projected) == len(CAMERA_IDS)
+        assert copy.cameras is copy.cameras and len(projected) == len(CAMERA_IDS)
+
+    def test_projected_frame_lets_go_of_its_world(self, sim):
+        world = make_world(objects={"cube": cube_at(0.05, 0.0)})
+        frame, alive = sim.observe(world), weakref.ref(world)
+        del world
+        gc.collect()
+        assert alive() is not None  # the unread cameras still need it
+        assert frame.cameras
+        gc.collect()
+        assert alive() is None
+
+    def test_pickle_carries_projected_cameras(self, sim):
+        world = make_world(objects={"cube": cube_at(0.05, 0.0)})
+        copy = pickle.loads(pickle.dumps(sim.observe(world)))
+        assert copy.step == 0 and copy.cameras == eager_cameras(sim, world)
+
+    def test_frames_differing_in_one_camera_value_are_unequal(self, sim):
+        world = make_world(objects={"cube": cube_at(0.05, 0.0)})
+        frame = sim.observe(world)
+        cameras = eager_cameras(sim, world)
+        kp, u, v = cameras["side"][1]
+        moved = dict(cameras, side=[cameras["side"][0], (kp, u + 1e-6, v), *cameras["side"][2:]])
+        assert frame == ObservationFrame(frame.ee_pose, frame.object_poses, cameras, frame.step)
+        assert frame != ObservationFrame(frame.ee_pose, frame.object_poses, moved, frame.step)
+        assert frame == replace(frame, step=frame.step)

@@ -345,6 +345,46 @@ class TestUnsupervisedEpisode:
         assert 0 < len(observed) < result.total_steps + 1
         assert len({id(w) for w in observed}) == len(observed)
 
+    def test_oracle_projects_no_camera(self, cfg, sim, monkeypatch):
+        # The oracle reads poses and steps only, so no frame pays for cameras.
+        projected = []
+        project = Simulator._project_all
+        monkeypatch.setattr(
+            Simulator, "_project_all", lambda self, *a: projected.append(1) or project(self, *a)
+        )
+        fault = harness_fault("pick_cube", 1, cfg, sim)
+        result = run_supervised_episode(
+            *scene_for("pick_cube", 1, cfg, fault), oracle_assistant_decide, cfg, sim
+        )
+        assert result.success and result.interventions > 0
+        assert projected == []
+
+    def test_assistant_reading_cameras_gets_them(self, cfg, sim, monkeypatch):
+        observe = Simulator.observe
+        world_of = {}  # frame id -> the world it was observed from
+
+        def recording_observe(self, world):
+            frame = observe(self, world)
+            world_of[id(frame)] = world
+            return frame
+
+        monkeypatch.setattr(Simulator, "observe", recording_observe)
+        read = []
+
+        def camera_reader(frames, context):
+            read.extend((frame, frame.cameras) for frame in frames)
+            return oracle_assistant_decide(frames, context)
+
+        fault = harness_fault("pick_cube", 1, cfg, sim)
+        scene = scene_for("pick_cube", 1, cfg, fault)
+        result = run_supervised_episode(*scene, camera_reader, cfg, sim)
+        assert read
+        for frame, cameras in read:
+            assert cameras == observe(sim, world_of[id(frame)]).cameras
+        # Reading cameras changes nothing the episode does.
+        oracle = run_supervised_episode(*scene, oracle_assistant_decide, cfg, sim)
+        assert _same_episode(result, oracle)
+
 
 class TestEpisodePair:
     def test_unfaulted_bare_run_matches_null_assistant(self, cfg, sim):
