@@ -265,8 +265,8 @@ def _sort_key(entry: DatasetEntry):
 
 def _pose_record(pose: Pose) -> dict:
     return {
-        "position": [float(v) for v in pose.position],
-        "orientation": [float(v) for v in pose.orientation],
+        "position": pose.position.tolist(),
+        "orientation": pose.orientation.tolist(),
         "gripper": float(pose.gripper),
     }
 
@@ -280,7 +280,7 @@ def _frame_record(frame: ObservationFrame) -> dict:
             for obj_id in sorted(frame.object_poses)
         },
         "cameras": {
-            cam: [[kp, float(u), float(v)] for kp, u, v in frame.cameras[cam]]
+            cam: [[kp, u, v] for kp, u, v in frame.cameras[cam]]
             for cam in CAMERA_IDS
         },
         "image_path": None,  # reserved for an attached renderer

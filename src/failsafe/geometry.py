@@ -36,25 +36,33 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / n
 
 
-def quat_multiply(a, b) -> np.ndarray:
+def _qmul(a, b) -> tuple:
+    """Hamilton product of (w, x, y, z) sequences of floats or arrays, elementwise."""
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b
-    return np.array([
+    return (
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
+    )
+
+
+def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # On Python floats: the same IEEE operations as on numpy scalars, faster.
+    return np.array(_qmul(a.tolist(), b.tolist()))
 
 
 def quat_conjugate(q) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
-def quat_rotate(q, v) -> np.ndarray:
-    """Rotate a 3-vector by a unit quaternion."""
-    qv = np.array([0.0, v[0], v[1], v[2]])
-    return quat_multiply(quat_multiply(q, qv), quat_conjugate(q))[1:]
+def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotate a 3-vector, or each row of an (n, 3) array, by a unit quaternion."""
+    w, x, y, z = q = q.tolist()
+    vx, vy, vz = v.T if v.ndim == 2 else v.tolist()
+    _, *rotated = _qmul(_qmul(q, (0.0, vx, vy, vz)), (w, -x, -y, -z))
+    return np.array(rotated).T
 
 
 def quat_about_axis(axis: int, angle: float) -> np.ndarray:
@@ -143,6 +151,15 @@ class Pose:
             raise InvalidPoseError(f"gripper {g} outside [0, 1]")
         self.gripper = min(1.0, max(0.0, g))
 
+    @classmethod
+    def trusted(cls, position: np.ndarray, orientation: np.ndarray, gripper: float) -> "Pose":
+        """A pose the simulator built: normalised and clamped as by Pose(...), not checked."""
+        pose = cls.__new__(cls)
+        pose.position = position
+        pose.orientation = orientation / math.sqrt(float(np.dot(orientation, orientation)))
+        pose.gripper = min(1.0, max(0.0, float(gripper)))
+        return pose
+
     def copy(self) -> "Pose":
         return Pose(self.position.copy(), self.orientation.copy(), self.gripper)
 
@@ -184,9 +201,7 @@ def delta_action(p_d: Pose, p_c: Pose) -> DeltaAction:
     ):
         d_rotation = np.zeros(3)
     else:
-        q_rel = quat_normalize(
-            quat_multiply(p_c.orientation, quat_conjugate(p_d.orientation))
-        )
+        q_rel = quat_normalize(quat_multiply(p_c.orientation, quat_conjugate(p_d.orientation)))
         d_rotation = quat_to_rpy(q_rel)
     return DeltaAction(d_position, d_rotation, p_c.gripper - p_d.gripper)
 
@@ -194,10 +209,7 @@ def delta_action(p_d: Pose, p_c: Pose) -> DeltaAction:
 def apply_delta(p: Pose, a: DeltaAction) -> Pose:
     """Execute a delta action on a pose; gripper clamps to [0, 1]."""
     position = p.position + a.d_position
-    orientation = quat_multiply(
-        quat_from_rpy(a.d_rotation[0], a.d_rotation[1], a.d_rotation[2]),
-        p.orientation,
-    )
+    orientation = quat_multiply(quat_from_rpy(*a.d_rotation), p.orientation)
     gripper = min(1.0, max(0.0, p.gripper + a.d_gripper))
     return Pose(position, orientation, gripper)
 
@@ -222,17 +234,15 @@ def interpolate_stage(start: Pose, end: Pose, steps: int) -> list:
 
 def pose_distance(p: Pose, q: Pose) -> tuple:
     """(translational meters, angular radians) distance between two poses."""
-    if np.array_equal(p.position, q.position):
+    if p.position.tolist() == q.position.tolist():
         translational = 0.0
     else:
         translational = float(np.linalg.norm(p.position - q.position))
-    if np.array_equal(p.orientation, q.orientation) or np.array_equal(
-        p.orientation, -q.orientation
-    ):
+    po = p.orientation.tolist()
+    w, x, y, z = q.orientation.tolist()
+    if po == [w, x, y, z] or po == [-w, -x, -y, -z]:
         angular = 0.0
     else:
-        q_rel = quat_multiply(p.orientation, quat_conjugate(q.orientation))
-        angular = 2.0 * math.atan2(
-            float(np.linalg.norm(q_rel[1:])), abs(float(q_rel[0]))
-        )
+        rel_w, *rel_v = _qmul(po, (w, -x, -y, -z))
+        angular = 2.0 * math.atan2(float(np.linalg.norm(rel_v)), abs(rel_w))
     return translational, angular

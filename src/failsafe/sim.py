@@ -10,7 +10,7 @@ which is what makes recovery verification exactly replayable.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,8 @@ DOWN = np.array([0.0, 0.0, -1.0])
 CAMERA_IDS = ("front", "side", "hand")
 # Fixed cameras aim here; roughly the center of the manipulation volume.
 LOOK_AT = np.array([0.0, 0.0, 0.05])
+# Box corner i is half_extents times row i: x, y, z signs in product order.
+_CORNER_SIGNS = np.array(list(itertools.product((-1, 1), repeat=3)))
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,11 @@ class WorldState:
 def attached_object_pose(ee_pose: Pose, offset: GraspOffset) -> Pose:
     position = ee_pose.position + quat_rotate(ee_pose.orientation, offset.position)
     orientation = quat_multiply(ee_pose.orientation, offset.orientation)
-    return Pose(position, orientation, 0.0)
+    return Pose.trusted(position, orientation, 0.0)
+
+
+def _with_pose(obj: ObjectState, pose: Pose) -> ObjectState:
+    return ObjectState(obj.shape, obj.half_extents, pose, obj.graspable, obj.pushable)
 
 
 def _segment_point_distance(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> float:
@@ -81,6 +87,8 @@ class Simulator:
 
     def __init__(self, cfg: Config):
         self.config = cfg.sim
+        self._workspace_min = np.asarray(self.config.workspace_min, dtype=float)
+        self._workspace_max = np.asarray(self.config.workspace_max, dtype=float)
         # The fixed cameras never move: build their bases once.
         self._front = self._fixed_camera(self.config.front_camera)
         self._side = self._fixed_camera(self.config.side_camera)
@@ -89,11 +97,8 @@ class Simulator:
 
     def step(self, world: WorldState, target: Pose) -> WorldState:
         cfg = self.config
-        if (
-            not np.isfinite(target.position).all()
-            or not np.isfinite(target.orientation).all()
-            or not math.isfinite(target.gripper)
-        ):
+        command = [*target.position.tolist(), *target.orientation.tolist(), target.gripper]
+        if not all(map(math.isfinite, command)):
             raise InvalidCommandError("non-finite command target")
 
         goal_pos = self.clamp_position(target.position)
@@ -102,13 +107,13 @@ class Simulator:
         delta = goal_pos - ee.position
         dist = float(np.linalg.norm(delta))
         if dist <= cfg.max_ee_speed:
-            new_pos = goal_pos.copy()
+            new_pos = goal_pos
         else:
             new_pos = ee.position + delta * (cfg.max_ee_speed / dist)
 
         _, ang = pose_distance(ee, target)
         if ang <= cfg.max_ee_angular:
-            new_quat = target.orientation.copy()
+            new_quat = target.orientation  # Pose.trusted's divide makes the copy
         else:
             new_quat = slerp(ee.orientation, target.orientation, cfg.max_ee_angular / ang)
 
@@ -118,7 +123,7 @@ class Simulator:
         else:
             new_grip = ee.gripper + math.copysign(cfg.max_gripper_rate, dg)
 
-        new_ee = Pose(new_pos, new_quat, new_grip)
+        new_ee = Pose.trusted(new_pos, new_quat, new_grip)
         objects = dict(world.objects)
         attached = world.attached
         offset = world.grasp_offset
@@ -130,38 +135,25 @@ class Simulator:
                 offset = None
             else:
                 obj = objects[attached]
-                objects[attached] = replace(
-                    obj, pose=attached_object_pose(new_ee, offset)
-                )
+                objects[attached] = _with_pose(obj, attached_object_pose(new_ee, offset))
         else:
-            sweep = new_pos - ee.position
-            horizontal = np.array([sweep[0], sweep[1], 0.0])
-            if horizontal[0] != 0.0 or horizontal[1] != 0.0:
+            sweep_x, sweep_y, _ = (new_pos - ee.position).tolist()
+            if sweep_x != 0.0 or sweep_y != 0.0:
+                horizontal = np.array([sweep_x, sweep_y, 0.0])
                 for obj_id in sorted(objects):
                     obj = objects[obj_id]
                     if not obj.pushable:
                         continue
-                    gap = _segment_point_distance(
-                        ee.position, new_pos, obj.pose.position
-                    )
+                    p = obj.pose
+                    gap = _segment_point_distance(ee.position, new_pos, p.position)
                     if gap <= cfg.contact_radius:
-                        moved = Pose(
-                            obj.pose.position + horizontal,
-                            obj.pose.orientation,
-                            obj.pose.gripper,
-                        )
-                        objects[obj_id] = replace(obj, pose=moved)
+                        moved = Pose.trusted(p.position + horizontal, p.orientation, p.gripper)
+                        objects[obj_id] = _with_pose(obj, moved)
             if new_grip <= cfg.grasp_threshold and self._tool_aligned(new_ee):
                 attached, offset = self._try_attach(new_ee, objects)
 
         return WorldState(
-            ee_pose=new_ee,
-            objects=objects,
-            attached=attached,
-            grasp_offset=offset,
-            table_z=world.table_z,
-            goal=world.goal,
-            step_count=world.step_count + 1,
+            new_ee, objects, attached, offset, world.table_z, world.goal, world.step_count + 1
         )
 
     def drive(self, world: WorldState, commands) -> list:
@@ -178,13 +170,17 @@ class Simulator:
         max_steps run out. Arrival is tested before each step, so a world
         already on target takes none. Returns (worlds after each step,
         arrived)."""
-        goal = self.clamp_position(target.position)
+        goal = (
+            self.clamp_position(target.position).tolist(),
+            target.orientation.tolist(),
+            target.gripper,
+        )
         worlds = []
-        while not (
-            np.array_equal(world.ee_pose.position, goal)
-            and np.array_equal(world.ee_pose.orientation, target.orientation)
-            and world.ee_pose.gripper == target.gripper
-        ):
+        while (
+            world.ee_pose.position.tolist(),
+            world.ee_pose.orientation.tolist(),
+            world.ee_pose.gripper,
+        ) != goal:
             if len(worlds) >= max_steps:
                 return worlds, False
             world = self.step(world, target)
@@ -193,11 +189,7 @@ class Simulator:
 
     def clamp_position(self, position) -> np.ndarray:
         """Where a commanded position actually lands: inside the workspace."""
-        cfg = self.config
-        return np.minimum(
-            np.maximum(position, np.asarray(cfg.workspace_min)),
-            np.asarray(cfg.workspace_max),
-        )
+        return np.minimum(np.maximum(position, self._workspace_min), self._workspace_max)
 
     def _tool_aligned(self, ee: Pose) -> bool:
         axis = quat_rotate(ee.orientation, DOWN)
@@ -225,7 +217,7 @@ class Simulator:
             position=quat_rotate(inv, obj.pose.position - ee.position),
             orientation=quat_multiply(inv, obj.pose.orientation),
         )
-        objects[best_id] = replace(obj, pose=attached_object_pose(ee, offset))
+        objects[best_id] = _with_pose(obj, attached_object_pose(ee, offset))
         return best_id, offset
 
     # -- success predicates ------------------------------------------------
@@ -292,12 +284,9 @@ class Simulator:
             obj = world.objects[obj_id]
             pts.append((f"{obj_id}:center", obj.pose.position))
             if obj.shape in ("box", "charger-slab"):
-                hx, hy, hz = obj.half_extents
-                for i, (sx, sy, sz) in enumerate(itertools.product((-1, 1), repeat=3)):
-                    corner = obj.pose.position + quat_rotate(
-                        obj.pose.orientation, np.array([sx * hx, sy * hy, sz * hz])
-                    )
-                    pts.append((f"{obj_id}:corner{i}", corner))
+                rotated = quat_rotate(obj.pose.orientation, _CORNER_SIGNS * obj.half_extents)
+                corners = obj.pose.position + rotated
+                pts.extend((f"{obj_id}:corner{i}", c) for i, c in enumerate(corners))
         return pts
 
     def _fixed_camera(self, position):

@@ -21,6 +21,7 @@ from failsafe.geometry import (
     quat_conjugate,
     quat_from_rpy,
     quat_multiply,
+    quat_rotate,
     quat_to_rpy,
     slerp,
     wrap_angle,
@@ -59,6 +60,59 @@ def poses(draw):
     assume(float(np.dot(q, q)) > 1e-6)
     gripper = draw(st.floats(0.0, 1.0, allow_nan=False))
     return Pose(position, q, gripper)
+
+
+def numpy_quat_multiply(a, b):
+    """The Hamilton product on numpy scalars, as geometry computed it before
+    moving to Python floats: the bit-exact reference."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return np.array([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ])
+
+
+def numpy_quat_rotate(q, v):
+    qv = np.array([0.0, v[0], v[1], v[2]])
+    return numpy_quat_multiply(numpy_quat_multiply(q, qv), quat_conjugate(q))[1:]
+
+
+quats = st.lists(quat_components, min_size=4, max_size=4).map(np.array)
+vectors = st.lists(finite_floats, min_size=3, max_size=3).map(np.array)
+
+
+class TestFloatKernels:
+    @settings(max_examples=300)
+    @given(quats, quats)
+    def test_multiply_matches_numpy_scalars_bit_for_bit(self, a, b):
+        assert quat_multiply(a, b).tobytes() == numpy_quat_multiply(a, b).tobytes()
+
+    @settings(max_examples=300)
+    @given(quats, vectors)
+    def test_rotate_matches_numpy_scalars_bit_for_bit(self, q, v):
+        assert quat_rotate(q, v).tobytes() == numpy_quat_rotate(q, v).tobytes()
+
+    @settings(max_examples=100)
+    @given(quats, st.lists(vectors, min_size=1, max_size=8))
+    def test_rotate_rows_matches_one_vector_at_a_time(self, q, rows):
+        rotated = quat_rotate(q, np.array(rows))
+        assert rotated.shape == (len(rows), 3)
+        for row, v in zip(rotated, rows):
+            assert row.tobytes() == numpy_quat_rotate(q, v).tobytes()
+
+    @settings(max_examples=200)
+    @given(poses())
+    def test_trusted_normalises_exactly_as_the_checked_constructor(self, p):
+        raw = np.array([0.3, -0.1, 0.2, 0.9]) * 1.7
+        for orientation in (raw, p.orientation * 3.0):
+            checked = Pose(p.position, orientation, p.gripper)
+            trusted = Pose.trusted(p.position.copy(), orientation, p.gripper)
+            assert trusted.position.tobytes() == checked.position.tobytes()
+            assert trusted.orientation.tobytes() == checked.orientation.tobytes()
+            assert trusted.gripper == checked.gripper
 
 
 class TestWrapAngle:
@@ -293,6 +347,13 @@ class TestPoseDistance:
         q = Pose([0, 0, 0], quat_about_axis(2, math.pi / 2), 1.0)
         _, a = pose_distance(p, q)
         assert a == pytest.approx(math.pi / 2, abs=1e-9)
+
+    def test_signed_zeros_count_as_equal(self):
+        p = Pose([0.0, 0.1, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0)
+        q = Pose([-0.0, 0.1, -0.0], [1.0, -0.0, 0.0, -0.0], 1.0)
+        assert pose_distance(p, q) == (0.0, 0.0)
+        q.orientation = -p.orientation
+        assert pose_distance(p, q) == (0.0, 0.0)
 
     def test_symmetric(self):
         rng = np.random.default_rng(41)

@@ -1,6 +1,7 @@
 """Simulator stepping rules, grasping, pushing, and the camera model."""
 
 import gc
+import itertools
 import math
 import pickle
 import weakref
@@ -73,11 +74,28 @@ def camera_axes(sim, world):
     return axes
 
 
+def loop_keypoints(world):
+    """Reference keypoints: each box corner rotated on its own, in product order,
+    which the broadcast over all eight corners must match bit for bit."""
+    pts = [("ee:center", world.ee_pose.position)]
+    for obj_id in sorted(world.objects):
+        obj = world.objects[obj_id]
+        pts.append((f"{obj_id}:center", obj.pose.position))
+        if obj.shape in ("box", "charger-slab"):
+            hx, hy, hz = obj.half_extents
+            for i, (sx, sy, sz) in enumerate(itertools.product((-1, 1), repeat=3)):
+                corner = obj.pose.position + quat_rotate(
+                    obj.pose.orientation, np.array([sx * hx, sy * hy, sz * hz])
+                )
+                pts.append((f"{obj_id}:corner{i}", corner))
+    return pts
+
+
 def eager_cameras(sim, world):
     """Reference projection of every camera: a loop with one np.dot per
     keypoint and camera axis, which the one-pass product must match bit for bit."""
     cfg = sim.config
-    keypoints = sim._keypoints(world)
+    keypoints = loop_keypoints(world)
     cameras = {}
     for cam, (pos, forward, right, down) in zip(CAMERA_IDS, camera_axes(sim, world)):
         cameras[cam] = []
@@ -150,6 +168,37 @@ class TestStepping:
         bad.position[0] = math.nan
         with pytest.raises(InvalidCommandError):
             sim.step(world, bad)
+
+    @pytest.mark.parametrize(
+        "field, index", [("orientation", 0), ("orientation", 3), ("gripper", None)]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_orientation_or_gripper_rejected(self, sim, field, index, value):
+        bad = pose(0.0, 0.0, 0.2)
+        if index is None:
+            bad.gripper = value
+        else:
+            getattr(bad, field)[index] = value
+        with pytest.raises(InvalidCommandError):
+            sim.step(make_world(), bad)
+
+    def test_drive_to_on_target_up_to_signed_zeros_takes_no_step(self, sim):
+        world = make_world(ee=Pose(np.array([0.0, -0.0, 0.2]), [1.0, 0.0, -0.0, 0.0], 0.5))
+        target = Pose(np.array([-0.0, 0.0, 0.2]), [1.0, -0.0, 0.0, -0.0], 0.5)
+        assert sim.drive_to(world, target, max_steps=5) == ([], True)
+
+    def test_drive_to_lands_exactly_then_stops(self, sim):
+        world = make_world(ee=pose(0.0, 0.0, 0.2))
+        target = pose(0.035, 0.0, 0.2, quat=quat_about_axis(2, 0.3), grip=0.5)
+        worlds, arrived = sim.drive_to(world, target, max_steps=50)
+        assert arrived and 0 < len(worlds) < 50
+        last = worlds[-1].ee_pose
+        assert last.position.tobytes() == target.position.tobytes()
+        assert last.orientation.tobytes() == target.orientation.tobytes()
+        assert last.gripper == target.gripper
+        assert sim.drive_to(worlds[-1], target, max_steps=50) == ([], True)
+        capped, arrived = sim.drive_to(world, target, max_steps=2)
+        assert not arrived and [w.step_count for w in capped] == [1, 2]
 
     def test_speed_cap_property(self, sim):
         rng = np.random.default_rng(0)
@@ -452,6 +501,14 @@ class TestObservation:
         world = sim.step(world, pose(0.0, 0.0, 0.19))
         frame = sim.observe(world)
         assert frame.step == 1
+
+    @pytest.mark.parametrize("task_id", sorted(TASKS))
+    def test_keypoints_equal_per_corner_loop(self, sim, task_id):
+        plan, world = plan_task(task_id, 0, Config())
+        for frame in rollout_plan(plan, world, sim).frames:
+            got, want = sim._keypoints(frame.world), loop_keypoints(frame.world)
+            assert [k for k, _ in got] == [k for k, _ in want]
+            assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
 
     @pytest.mark.parametrize("task_id", sorted(TASKS))
     def test_lazy_cameras_equal_eager_projection(self, sim, task_id):
