@@ -15,7 +15,8 @@ a geometrically broken one does. Perturbations whose rollout still succeeds
 are discarded; those seeds only contribute ground-truth windows.
 
 The caller plans the scene and rolls its correct plan once; the failure
-case and the ground-truth windows share that rollout.
+case and the ground-truth windows share that rollout, and the failed
+rollout reuses its frames up to the first command that differs.
 """
 
 from dataclasses import dataclass, replace as dc_replace
@@ -137,7 +138,7 @@ def generate_failure_case(plan: Plan, world, correct: Trajectory, cfg: Config, s
     failed_plan = perturb_stage(plan, spec)
 
     nominal = plan.total_steps()
-    failed = rollout_plan(failed_plan, world, sim, max_steps=nominal)
+    failed = rollout_plan(failed_plan, world, sim, max_steps=nominal, reuse=correct)
     if failed.outcome:
         return None
     return FailureCase(

@@ -29,8 +29,13 @@ def wrap_angle(a: float) -> float:
     return a - math.pi
 
 
+def norm(v) -> float:
+    """Length of a 1-D vector, bit for bit as np.linalg.norm (dot, then sqrt)."""
+    return math.sqrt(float(np.dot(v, v)))
+
+
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    n = math.sqrt(float(np.dot(q, q)))
+    n = norm(q)
     if n == 0.0 or not math.isfinite(n):
         raise InvalidPoseError("quaternion has zero or non-finite norm")
     return q / n
@@ -153,15 +158,19 @@ class Pose:
 
     @classmethod
     def trusted(cls, position: np.ndarray, orientation: np.ndarray, gripper: float) -> "Pose":
-        """A pose the simulator built: normalised and clamped as by Pose(...), not checked."""
+        """A pose built from checked ones: normalised and clamped as by Pose(...), not checked."""
         pose = cls.__new__(cls)
         pose.position = position
-        pose.orientation = orientation / math.sqrt(float(np.dot(orientation, orientation)))
+        pose.orientation = orientation / norm(orientation)
         pose.gripper = min(1.0, max(0.0, float(gripper)))
         return pose
 
+    def key(self) -> tuple:
+        """The pose as Python floats: equal keys mean the same pose."""
+        return self.position.tolist(), self.orientation.tolist(), self.gripper
+
     def copy(self) -> "Pose":
-        return Pose(self.position.copy(), self.orientation.copy(), self.gripper)
+        return Pose.trusted(self.position.copy(), self.orientation, self.gripper)
 
 
 @dataclass(eq=False)
@@ -222,7 +231,7 @@ def interpolate_stage(start: Pose, end: Pose, steps: int) -> list:
     for i in range(1, steps):
         t = i / steps
         poses.append(
-            Pose(
+            Pose.trusted(
                 (1.0 - t) * start.position + t * end.position,
                 slerp(start.orientation, end.orientation, t),
                 (1.0 - t) * start.gripper + t * end.gripper,
@@ -237,12 +246,12 @@ def pose_distance(p: Pose, q: Pose) -> tuple:
     if p.position.tolist() == q.position.tolist():
         translational = 0.0
     else:
-        translational = float(np.linalg.norm(p.position - q.position))
+        translational = norm(p.position - q.position)
     po = p.orientation.tolist()
     w, x, y, z = q.orientation.tolist()
     if po == [w, x, y, z] or po == [-w, -x, -y, -z]:
         angular = 0.0
     else:
         rel_w, *rel_v = _qmul(po, (w, -x, -y, -z))
-        angular = 2.0 * math.atan2(float(np.linalg.norm(rel_v)), abs(rel_w))
+        angular = 2.0 * math.atan2(norm(rel_v), abs(rel_w))
     return translational, angular

@@ -17,7 +17,7 @@ from .config import Config, task_spec
 from .dataset import WINDOW_FRAMES, DatasetEntry
 from .errors import ContractViolation, MetricsError
 from .failures import FailureSpec, perturb_stage, sample_failure_spec
-from .geometry import DeltaAction, Pose, apply_delta, delta_action, pose_distance
+from .geometry import DeltaAction, Pose, apply_delta, delta_action, norm, pose_distance
 from .recovery import CORRECTION_TAIL, DEVIATION_MARGIN
 from .seeding import seed_stream
 from .sim import Simulator, WorldState
@@ -243,7 +243,7 @@ def _window_frozen(frames) -> bool:
         return False
     positions = np.stack([f.ee_pose.position for f in frames[-WINDOW_FRAMES:]])
     grippers = [f.ee_pose.gripper for f in frames[-WINDOW_FRAMES:]]
-    spread = float(np.linalg.norm(positions.max(axis=0) - positions.min(axis=0)))
+    spread = norm(positions.max(axis=0) - positions.min(axis=0))
     return spread <= FROZEN_EPS and max(grippers) - min(grippers) <= FROZEN_EPS
 
 
@@ -382,8 +382,8 @@ def _recovery_cosine(predicted: DeltaAction | None, labeled: DeltaAction) -> flo
         return 0.0
     a = predicted.as_vector()
     b = labeled.as_vector()
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    na = norm(a)
+    nb = norm(b)
     if na == 0.0 and nb == 0.0:
         # A zero label arises when the deviated pose already sits on the
         # matched corrective pose (a stall retraces the correct path, only

@@ -17,7 +17,7 @@ import numpy as np
 from .config import TASKS  # noqa: F401  (re-exported: failsafe.tasks.TASKS is public)
 from .config import Config, SimConfig, TaskSpec, task_spec
 from .errors import ConfigError, SceneGenerationError
-from .geometry import IDENTITY_QUAT, Pose, interpolate_stage
+from .geometry import IDENTITY_QUAT, Pose, interpolate_stage, norm
 from .seeding import seed_stream
 from .sim import ObjectState, Simulator, WorldState
 
@@ -151,7 +151,7 @@ def _build_scene(spec: TaskSpec, rng, cfg: Config) -> WorldState:
     for _ in range(pl.max_placement_attempts):
         xys = [_sample_xy(rng, pl.placement_half_range) for _ in spec.objects]
         if all(
-            float(np.linalg.norm(a - b)) >= pl.min_object_separation
+            norm(a - b) >= pl.min_object_separation
             for a, b in itertools.combinations(xys, 2)
         ):
             break
@@ -235,7 +235,7 @@ def plan_task(task_id: str, seed: int, cfg: Config) -> tuple:
     if spec.family == "push":
         gx, gy = world.goal
         direction = np.array([gx - mx, gy - my])
-        direction = direction / np.linalg.norm(direction)
+        direction = direction / norm(direction)
         behind = np.array([mx, my]) - direction * pl.push_standoff
         through = np.array([gx, gy]) - direction * cfg.sim.contact_radius
         add("approach", [behind[0], behind[1], mz], GRIP_PUSH)
@@ -275,17 +275,27 @@ def rollout_plan(
     world: WorldState,
     sim: Simulator,
     max_steps: int | None = None,
+    reuse: Trajectory | None = None,
 ) -> Trajectory:
     """Execute a plan one waypoint per step, recording every frame.
 
     If max_steps is given the rollout truncates there and the outcome is
     whatever evaluate_success says at the cutoff, which is how stalled plans
-    come to count as failures.
+    come to count as failures. `reuse`, a rollout from the same world, lends
+    its frames up to the first command that differs: step is pure, so they
+    are the frames this plan would make.
     """
     commands = plan_commands(plan, world.ee_pose)[:max_steps]
-    worlds = sim.drive(world, commands)
-    frames = tuple(
-        Frame(step=i, command=c, world=w) for i, (c, w) in enumerate(zip(commands, worlds))
+    prefix = reuse.frames if reuse is not None else ()
+    shared = 0
+    for frame, command in zip(prefix, commands):
+        if frame.command.key() != command.key():
+            break
+        shared += 1
+    worlds = sim.drive(prefix[shared - 1].world if shared else world, commands[shared:])
+    frames = prefix[:shared] + tuple(
+        Frame(step=i, command=c, world=w)
+        for i, (c, w) in enumerate(zip(commands[shared:], worlds), start=shared)
     )
     # Each executed stage ends at its cumulative emitted step; a truncated
     # final stage still closes the partition.
@@ -296,7 +306,7 @@ def rollout_plan(
             break
         end += stage.emitted_steps()
         boundaries.append(min(end, len(frames)) - 1)
-    outcome = sim.evaluate_success(worlds[-1] if worlds else world, plan.task_id)
+    outcome = sim.evaluate_success(frames[-1].world if frames else world, plan.task_id)
     return Trajectory(
         task_id=plan.task_id,
         seed=plan.seed,

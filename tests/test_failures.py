@@ -13,7 +13,7 @@ from failsafe.failures import (
     sample_failure_spec,
     FailureSpec,
 )
-from failsafe.geometry import quat_about_axis, quat_multiply
+from failsafe.geometry import ROTATION_AXES, TRANSLATION_AXES, quat_about_axis, quat_multiply
 from failsafe.seeding import seed_stream
 from failsafe.sim import Simulator
 from failsafe.tasks import TASKS, plan_task, rollout_plan
@@ -175,6 +175,86 @@ class TestGenerateFailureCase:
         )
         for seed in range(5):
             assert failure_case("stack_cube", seed, gentle, sim) is None
+
+
+def forced_spec(mode, plan, seed):
+    """A perturbation of the stage `seed` picks, with the axis it picks;
+    no_ops inserts its holds at step 0 (`no_ops@0`) or mid-stage (`no_ops@mid`)."""
+    index = seed % len(plan.stages)
+    stage = plan.stages[index]
+    if mode == "translation":
+        return FailureSpec(mode, TRANSLATION_AXES[seed % 3], 0.05, index, stage.name)
+    if mode == "rotation":
+        return FailureSpec(mode, ROTATION_AXES[seed % 3], -0.6, index, stage.name)
+    insertion = 0 if mode == "no_ops@0" else stage.steps // 2
+    return FailureSpec("no_ops", None, 12.0, index, stage.name, insertion_step=insertion)
+
+
+def world_key(world):
+    """Every field of a world as Python values: equal keys, equal worlds."""
+    offset = world.grasp_offset
+    return (
+        world.ee_pose.key(),
+        {obj_id: obj.pose.key() for obj_id, obj in world.objects.items()},
+        world.attached,
+        None if offset is None else (offset.position.tolist(), offset.orientation.tolist()),
+        world.step_count,
+    )
+
+
+def shared_prefix(a, b):
+    """How many leading frames of two rollouts carry the same command."""
+    k = 0
+    for fa, fb in zip(a.frames, b.frames):
+        if fa.command.key() != fb.command.key():
+            break
+        k += 1
+    return k
+
+
+class TestSharedPrefix:
+    """The failed rollout reuses the correct rollout's frames up to the
+    first command that differs; it must be the rollout stepped from scratch."""
+
+    @pytest.mark.parametrize("mode", ["translation", "rotation", "no_ops@0", "no_ops@mid"])
+    @pytest.mark.parametrize("task_id", sorted(TASKS))
+    def test_reused_rollout_equals_fresh_rollout(self, cfg, sim, task_id, mode):
+        for seed in range(8):
+            plan, world = plan_task(task_id, seed, cfg)
+            correct = rollout_plan(plan, world, sim)
+            failed_plan = perturb_stage(plan, forced_spec(mode, plan, seed))
+            nominal = plan.total_steps()
+            fresh = rollout_plan(failed_plan, world, sim, max_steps=nominal)
+            shared = rollout_plan(failed_plan, world, sim, max_steps=nominal, reuse=correct)
+            assert len(shared.frames) == len(fresh.frames)
+            for a, b in zip(shared.frames, fresh.frames):
+                assert a.step == b.step
+                assert a.command.key() == b.command.key()
+                assert world_key(a.world) == world_key(b.world)
+            assert shared.stage_boundaries == fresh.stage_boundaries
+            assert shared.outcome == fresh.outcome
+            k = shared_prefix(correct, fresh)
+            assert all(a is b for a, b in zip(shared.frames[:k], correct.frames))
+
+    def test_generate_failure_case_steps_only_past_the_shared_prefix(
+        self, cfg, sim, monkeypatch
+    ):
+        calls = []
+        step = Simulator.step
+        monkeypatch.setattr(Simulator, "step", lambda self, *a: calls.append(1) or step(self, *a))
+        saved = 0
+        for task_id in sorted(TASKS):
+            for seed in range(8):
+                plan, world = plan_task(task_id, seed, cfg)
+                correct = rollout_plan(plan, world, sim)
+                calls.clear()
+                case = generate_failure_case(plan, world, correct, cfg, sim)
+                if case is None:
+                    continue
+                k = shared_prefix(correct, case.failed)
+                assert len(calls) == len(case.failed.frames) - k
+                saved += k
+        assert saved > 0
 
 
 class TestStageNameValidation:

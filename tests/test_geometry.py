@@ -16,6 +16,7 @@ from failsafe.geometry import (
     apply_delta,
     delta_action,
     interpolate_stage,
+    norm,
     pose_distance,
     quat_about_axis,
     quat_conjugate,
@@ -113,6 +114,54 @@ class TestFloatKernels:
             assert trusted.position.tobytes() == checked.position.tobytes()
             assert trusted.orientation.tobytes() == checked.orientation.tobytes()
             assert trusted.gripper == checked.gripper
+
+
+class TestPinnedArithmetic:
+    """The trimmed kernels give the bits of the numpy calls they replace."""
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_norm_equals_numpy_norm_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        scales = 10.0 ** rng.integers(-8, 8, size=10_000)
+        for v in rng.normal(size=(10_000, size)) * scales[:, None]:
+            want = float(np.linalg.norm(v)).hex()
+            assert norm(v).hex() == want
+            assert norm(v.tolist()).hex() == want
+
+    def test_interpolate_stage_equals_checked_construction(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            start, end = random_pose(rng), random_pose(rng)
+            steps = int(rng.integers(1, 40))
+            want = [
+                Pose(
+                    (1.0 - i / steps) * start.position + i / steps * end.position,
+                    slerp(start.orientation, end.orientation, i / steps),
+                    (1.0 - i / steps) * start.gripper + i / steps * end.gripper,
+                )
+                for i in range(1, steps)
+            ]
+            want.append(Pose(end.position.copy(), end.orientation.copy(), end.gripper))
+            got = interpolate_stage(start, end, steps)
+            assert len(got) == steps
+            for a, b in zip(got, want):
+                assert a.position.tobytes() == b.position.tobytes()
+                assert a.orientation.tobytes() == b.orientation.tobytes()
+                assert a.gripper == b.gripper
+
+    def test_copy_equals_checked_copy_in_fresh_arrays(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            p = random_pose(rng)
+            want = Pose(p.position.copy(), p.orientation.copy(), p.gripper)
+            got = p.copy()
+            assert got.position.tobytes() == want.position.tobytes()
+            assert got.orientation.tobytes() == want.orientation.tobytes()
+            assert got.gripper == want.gripper
+            before = p.key()
+            got.position[0] += 1.0
+            got.orientation[0] += 1.0
+            assert p.key() == before
 
 
 class TestWrapAngle:

@@ -23,6 +23,11 @@ SHARD_SHA256 = {
     "stack_cube": "9f1362a2b9a8d01a5f203387ec2673be639d126fd01124e3a591c97c0fa205bf",
 }
 TRACE_TASKS = ("pick_cube", "push_cube", "stack_cube")
+# A disjoint scene mix: `generate --task all --seeds 1000..1003 --jobs 1`,
+# recorded at the commit before the failed rollout began to reuse the
+# correct rollout's frames, so these bytes are the ones stepped from scratch.
+HELD_OUT_DATASET_SHA256 = "934628772475c45b2c524ddc3b3bb3d4d28130bb3c25bf3457ba75031f90caf7"
+HELD_OUT_MANIFEST_SHA256 = "4378c8d6c5e08afbd786007b00e8d92d3cbdd0be127707861c9948d11835db38"
 
 
 def _sha256(path) -> str:
@@ -43,6 +48,17 @@ def test_generate_all_bytes(tmp_path, capsys):
     # dataset.jsonl is the shards back to back in task-id order.
     joined = b"".join((out / f"{task}.jsonl").read_bytes() for task in sorted(SHARD_SHA256))
     assert joined == (out / "dataset.jsonl").read_bytes()
+
+
+def test_generate_held_out_seeds_bytes(tmp_path, capsys):
+    out = tmp_path / "gen"
+    code = cli_main(
+        ["generate", "--task", "all", "--seeds", "1000..1003", "--jobs", "1", "--out", str(out)]
+    )
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert _sha256(out / "dataset.jsonl") == HELD_OUT_DATASET_SHA256
+    assert _sha256(out / "manifest.json") == HELD_OUT_MANIFEST_SHA256
 
 
 def test_supervise_oracle_trace_bytes(tmp_path, capsys):

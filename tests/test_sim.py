@@ -516,6 +516,28 @@ class TestObservation:
         for frame in rollout_plan(plan, world, sim).frames:
             assert sim.observe(frame.world).cameras == eager_cameras(sim, frame.world)
 
+    def test_hand_camera_equals_numpy_cross_basis(self, sim):
+        """The hand basis is built on Python floats; it must give the bytes
+        of np.cross and np.stack, and so the same projections."""
+        rng = np.random.default_rng(3)
+        objects = {"cube": cube_at(0.05, -0.03), "far": cube_at(-0.1, 0.12, 0.3)}
+        for _ in range(1000):
+            ee = Pose(rng.uniform(-0.3, 0.3, size=3), rng.normal(size=4), 1.0)
+            forward = quat_rotate(ee.orientation, np.array([0.0, 0.0, -1.0]))
+            right = quat_rotate(ee.orientation, np.array([1.0, 0.0, 0.0]))
+            old = np.stack([forward, right, np.cross(forward, right)]).T
+            pos, basis = sim._hand_camera(ee)
+            assert pos.tobytes() == ee.position.tobytes()
+            assert basis.tobytes() == old.tobytes() and basis.strides == old.strides
+            world = make_world(ee=ee, objects=objects)
+            keypoints = sim._keypoints(world)
+            want = {
+                "front": sim._project_all(sim._front, keypoints),
+                "side": sim._project_all(sim._side, keypoints),
+                "hand": sim._project_all((ee.position.copy(), old), keypoints),
+            }
+            assert sim._project_cameras(world) == want
+
     def test_cameras_projected_on_first_read_only(self, sim, monkeypatch):
         projected = count_projections(monkeypatch)
         world = make_world(objects={"cube": cube_at(0.05, 0.0)})
