@@ -366,6 +366,8 @@ def _require_keys(record, keys, what):
 
 
 def _number(value, what, allow_none=False):
+    if type(value) is float and math.isfinite(value):  # what JSON numbers mostly are
+        return value
     if value is None and allow_none:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -402,9 +404,9 @@ def _pose_from_record(record, what) -> Pose:
     gripper = _number(record["gripper"], f"{what}.gripper")
     if not (0.0 <= gripper <= 1.0):
         raise DatasetFormatError(f"{what}.gripper must lie in [0, 1]")
-    pose = Pose(position, orientation, gripper)
-    # The writer stored an already-normalized quaternion; keep its exact
+    # Every field is checked above. Keep the writer's normalized quaternion
     # bits rather than renormalizing, so reading inverts writing.
+    pose = Pose.trusted(position, orientation, gripper)
     pose.orientation = orientation
     return pose
 

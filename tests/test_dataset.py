@@ -260,6 +260,7 @@ class TestSerialization:
             lambda r: r.update(extra=1),
             lambda r: r.update(is_failure="yes"),
             lambda r: r["frames"][0]["ee"].update(orientation=[2.0, 0, 0, 0]),
+            lambda r: r["frames"][1]["ee"]["position"].__setitem__(0, float("inf")),
             lambda r: r["frames"].pop(),
             lambda r: r.update(recovery=None),
             lambda r: r["provenance"].update(seed=None),
@@ -279,6 +280,35 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError) as err:
             read_dataset(path)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            (["k", float("nan"), 1.0], "frames[2].cameras.front.u must be finite"),
+            (["k", 1.0, float("inf")], "frames[2].cameras.front.v must be finite"),
+            (["k", "1.0", 1.0], "frames[2].cameras.front.u must be a number"),
+            (["k", 1.0, True], "frames[2].cameras.front.v must be a number"),
+            (["k", 1.0], "frames[2].cameras.front items must be [keypoint, u, v]"),
+            ([7, 1.0, 1.0], "frames[2].cameras.front items must be [keypoint, u, v]"),
+        ],
+    )
+    def test_bad_keypoint_named(self, corpus, tmp_path, item, message):
+        _, entries = corpus
+        record = entries[0].to_record()
+        record["frames"][2]["cameras"]["front"][0] = item
+        with pytest.raises(DatasetFormatError, match=message.replace("[", r"\[")):
+            entry_from_record(json.loads(json.dumps(record)))
+
+    def test_integer_numbers_read_as_floats(self, corpus):
+        _, entries = corpus
+        record = json.loads(json.dumps(entries[0].to_record()))
+        frame = record["frames"][0]
+        frame["cameras"]["front"][0][1:] = [3, -2]
+        frame["ee"]["gripper"] = 1
+        read = entry_from_record(record).frames[0]
+        assert read.cameras["front"][0][1:] == (3.0, -2.0)
+        assert all(type(v) is float for v in read.cameras["front"][0][1:])
+        assert type(read.ee_pose.gripper) is float and read.ee_pose.gripper == 1.0
 
     def test_unparseable_line_number(self, corpus, tmp_path):
         _, entries = corpus
