@@ -13,7 +13,6 @@ whose bytes differ from what the manifest beside it pins).
 import argparse
 import collections
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -48,6 +47,7 @@ EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
 SEED_LIMIT = 2**32
+SEED_COUNT_LIMIT = 100_000  # seeds one command may list
 
 
 class UsageError(FailSafeError):
@@ -74,7 +74,7 @@ def _parse_seeds(text) -> list:
     of either form. Seeds lie in [0, 2**32): scene streams key on a 32-bit
     word, so larger seeds would alias, and negative ones would not read
     back from the dataset they produced. A repeated seed would count twice."""
-    seeds = []
+    spans = []
     for part in text.split(","):
         part = part.strip()
         lo_text, dots, hi_text = part.partition("..")
@@ -87,7 +87,10 @@ def _parse_seeds(text) -> list:
             raise UsageError(f"seed range {part!r} runs backwards")
         if lo < 0 or hi >= SEED_LIMIT:
             raise UsageError(f"seed {part!r} outside [0, {SEED_LIMIT})")
-        seeds.extend(range(lo, hi + 1))
+        spans.append(range(lo, hi + 1))
+    if sum(map(len, spans)) > SEED_COUNT_LIMIT:  # counted before any range expands
+        raise UsageError(f"{text!r} lists more than {SEED_COUNT_LIMIT} seeds")
+    seeds = [seed for span in spans for seed in span]
     repeated = [s for s, n in collections.Counter(seeds).items() if n > 1]
     if repeated:
         raise UsageError(f"seed {repeated[0]} is listed more than once")
@@ -176,7 +179,7 @@ def _cmd_verify(args) -> int:
             return EXIT_USAGE
         tampered = not _matches_manifest(args.data, manifest)
         if tampered:
-            _progress(f"{args.data} does not match its manifest's dataset_sha256 and counts")
+            _progress(f"{args.data} does not match its manifest's dataset_sha256")
     else:
         _progress(f"no manifest next to {args.data}; skipping config-hash check")
 
@@ -195,48 +198,30 @@ def _cmd_verify(args) -> int:
 
 
 def _matches_manifest(path, manifest) -> bool:
-    """True when the dataset.jsonl beside the file matches the manifest's
-    dataset_sha256 and the file is all of it, or for a <task>.jsonl shard
-    its task's block, or for any other file (a split's train.jsonl or
-    test.jsonl) its lines of the (task, seed) pairs the file holds.
-    dataset.jsonl is the shards concatenated in task-id order (the sort key
-    leads with the task id), so the manifest's per-task counts give each
-    block's line range."""
+    """True when the dataset.jsonl beside the file matches the manifest's dataset_sha256
+    and the file is, byte for byte, the lines of it the file stands for: all of them for
+    dataset.jsonl, those of its own task for a <task>.jsonl shard, and those of the
+    (task, seed) pairs it holds for any other file (a split's train.jsonl or test.jsonl).
+    Every written file is in the canonical sort order, so each is such a subsequence."""
     dataset = os.path.join(os.path.dirname(os.path.abspath(path)), "dataset.jsonl")
     if file_sha256(dataset) != manifest.get("dataset_sha256"):
         return False
-    task = os.path.basename(path).removesuffix(".jsonl")
-    if task == "dataset":
+    name = os.path.basename(path).removesuffix(".jsonl")
+    if name == "dataset":
         return True
-    if task not in TASKS:
-        return _matches_seed_lines(path, dataset)
-    try:
-        sizes = {t: c["failures"] + c["ground_truth"] for t, c in manifest["counts"].items()}
-        start = sum(n for t, n in sizes.items() if t < task)
-        with open(dataset, "rb") as fh:
-            block = b"".join(itertools.islice(fh, start, start + sizes[task]))
-    except (AttributeError, KeyError, TypeError, ValueError):
-        return False  # no usable per-task counts: nothing to match
-    return hashlib.sha256(block).hexdigest() == file_sha256(path)
+    shard = name in TASKS
 
-
-def _matches_seed_lines(path, dataset) -> bool:
-    """True when the file is, byte for byte, the lines of dataset.jsonl whose
-    (task, seed) pairs it holds, in dataset.jsonl's order. Every written
-    file is in the canonical sort order, so a seed split of the dataset or
-    of a shard is exactly such a subsequence."""
-
-    def pair(line):
+    def key(line):
         record = json.loads(line)
-        return record["task"], record["provenance"]["seed"]
+        return record["task"] if shard else (record["task"], record["provenance"]["seed"])
 
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
-            pairs = {pair(line) for line in fh}
+            wanted = {name} if shard else {key(line) for line in fh}
         with open(dataset, "rb") as fh:
             for line in fh:
-                if pair(line) in pairs:
+                if key(line) in wanted:
                     digest.update(line)
     except (KeyError, TypeError, ValueError):
         return False  # a line that names no (task, seed) pins nothing

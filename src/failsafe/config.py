@@ -449,7 +449,8 @@ def _overlay(base, top):
 
 
 def _packaged() -> dict:
-    return yaml.safe_load(files("failsafe").joinpath("data/default.yaml").read_text("utf-8"))
+    text = files("failsafe").joinpath("data/default.yaml").read_text("utf-8")
+    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))  # libyaml if built
 
 
 def load_config(path) -> Config:

@@ -23,6 +23,7 @@ from .supervisor import (
     null_assistant,
     oracle_assistant_decide,
     run_supervised_episode,
+    runs_unassisted,
     sample_harness_fault,
 )
 from .tasks import plan_task, rollout_plan
@@ -80,17 +81,17 @@ def generate_task_entries(task_id, seeds, cfg: Config, jobs: int = 1) -> list:
 def run_episode_pair(task_id, seed: int, cfg: Config, assistant: str):
     """(unassisted success, assisted success, assisted result) for one seed.
 
-    Both runs carry the same confirmed fault, so the pair isolates exactly
-    what the assistant contributed. A confirmed fault already failed the bare
-    run (cadence only chunks an unconsulted stream), so it reruns only unfaulted.
+    Both runs carry the same confirmed fault, so the pair isolates exactly what
+    the assistant contributed. The scene is planned and rolled once; the fault
+    draws and both runs share that correct rollout. A confirmed fault already
+    failed the bare run, so only an unfaulted scene runs it.
     """
     sim = Simulator(cfg)
     plan, world = plan_task(task_id, seed, cfg)
-    fault = sample_harness_fault(plan, world, cfg, sim)
-    bare_ok = fault is None and run_supervised_episode(
-        plan, world, None, None, cfg, sim
-    ).success
-    helped = run_supervised_episode(plan, world, fault, ASSISTANTS[assistant], cfg, sim)
+    correct = rollout_plan(plan, world, sim)
+    fault = sample_harness_fault(plan, world, correct, cfg, sim)
+    bare_ok = fault is None and runs_unassisted(plan, world, correct, None, cfg, sim)
+    helped = run_supervised_episode(plan, world, correct, fault, ASSISTANTS[assistant], cfg, sim)
     return bare_ok, helped.success, helped
 
 

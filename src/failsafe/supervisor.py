@@ -112,15 +112,37 @@ def _within(pose: Pose, other: Pose, pos_tol, ang_tol, grip_tol=None) -> bool:
     return grip_tol is None or abs(pose.gripper - other.gripper) <= grip_tol
 
 
+def episode_budget(plan: Plan, cfg: Config) -> int:
+    """Steps an episode may run: the nominal stream with its slack, then the settle holds."""
+    sup = cfg.supervisor
+    return math.ceil(plan.total_steps() * (1.0 + sup.budget_slack)) + sup.settle_steps
+
+
+def runs_unassisted(
+    plan: Plan, world: WorldState, correct: Trajectory, fault: FailureSpec | None,
+    cfg: Config, sim: Simulator,
+) -> bool:
+    """Whether the scene's episode, its stream perturbed by the fault if one is
+    given, succeeds with no assistant: the stream cut at the budget, rolled
+    sharing the `correct` rollout's frames up to the first command that
+    differs, then the settle holds the episode drives."""
+    budget = episode_budget(plan, cfg)
+    faulted = plan if fault is None else perturb_stage(plan, fault)
+    run = rollout_plan(faulted, world, sim, max_steps=budget, reuse=correct)
+    last = run.frames[-1].world
+    holds = [last.ee_pose.copy()] * min(cfg.supervisor.settle_steps, budget - len(run.frames))
+    return sim.evaluate_success([last, *sim.drive(last, holds)][-1], plan.task_id)
+
+
 def sample_harness_fault(
-    plan: Plan, world: WorldState, cfg: Config, sim: Simulator
+    plan: Plan, world: WorldState, correct: Trajectory, cfg: Config, sim: Simulator
 ) -> FailureSpec | None:
     """The confirmed online fault the planned scene's episode carries.
 
-    Draws are re-rolled until one actually breaks the unsupervised episode,
-    so a "perturbed policy" seed really is a failing seed. Each draw runs
-    unsupervised (assistant None), so no frame is observed. Returns None when
-    the task has no configured faults or no draw broke anything.
+    Draws are re-rolled until one actually breaks the unassisted episode, so a
+    "perturbed policy" seed really is a failing seed; each draw shares the frames
+    of `correct`, the plan's own rollout from `world`. Returns None when the task
+    has no configured faults or no draw broke anything.
     """
     entries = cfg.supervisor.faults.get(plan.task_id, ())
     if not entries:
@@ -128,7 +150,7 @@ def sample_harness_fault(
     rng = seed_stream("harness", plan.task_id, plan.seed)
     for _ in range(MAX_FAULT_DRAWS):
         spec = sample_failure_spec(plan, entries, rng)
-        if not run_supervised_episode(plan, world, spec, None, cfg, sim).success:
+        if not runs_unassisted(plan, world, correct, spec, cfg, sim):
             return spec
     return None
 
@@ -144,12 +166,9 @@ class EpisodeContext:
 
     def __post_init__(self):
         self.stage_names = task_spec(self.task_id).stage_names
-        self._positions = np.stack(
-            [f.world.ee_pose.position for f in self.correct.frames]
-        )
-        self._orientations = np.stack(
-            [f.world.ee_pose.orientation for f in self.correct.frames]
-        )
+        poses = [f.world.ee_pose for f in self.correct.frames]
+        self._positions = np.stack([p.position for p in poses])
+        self._orientations = np.stack([p.orientation for p in poses])
 
     def stage_at(self, step: int) -> tuple:
         """(stage index, steps elapsed inside it) for a global step count,
@@ -169,9 +188,6 @@ class EpisodeContext:
         if self.fault.mode == "no_ops":
             return first + self.fault.insertion_step
         return first
-
-    def final_pose(self) -> Pose:
-        return self.correct.frames[-1].world.ee_pose
 
     def off_path(self, ee: Pose) -> bool:
         """True when no nominal frame sits near the pose (gripper ignored)."""
@@ -219,7 +235,7 @@ def oracle_assistant_decide(frames, ground_truth) -> AssistantDecision:
     # Effectively-done gate. Kept tighter than any task's success margin
     # (the slimmest is pick's ~5.6 mm of lift headroom) so a stall that
     # parks the arm just shy of done still gets flagged.
-    if _within(ee, context.final_pose(), 0.004, 0.05, 0.05):
+    if _within(ee, context.correct.frames[-1].world.ee_pose, 0.004, 0.05, 0.05):
         return quiet
     if _window_frozen(frames):
         pass  # stalled in place
@@ -257,6 +273,7 @@ def _context_stage(frames, context) -> str:
 def run_supervised_episode(
     plan: Plan,
     world: WorldState,
+    correct: Trajectory,
     fault: FailureSpec | None,
     assistant,
     cfg: Config,
@@ -265,25 +282,21 @@ def run_supervised_episode(
     """Execute one episode of the planned scene, its stream perturbed by the
     fault if one is given, consulting the assistant every cfg.supervisor.cadence steps.
 
-    The assistant is any callable(frames, context) -> AssistantDecision; an
-    exception from it is logged and treated as "no failure" (fail-open).
-    assistant None runs the episode unsupervised: no consultations, no
-    observations and no nominal reference rollout. Frames are observed only for
-    consulted windows, and their cameras are projected only if the assistant reads them.
-    During an intervention's transit the stream pauses and no further
-    consultations happen until the arm lands and the cursor re-syncs.
+    `correct`, the plan's own rollout from `world`, is the nominal reference the
+    assistant's context holds. The assistant is any callable(frames, context) ->
+    AssistantDecision; an exception from it is logged and treated as "no failure"
+    (fail-open). Frames are observed only for consulted windows, and their cameras
+    are projected only if the assistant reads them. During an intervention's transit
+    the stream pauses and no further consultations happen until the arm lands and
+    the cursor re-syncs.
     """
     cadence = cfg.supervisor.cadence
     if cadence < 1:
         raise ContractViolation("cadence must be at least 1")
-    if assistant is not None:  # only an assistant reads the nominal reference
-        correct = rollout_plan(plan, world, sim)
-        context = EpisodeContext(plan.task_id, fault, correct, cfg)
+    context = EpisodeContext(plan.task_id, fault, correct, cfg)
     commands = plan_commands(plan if fault is None else perturb_stage(plan, fault), world.ee_pose)
     cursor = 0  # next stream command to run
-    # A nominal rollout records one frame per command: this is its frame count.
-    nominal = plan.total_steps()
-    budget = math.ceil(nominal * (1.0 + cfg.supervisor.budget_slack)) + cfg.supervisor.settle_steps
+    budget = episode_budget(plan, cfg)
 
     worlds = [world]  # index = steps run; the trace is their EE poses
     transit_mask = [False]
@@ -304,7 +317,7 @@ def run_supervised_episode(
 
     while len(worlds) - 1 < budget and cursor < len(commands):
         total = len(worlds) - 1
-        if assistant is not None and total > 0 and total % cadence == 0:
+        if total > 0 and total % cadence == 0:
             try:
                 decision = assistant(window(), context)
             except Exception as exc:  # fail-open: the baseline is the floor
@@ -330,8 +343,7 @@ def run_supervised_episode(
         cursor += run
 
     # Plan exhausted (or budget hit): hold position briefly, then judge.
-    settle = world.ee_pose.copy()
-    holds = [settle] * min(cfg.supervisor.settle_steps, budget - (len(worlds) - 1))
+    holds = [world.ee_pose.copy()] * min(cfg.supervisor.settle_steps, budget - (len(worlds) - 1))
     world = record(world, sim.drive(world, holds), False)
 
     return EpisodeResult(

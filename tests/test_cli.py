@@ -42,6 +42,21 @@ def dataset(outdir):
     return str(outdir / "dataset.jsonl")
 
 
+@pytest.fixture(scope="module")
+def all_outdir(tmp_path_factory):
+    """One generate run over every task, for the shard tests."""
+    out = tmp_path_factory.mktemp("cli") / "all"
+    assert cli_main(["generate", "--task", "all", "--seeds", "3", "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def copy_run(run, into):
+    """A copy of a run directory's files that a test may edit."""
+    for path in run.iterdir():
+        (into / path.name).write_bytes(path.read_bytes())
+    return into
+
+
 class TestSeedParsing:
     def test_range_is_inclusive(self):
         assert _parse_seeds("4..7") == [4, 5, 6, 7]
@@ -67,6 +82,24 @@ class TestSeedParsing:
         for text in ("3,3", "0..5,3..8", "2,0..4"):
             with pytest.raises(FailSafeError, match="more than once"):
                 _parse_seeds(text)
+
+    def test_rejects_too_many_seeds(self, tmp_path, capsys):
+        from failsafe.cli import SEED_COUNT_LIMIT
+
+        assert len(_parse_seeds(f"0..{SEED_COUNT_LIMIT - 1}")) == SEED_COUNT_LIMIT
+        # Counted from the range lengths, before any range expands.
+        for text in (f"0..{SEED_COUNT_LIMIT}", f"5,10..{SEED_COUNT_LIMIT + 9}"):
+            with pytest.raises(FailSafeError, match="more than"):
+                _parse_seeds(text)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_bytes(b"")
+        code, payload, err = run_cli(
+            ["split", "--data", str(empty), "--test-seeds", f"0..{SEED_COUNT_LIMIT}",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == EXIT_USAGE and payload is None
+        assert f"more than {SEED_COUNT_LIMIT} seeds" in err
 
 
 class TestGenerate:
@@ -253,11 +286,9 @@ class TestVerify:
         assert payload["entries"] == len(lines) - 1
         assert "does not match its manifest" in err
 
-    def test_every_shard_matches_its_block(self, tmp_path, capsys):
+    def test_every_shard_matches_its_block(self, all_outdir, tmp_path, capsys):
         # Six tasks: shard blocks sit in task-id order, not manifest order.
-        out = tmp_path / "all"
-        assert cli_main(["generate", "--task", "all", "--seeds", "3", "--out", str(out)]) == EXIT_OK
-        capsys.readouterr()
+        out = copy_run(all_outdir, tmp_path)
         for task in TASKS:
             code, _, err = run_cli(["verify", "--data", str(out / f"{task}.jsonl")], capsys)
             assert code == EXIT_OK, err
@@ -265,6 +296,15 @@ class TestVerify:
         (out / "dataset.jsonl").write_bytes((out / "pick_cube.jsonl").read_bytes())
         code, _, _ = run_cli(["verify", "--data", str(out / "pick_cube.jsonl")], capsys)
         assert code == EXIT_VERIFY
+
+    def test_shard_overwritten_by_another_task_exits_three(self, all_outdir, tmp_path, capsys):
+        # A shard must be its own task's lines, not those of whatever task it holds.
+        out = copy_run(all_outdir, tmp_path)
+        (out / "pick_cube.jsonl").write_bytes((out / "push_cube.jsonl").read_bytes())
+        code, payload, err = run_cli(["verify", "--data", str(out / "pick_cube.jsonl")], capsys)
+        assert code == EXIT_VERIFY
+        assert payload["verified_fraction"] == 1.0
+        assert "pick_cube.jsonl does not match its manifest" in err
 
     def split_beside_manifest(self, outdir, tmp_path, capsys):
         """split --out into a copy of the run directory; returns that directory."""

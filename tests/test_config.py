@@ -209,6 +209,17 @@ class TestLoadConfig:
         path.write_text("# nothing overridden\n")
         assert config_fingerprint(load_config(path)) == config_fingerprint(default_config())
 
+    def test_packaged_parse_equals_safe_load(self):
+        # The packaged defaults may go through libyaml; the dict must not change.
+        from importlib.resources import files
+
+        import yaml
+
+        from failsafe.config import _packaged
+
+        text = files("failsafe").joinpath("data/default.yaml").read_text("utf-8")
+        assert _packaged() == yaml.safe_load(text)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cfg.yaml"):
             load_config(tmp_path / "cfg.yaml")

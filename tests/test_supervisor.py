@@ -9,9 +9,10 @@ import pytest
 from failsafe.config import default_config
 from failsafe.dataset import build_entry, build_gt_entries
 from failsafe.errors import ContractViolation, MetricsError
-from failsafe.failures import generate_failure_case, perturb_stage
+from failsafe.failures import generate_failure_case, perturb_stage, sample_failure_spec
 from failsafe.geometry import DeltaAction, Pose
 from failsafe.recovery import collect_candidates
+from failsafe.seeding import seed_stream
 from failsafe.sim import Simulator
 from failsafe.supervisor import (
     AssistantDecision,
@@ -19,8 +20,10 @@ from failsafe.supervisor import (
     evaluate_assistant,
     null_assistant,
     oracle_assistant_decide,
+    episode_budget,
     resync,
     run_supervised_episode,
+    runs_unassisted,
     sample_harness_fault,
     _window_frozen,
 )
@@ -45,9 +48,10 @@ def failure_case(task_id, seed, cfg, sim):
     return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
 
 
-def scene_for(task, seed, cfg, fault=None):
-    """(plan, world, fault): the first three arguments of an episode."""
-    return (*plan_task(task, seed, cfg), fault)
+def scene_for(task, seed, cfg, sim, fault=None):
+    """(plan, world, correct, fault): the first four arguments of an episode."""
+    plan, world = plan_task(task, seed, cfg)
+    return plan, world, rollout_plan(plan, world, sim), fault
 
 
 def stream_for(task, seed, cfg, fault=None):
@@ -61,7 +65,8 @@ def with_cadence(cfg, cadence):
 
 
 def harness_fault(task, seed, cfg, sim):
-    return sample_harness_fault(*plan_task(task, seed, cfg), cfg, sim)
+    plan, world, correct, _ = scene_for(task, seed, cfg, sim)
+    return sample_harness_fault(plan, world, correct, cfg, sim)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +126,7 @@ class TestHarnessFaultSampling:
     def test_confirmed_to_break_unassisted_run(self, cfg, sim):
         fault = harness_fault("pick_cube", 0, cfg, sim)
         result = run_supervised_episode(
-            *scene_for("pick_cube", 0, cfg, fault), null_assistant, cfg, sim
+            *scene_for("pick_cube", 0, cfg, sim, fault), null_assistant, cfg, sim
         )
         assert not result.success
 
@@ -189,9 +194,9 @@ class TestResync:
 
 class TestRunSupervisedEpisode:
     def test_unperturbed_null_episode(self, cfg, sim):
-        plan, world, _ = scene = scene_for("pick_cube", 0, cfg)
+        _, _, correct, _ = scene = scene_for("pick_cube", 0, cfg, sim)
         result = run_supervised_episode(*scene, null_assistant, cfg, sim)
-        nominal = len(rollout_plan(plan, world, sim).frames)
+        nominal = len(correct.frames)
         assert result.success
         assert result.interventions == 0
         assert result.total_steps == nominal + cfg.supervisor.settle_steps
@@ -201,18 +206,18 @@ class TestRunSupervisedEpisode:
         # Config loading rejects cadence 0; a library caller can still build one.
         with pytest.raises(ContractViolation):
             run_supervised_episode(
-                *scene_for("pick_cube", 0, cfg), null_assistant, with_cadence(cfg, 0), sim
+                *scene_for("pick_cube", 0, cfg, sim), null_assistant, with_cadence(cfg, 0), sim
             )
 
     def test_oracle_rescues_confirmed_fault(self, cfg, sim):
         fault = harness_fault("pick_cube", 1, cfg, sim)
         assert fault is not None
         broken = run_supervised_episode(
-            *scene_for("pick_cube", 1, cfg, fault),
+            *scene_for("pick_cube", 1, cfg, sim, fault),
             null_assistant, cfg, sim,
         )
         rescued = run_supervised_episode(
-            *scene_for("pick_cube", 1, cfg, fault),
+            *scene_for("pick_cube", 1, cfg, sim, fault),
             oracle_assistant_decide, cfg, sim,
         )
         assert not broken.success
@@ -223,7 +228,7 @@ class TestRunSupervisedEpisode:
         for seed in range(4):
             fault = harness_fault("pick_cube", seed, cfg, sim)
             result = run_supervised_episode(
-                *scene_for("pick_cube", seed, cfg, fault),
+                *scene_for("pick_cube", seed, cfg, sim, fault),
                 oracle_assistant_decide, cfg, sim,
             )
             assert result.interventions <= result.total_steps // cfg.supervisor.cadence
@@ -231,8 +236,8 @@ class TestRunSupervisedEpisode:
     def test_budget_caps_total_steps(self, cfg, sim):
         for seed in range(4):
             fault = harness_fault("pick_cube", seed, cfg, sim)
-            plan, world, _ = scene = scene_for("pick_cube", seed, cfg, fault)
-            nominal = len(rollout_plan(plan, world, sim).frames)
+            _, _, correct, _ = scene = scene_for("pick_cube", seed, cfg, sim, fault)
+            nominal = len(correct.frames)
             budget = math.ceil(nominal * (1 + cfg.supervisor.budget_slack))
             budget += cfg.supervisor.settle_steps
             result = run_supervised_episode(*scene, null_assistant, cfg, sim)
@@ -245,11 +250,11 @@ class TestRunSupervisedEpisode:
 
         fault = harness_fault("pick_cube", 2, cfg, sim)
         with_shaky = run_supervised_episode(
-            *scene_for("pick_cube", 2, cfg, fault),
+            *scene_for("pick_cube", 2, cfg, sim, fault),
             shaky, cfg, sim,
         )
         with_null = run_supervised_episode(
-            *scene_for("pick_cube", 2, cfg, fault),
+            *scene_for("pick_cube", 2, cfg, sim, fault),
             null_assistant, cfg, sim,
         )
         assert with_shaky.success == with_null.success
@@ -287,8 +292,8 @@ def cube_faults(cfg, sim):
 class TestUnsupervisedEpisode:
     @pytest.mark.parametrize("task", TASKS)
     def test_plan_steps_equal_nominal_frames(self, task, cfg, sim):
-        # The unsupervised budget reads total_steps(); the nominal rollout
-        # it replaces records one frame per command.
+        # The episode budget reads total_steps(); the nominal rollout
+        # records one frame per command.
         for seed in range(2):
             plan, world = plan_task(task, seed, cfg)
             assert len(rollout_plan(plan, world, sim).frames) == plan.total_steps()
@@ -296,36 +301,80 @@ class TestUnsupervisedEpisode:
     @pytest.mark.parametrize("cadence", (1, 3, 10))
     @pytest.mark.parametrize("task", ("pick_cube", "push_cube", "stack_cube"))
     def test_matches_null_assistant(self, task, cadence, cfg, sim, cube_faults):
+        # The null assistant never intervenes, so its episode at any cadence
+        # is the unassisted rollout plus settle holds.
         paced = with_cadence(cfg, cadence)
         for seed in range(4):
-            fault = cube_faults[(task, seed)]
-            runs = [
-                run_supervised_episode(
-                    *scene_for(task, seed, cfg, fault),
-                    assistant, paced, sim,
-                )
-                for assistant in (None, null_assistant)
+            scene = scene_for(task, seed, cfg, sim, cube_faults[(task, seed)])
+            episode = run_supervised_episode(*scene, null_assistant, paced, sim)
+            assert runs_unassisted(*scene, paced, sim) == episode.success
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_matches_null_assistant_for_every_menu_entry(self, task, cfg, sim):
+        outcomes = set()
+        for seed in range(8):
+            plan, world, correct, _ = scene_for(task, seed, cfg, sim)
+            rng = seed_stream("harness", task, seed)
+            forced = [
+                sample_failure_spec(plan, [entry], rng)
+                for entry in cfg.supervisor.faults[task]
             ]
-            assert _same_episode(*runs)
+            for fault in [None, *forced]:
+                scene = (plan, world, correct, fault)
+                episode = run_supervised_episode(*scene, null_assistant, cfg, sim)
+                assert runs_unassisted(*scene, cfg, sim) == episode.success
+                outcomes.add(episode.success)
+        assert outcomes == {True, False}
 
     def test_observes_nothing_and_rolls_no_reference(self, cfg, sim, monkeypatch):
         import failsafe.supervisor as supervisor
 
+        plan, world, correct, _ = scene_for("pick_cube", 1, cfg, sim)
         observed, rolled = [], []
         observe, rollout = Simulator.observe, supervisor.rollout_plan
         monkeypatch.setattr(
             Simulator, "observe", lambda self, w: observed.append(w) or observe(self, w)
         )
         monkeypatch.setattr(
-            supervisor, "rollout_plan", lambda *a, **k: rolled.append(1) or rollout(*a, **k)
+            supervisor, "rollout_plan", lambda *a, **k: rolled.append(k) or rollout(*a, **k)
         )
-        fault = harness_fault("pick_cube", 1, cfg, sim)
-        assert fault is not None and not observed and not rolled
-        result = run_supervised_episode(
-            *scene_for("pick_cube", 1, cfg, fault), None, cfg, sim
+        fault = sample_harness_fault(plan, world, correct, cfg, sim)
+        assert fault is not None
+        assert not runs_unassisted(plan, world, correct, fault, cfg, sim)
+        assert observed == []
+        # Every draw is cut at the budget and shares the given correct rollout.
+        assert rolled and all(
+            k["max_steps"] == episode_budget(plan, cfg) and k["reuse"] is correct for k in rolled
         )
-        assert not result.success
-        assert observed == [] and rolled == []
+
+    def test_draws_step_only_past_the_shared_prefix(self, cfg, sim, monkeypatch):
+        import failsafe.supervisor as supervisor
+
+        draws, steps = [], []
+        sample, step = supervisor.sample_failure_spec, Simulator.step
+        monkeypatch.setattr(
+            supervisor, "sample_failure_spec", lambda *a: draws.append(sample(*a)) or draws[-1]
+        )
+        monkeypatch.setattr(Simulator, "step", lambda self, *a: steps.append(1) or step(self, *a))
+        for task in ("pick_cube", "push_cube", "stack_cube"):
+            for seed in range(4):
+                plan, world, correct, _ = scene_for(task, seed, cfg, sim)
+                draws.clear()
+                steps.clear()
+                assert sample_harness_fault(plan, world, correct, cfg, sim) is draws[-1]
+                budget = episode_budget(plan, cfg)
+                expected = 0
+                for fault in draws:
+                    stream = plan_commands(perturb_stage(plan, fault), world.ee_pose)[:budget]
+                    shared = 0
+                    for frame, command in zip(correct.frames, stream):
+                        if frame.command.key() != command.key():
+                            break
+                        shared += 1
+                    holds = min(cfg.supervisor.settle_steps, budget - len(stream))
+                    expected += len(stream) - shared + holds
+                assert len(steps) == expected
+
 
     @pytest.mark.parametrize("cadence", (3, 10))
     def test_oracle_observes_each_world_at_most_once(self, cadence, cfg, sim, monkeypatch):
@@ -337,7 +386,7 @@ class TestUnsupervisedEpisode:
         fault = harness_fault("pick_cube", 1, cfg, sim)
         observed.clear()
         result = run_supervised_episode(
-            *scene_for("pick_cube", 1, cfg, fault),
+            *scene_for("pick_cube", 1, cfg, sim, fault),
             oracle_assistant_decide, with_cadence(cfg, cadence), sim,
         )
         assert result.success
@@ -354,7 +403,7 @@ class TestUnsupervisedEpisode:
         )
         fault = harness_fault("pick_cube", 1, cfg, sim)
         result = run_supervised_episode(
-            *scene_for("pick_cube", 1, cfg, fault), oracle_assistant_decide, cfg, sim
+            *scene_for("pick_cube", 1, cfg, sim, fault), oracle_assistant_decide, cfg, sim
         )
         assert result.success and result.interventions > 0
         assert projected == []
@@ -376,7 +425,7 @@ class TestUnsupervisedEpisode:
             return oracle_assistant_decide(frames, context)
 
         fault = harness_fault("pick_cube", 1, cfg, sim)
-        scene = scene_for("pick_cube", 1, cfg, fault)
+        scene = scene_for("pick_cube", 1, cfg, sim, fault)
         result = run_supervised_episode(*scene, camera_reader, cfg, sim)
         assert read
         for frame, cameras in read:
@@ -392,7 +441,7 @@ class TestEpisodePair:
         for seed in range(2):
             bare_ok, _, _ = run_episode_pair("pick_cube", seed, bare, "oracle")
             explicit = run_supervised_episode(
-                *scene_for("pick_cube", seed, bare),
+                *scene_for("pick_cube", seed, bare, sim),
                 null_assistant, bare, sim,
             )
             assert bare_ok == explicit.success
@@ -404,11 +453,10 @@ class TestEpisodePair:
             fault = cube_faults[(task, 0)]
             bare_ok, _, _ = run_episode_pair(task, 0, paced, "null")
             explicit = run_supervised_episode(
-                *scene_for(task, 0, cfg, fault),
+                *scene_for(task, 0, cfg, sim, fault),
                 null_assistant, paced, sim,
             )
             assert bare_ok is False and explicit.success is False
-
 
     def test_plans_the_scene_once(self, cfg, monkeypatch):
         import failsafe
@@ -426,6 +474,27 @@ class TestEpisodePair:
         _, helped_ok, _ = run_episode_pair("pick_cube", 1, cfg, "oracle")
         assert helped_ok
         assert calls == [("pick_cube", 1)]
+
+    @pytest.mark.parametrize("faults", ("configured", "none"))
+    def test_rolls_the_correct_plan_once(self, faults, cfg, monkeypatch):
+        import failsafe
+
+        if faults == "none":
+            cfg = replace(cfg, supervisor=replace(cfg.supervisor, faults={}))
+        full = []
+        rollout = failsafe.tasks.rollout_plan
+
+        def counted(*args, **kwargs):
+            if kwargs.get("max_steps") is None:
+                full.append(args[0])
+            return rollout(*args, **kwargs)
+
+        for module in vars(failsafe).values():
+            if getattr(module, "rollout_plan", None) is rollout:
+                monkeypatch.setattr(module, "rollout_plan", counted)
+        bare_ok, helped_ok, _ = run_episode_pair("pick_cube", 1, cfg, "oracle")
+        assert helped_ok and bare_ok == (faults == "none")
+        assert len(full) == 1
 
 
 class TestOracleOnEpisodes:
@@ -459,7 +528,7 @@ class TestOracleOnEpisodes:
             return decision
 
         run_supervised_episode(
-            *scene_for("pick_cube", 1, cfg, fault),
+            *scene_for("pick_cube", 1, cfg, sim, fault),
             spy, cfg, sim,
         )
         assert seen
