@@ -30,8 +30,9 @@ def wrap_angle(a: float) -> float:
 
 
 def norm(v) -> float:
-    """Length of a 1-D vector, bit for bit as np.linalg.norm (dot, then sqrt)."""
-    return math.sqrt(float(np.dot(v, v)))
+    """Length of a 1-D vector or list, bit for bit as np.linalg.norm (dot, then sqrt)."""
+    v = v if type(v) is np.ndarray else np.array(v, dtype=float)
+    return math.sqrt(v.dot(v))
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
@@ -227,13 +228,16 @@ def interpolate_stage(start: Pose, end: Pose, steps: int) -> list:
     """`steps` poses from start (exclusive) to end (inclusive, exact copy)."""
     if steps < 1:
         raise EmptyPlanError(f"cannot interpolate a stage over {steps} steps")
+    # Equal (or opposite) ends: every slerp is the lerp q0 + t * 0; Pose.trusted copies it.
+    q0, q1 = start.orientation, end.orientation
+    fixed = slerp(q0, q1, 0.5) if np.array_equal(q0, q1) or np.array_equal(q0, -q1) else None
     poses = []
     for i in range(1, steps):
         t = i / steps
         poses.append(
             Pose.trusted(
                 (1.0 - t) * start.position + t * end.position,
-                slerp(start.orientation, end.orientation, t),
+                slerp(q0, q1, t) if fixed is None else fixed,
                 (1.0 - t) * start.gripper + t * end.gripper,
             )
         )

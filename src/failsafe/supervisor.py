@@ -1,14 +1,16 @@
 """Supervised execution: a fault-prone executor checked at a fixed cadence.
 
 One episode loop replays a planned scene's waypoint stream, perturbed by an optional
-online fault. Every `cfg.supervisor.cadence` steps an assistant sees the last ten
-observation frames (cameras projected only if it reads them) and may inject a corrective
-end-effector command; the loop drives it to arrival, resyncs its stream cursor, and hands
-control back. evaluate_assistant scores the same interface offline on labeled entries.
+online fault, resuming its unassisted rollout until the assistant first steps in. Every
+`cfg.supervisor.cadence` steps an assistant reads the last ten frames (each built when
+read) and may inject a corrective end-effector command; the loop drives it to arrival,
+resyncs its cursor, and hands control back. evaluate_assistant scores assistants offline.
 """
 
+import functools
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,7 @@ from .geometry import DeltaAction, Pose, apply_delta, delta_action, norm, pose_d
 from .recovery import CORRECTION_TAIL, DEVIATION_MARGIN
 from .seeding import seed_stream
 from .sim import Simulator, WorldState
-from .tasks import Plan, Trajectory, plan_commands, rollout_plan
+from .tasks import Plan, Trajectory, plan_commands, rollout_plan, shared_steps
 
 # Spread below which the last-10 end-effector history counts as stalled.
 FROZEN_EPS = 1e-9
@@ -121,38 +123,39 @@ def episode_budget(plan: Plan, cfg: Config) -> int:
 def runs_unassisted(
     plan: Plan, world: WorldState, correct: Trajectory, fault: FailureSpec | None,
     cfg: Config, sim: Simulator,
-) -> bool:
-    """Whether the scene's episode, its stream perturbed by the fault if one is
-    given, succeeds with no assistant: the stream cut at the budget, rolled
-    sharing the `correct` rollout's frames up to the first command that
-    differs, then the settle holds the episode drives."""
+) -> tuple:
+    """(success, rollout) of the scene's episode with no assistant, its stream
+    perturbed by the fault if one is given: the stream cut at the budget, rolled
+    sharing `correct`'s frames up to the first command that differs, then judged
+    after the settle holds the episode drives."""
     budget = episode_budget(plan, cfg)
     faulted = plan if fault is None else perturb_stage(plan, fault)
     run = rollout_plan(faulted, world, sim, max_steps=budget, reuse=correct)
     last = run.frames[-1].world
     holds = [last.ee_pose.copy()] * min(cfg.supervisor.settle_steps, budget - len(run.frames))
-    return sim.evaluate_success([last, *sim.drive(last, holds)][-1], plan.task_id)
+    return sim.evaluate_success([last, *sim.drive(last, holds)][-1], plan.task_id), run
 
 
 def sample_harness_fault(
     plan: Plan, world: WorldState, correct: Trajectory, cfg: Config, sim: Simulator
-) -> FailureSpec | None:
-    """The confirmed online fault the planned scene's episode carries.
+) -> tuple:
+    """(fault, rollout): the episode's confirmed online fault and its confirming unassisted run.
 
     Draws are re-rolled until one actually breaks the unassisted episode, so a
     "perturbed policy" seed really is a failing seed; each draw shares the frames
-    of `correct`, the plan's own rollout from `world`. Returns None when the task
-    has no configured faults or no draw broke anything.
+    of `correct`, the plan's own rollout from `world`. Returns (None, None) when
+    the task has no configured faults or no draw broke anything.
     """
     entries = cfg.supervisor.faults.get(plan.task_id, ())
     if not entries:
-        return None
+        return None, None
     rng = seed_stream("harness", plan.task_id, plan.seed)
     for _ in range(MAX_FAULT_DRAWS):
         spec = sample_failure_spec(plan, entries, rng)
-        if not runs_unassisted(plan, world, correct, spec, cfg, sim):
-            return spec
-    return None
+        ok, run = runs_unassisted(plan, world, correct, spec, cfg, sim)
+        if not ok:
+            return spec, run
+    return None, None
 
 
 @dataclass
@@ -270,11 +273,25 @@ def _context_stage(frames, context) -> str:
     return context.stage_names[stage]
 
 
+class _Window(Sequence):
+    """Read-only frames of a span of worlds; `frame(i)` builds world i's when it is read."""
+
+    def __init__(self, span: range, frame):
+        self.span, self.frame = span, frame
+
+    def __len__(self):
+        return len(self.span)
+
+    def __getitem__(self, i):
+        return [*map(self.frame, self.span[i])] if type(i) is slice else self.frame(self.span[i])
+
+
 def run_supervised_episode(
     plan: Plan,
     world: WorldState,
     correct: Trajectory,
     fault: FailureSpec | None,
+    unassisted: Trajectory,
     assistant,
     cfg: Config,
     sim: Simulator,
@@ -282,32 +299,27 @@ def run_supervised_episode(
     """Execute one episode of the planned scene, its stream perturbed by the
     fault if one is given, consulting the assistant every cfg.supervisor.cadence steps.
 
-    `correct`, the plan's own rollout from `world`, is the nominal reference the
-    assistant's context holds. The assistant is any callable(frames, context) ->
-    AssistantDecision; an exception from it is logged and treated as "no failure"
-    (fail-open). Frames are observed only for consulted windows, and their cameras
-    are projected only if the assistant reads them. During an intervention's transit
-    the stream pauses and no further consultations happen until the arm lands and
-    the cursor re-syncs.
+    `correct`, the plan's own rollout from `world`, is the assistant's nominal
+    reference; `unassisted`, the stream's own rollout (runs_unassisted's), lends its
+    worlds up to the first command that differs until the assistant first steps in.
+    The assistant is any callable(frames, context) -> AssistantDecision; an exception
+    from it is logged and treated as "no failure" (fail-open). Its frames are observed
+    when first read, each world once, cameras projected only if read. An intervention's
+    transit pauses the stream and consultations until the arm lands and the cursor re-syncs.
     """
     cadence = cfg.supervisor.cadence
     if cadence < 1:
         raise ContractViolation("cadence must be at least 1")
     context = EpisodeContext(plan.task_id, fault, correct, cfg)
     commands = plan_commands(plan if fault is None else perturb_stage(plan, fault), world.ee_pose)
-    cursor = 0  # next stream command to run
+    cursor = 0  # next stream command to run; the steps run, until an intervention
     budget = episode_budget(plan, cfg)
+    lent = [f.world for f in unassisted.frames[: shared_steps(unassisted.frames, commands)]]
 
     worlds = [world]  # index = steps run; the trace is their EE poses
     transit_mask = [False]
-    observed = {}  # world index -> frame, so overlapping windows observe once
+    frame = functools.cache(lambda i: sim.observe(worlds[i]))  # each world observed at most once
     interventions = 0
-
-    def window():
-        span = range(max(0, len(worlds) - WINDOW_FRAMES), len(worlds))
-        for i in set(span) - observed.keys():
-            observed[i] = sim.observe(worlds[i])
-        return [observed[i] for i in span]
 
     def record(start, stepped, transit):
         """Keep each stepped world; returns the latest one."""
@@ -319,7 +331,7 @@ def run_supervised_episode(
         total = len(worlds) - 1
         if total > 0 and total % cadence == 0:
             try:
-                decision = assistant(window(), context)
+                decision = assistant(_Window(range(len(worlds))[-WINDOW_FRAMES:], frame), context)
             except Exception as exc:  # fail-open: the baseline is the floor
                 print(
                     f"assistant error at step {total} ({plan.task_id} seed {plan.seed}): {exc}",
@@ -339,7 +351,9 @@ def run_supervised_episode(
                 continue
         # The stream runs on until the next consultation.
         run = min(cadence - total % cadence, budget - total)
-        world = record(world, sim.drive(world, commands[cursor : cursor + run]), False)
+        ready = [] if interventions else lent[cursor : cursor + run]  # as it ran unassisted
+        world = record(world, ready, False)
+        world = record(world, sim.drive(world, commands[cursor + len(ready) : cursor + run]), False)
         cursor += run
 
     # Plan exhausted (or budget hit): hold position briefly, then judge.

@@ -270,6 +270,13 @@ def plan_commands(plan: Plan, start: Pose) -> list:
     return commands
 
 
+def shared_steps(frames, commands) -> int:
+    """How many leading `frames`, of a rollout from the world `commands` start at, ran
+    `commands` (equal `Pose.key()`): step is pure, so theirs are the worlds these make."""
+    same = (frame.command.key() == command.key() for frame, command in zip(frames, commands))
+    return sum(itertools.takewhile(bool, same))
+
+
 def rollout_plan(
     plan: Plan,
     world: WorldState,
@@ -287,11 +294,7 @@ def rollout_plan(
     """
     commands = plan_commands(plan, world.ee_pose)[:max_steps]
     prefix = reuse.frames if reuse is not None else ()
-    shared = 0
-    for frame, command in zip(prefix, commands):
-        if frame.command.key() != command.key():
-            break
-        shared += 1
+    shared = shared_steps(prefix, commands)
     worlds = sim.drive(prefix[shared - 1].world if shared else world, commands[shared:])
     frames = prefix[:shared] + tuple(
         Frame(step=i, command=c, world=w)

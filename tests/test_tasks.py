@@ -7,7 +7,9 @@ import pytest
 
 from failsafe.config import default_config
 from failsafe.errors import ConfigError, SceneGenerationError
-from failsafe.geometry import IDENTITY_QUAT, Pose
+from failsafe.failures import perturb_stage, sample_failure_spec
+from failsafe.geometry import IDENTITY_QUAT, Pose, interpolate_stage, slerp
+from failsafe.seeding import seed_stream
 from failsafe.sim import Simulator
 from failsafe.tasks import (
     GRIP_HOLD,
@@ -235,3 +237,58 @@ class TestHolds:
             self.stage(hold_at=30, hold_steps=2)
         with pytest.raises(ConfigError):
             self.stage(hold_at=5, hold_steps=-1)
+
+
+def slerp_per_waypoint(start: Pose, end: Pose, steps: int) -> list:
+    """interpolate_stage as it was written first: one slerp per waypoint."""
+    poses = []
+    for i in range(1, steps):
+        t = i / steps
+        poses.append(
+            Pose.trusted(
+                (1.0 - t) * start.position + t * end.position,
+                slerp(start.orientation, end.orientation, t),
+                (1.0 - t) * start.gripper + t * end.gripper,
+            )
+        )
+    poses.append(end.copy())
+    return poses
+
+
+class TestInterpolateStageOnPlans:
+    @pytest.mark.parametrize("task", TASKS)
+    def test_matches_per_waypoint_slerp(self, task, cfg):
+        # Every leg of the plans, and of four draws from each fault menu, toward
+        # the stage target and toward one whose orientation is the negated start.
+        # Legs repeat across a seed's variants; each distinct one is compared once.
+        legs = {}
+        for seed in range(32):
+            plan, world = plan_task(task, seed, cfg)
+            rng = seed_stream("interpolate-test", task, seed)
+            plans = [plan] + [
+                perturb_stage(plan, sample_failure_spec(plan, menu, rng))
+                for menu in (cfg.tasks[task], cfg.supervisor.faults[task])
+                for _ in range(4)
+            ]
+            for variant in plans:
+                start = world.ee_pose
+                for stage in variant.stages:
+                    flipped = stage.target.copy()
+                    flipped.orientation = -start.orientation
+                    for end in (stage.target, flipped):
+                        key = repr((start.key(), end.key(), stage.steps))
+                        legs[key] = (start, end, stage.steps)
+                    start = stage.target
+        negated = 0
+        for start, end, steps in legs.values():
+            got = interpolate_stage(start, end, steps)
+            want = slerp_per_waypoint(start, end, steps)
+            assert len(got) == len(want)
+            for field in ("position", "orientation"):
+                a = np.stack([getattr(p, field) for p in got])
+                b = np.stack([getattr(p, field) for p in want])
+                assert a.tobytes() == b.tobytes()
+            assert [p.gripper for p in got] == [p.gripper for p in want]
+            assert len({id(p.orientation) for p in got}) == len(got)
+            negated += np.array_equal(start.orientation, -end.orientation)
+        assert negated > 0
