@@ -49,7 +49,7 @@ from .supervisor import (
     run_supervised_episode,
 )
 from .tasks import plan_task, rollout_plan
-from .verifier import reverify_entries, verify_candidate, verify_candidates
+from .verifier import reverify_entries, verify_candidate
 
 __all__ = [
     "AssistantDecision",
@@ -104,7 +104,6 @@ __all__ = [
     "supervise_task",
     "task_spec",
     "verify_candidate",
-    "verify_candidates",
     "write_dataset",
     "__version__",
 ]

@@ -98,14 +98,16 @@ def _parse_seeds(text) -> list:
 
 
 def _resolve_jobs(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    raw = os.environ.get("FAILSAFE_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise UsageError(f"FAILSAFE_JOBS must be an integer, got {raw!r}") from None
-    return max(1, jobs)
+    jobs, source = args.jobs, "--jobs"
+    if jobs is None:
+        raw, source = os.environ.get("FAILSAFE_JOBS", "1"), "FAILSAFE_JOBS"
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise UsageError(f"FAILSAFE_JOBS must be an integer, got {raw!r}") from None
+    if jobs < 1:
+        raise UsageError(f"{source} must be at least 1, got {jobs}")
+    return jobs
 
 
 def _load_config(path) -> Config:

@@ -192,7 +192,7 @@ def build_gt_entries(trajectory, cfg, sim):
         raise ContractViolation(
             f"unperturbed rollout failed for '{task_id}' seed {seed}"
         )
-    eligible = np.arange(WINDOW_FRAMES - 1, len(trajectory.frames))
+    eligible = np.arange(WINDOW_FRAMES - 1, len(trajectory.worlds))
     count = min(cfg.dataset.gt_entries_per_seed, len(eligible))
     rng = seed_stream("gt-window", task_id, seed)
     ends = sorted(int(e) for e in rng.choice(eligible, size=count, replace=False))
@@ -225,11 +225,12 @@ def build_gt_entries(trajectory, cfg, sim):
 
 def _window(trajectory, end, sim):
     """The 10 observation frames ending at trajectory step `end`."""
-    frames = trajectory.frames[end - WINDOW_FRAMES + 1 : end + 1]
+    first = end - WINDOW_FRAMES + 1
     # observe() reports the world's own step counter, which runs one ahead
-    # of the trajectory index (the initial state is not a recorded frame);
+    # of the trajectory index (the initial state is not a recorded world);
     # entries index windows by trajectory step.
-    return tuple(replace(sim.observe(f.world), step=f.step) for f in frames)
+    worlds = trajectory.worlds[first : end + 1]
+    return tuple(replace(sim.observe(w), step=i) for i, w in enumerate(worlds, first))
 
 
 def enforce_ratio(entries, cfg):

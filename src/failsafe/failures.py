@@ -16,7 +16,7 @@ are discarded; those seeds only contribute ground-truth windows.
 
 The caller plans the scene and rolls its correct plan once; the failure
 case and the ground-truth windows share that rollout, and the failed
-rollout reuses its frames up to the first command that differs.
+rollout reuses its worlds up to the first command that differs.
 """
 
 from dataclasses import dataclass, replace as dc_replace

@@ -27,7 +27,7 @@ from .supervisor import (
     sample_harness_fault,
 )
 from .tasks import plan_task, rollout_plan
-from .verifier import verify_candidates
+from .verifier import verify_candidate
 
 ASSISTANTS = {"oracle": oracle_assistant_decide, "null": null_assistant}
 
@@ -44,8 +44,10 @@ def build_seed_entries(task_id, seed: int, cfg: Config) -> list:
     entries = []
     if case is not None:
         candidates = collect_candidates(case, cfg.dataset.candidates_per_case)
-        verify_candidates(case, candidates, cfg, sim)
-        entries = [build_entry(case, c, sim) for c in candidates if c.verified]
+        entries = [
+            build_entry(case, c, sim)
+            for c in candidates if verify_candidate(case, c, cfg, sim)
+        ]
     return entries + build_gt_entries(correct, cfg, sim)
 
 

@@ -57,10 +57,12 @@ class CandidateRecovery:
 
 
 def candidate_index_ranges(case) -> tuple:
-    """Window ranges for a failure case's deviated stage."""
+    """Window ranges for a failure case's deviated stage.
+
+    The failed rollout always reaches that stage: it is cut at the nominal step
+    count, and the stages before it are the same in both plans, so it starts
+    before the cut."""
     idx = case.spec.stage_index
-    if idx >= len(case.failed.stage_boundaries):
-        return range(0), range(0)
     return window_ranges(
         case.failed.stage_length(idx), case.correct.stage_length(idx)
     )
@@ -82,8 +84,8 @@ def collect_candidates(case, k: int) -> list:
     out = []
     for d_index in even_subsample(d_range, k):
         c_index = int(rng.integers(c_range.start, c_range.stop))
-        pd = case.failed.frames[failed_start + d_index].world.ee_pose
-        pc = case.correct.frames[correct_start + c_index].world.ee_pose
+        pd = case.failed.worlds[failed_start + d_index].ee_pose
+        pc = case.correct.worlds[correct_start + c_index].ee_pose
         out.append(
             CandidateRecovery(
                 d_index=d_index,

@@ -1,10 +1,11 @@
 """Supervised execution: a fault-prone executor checked at a fixed cadence.
 
-One episode loop replays a planned scene's waypoint stream, perturbed by an optional
-online fault, resuming its unassisted rollout until the assistant first steps in. Every
-`cfg.supervisor.cadence` steps an assistant reads the last ten frames (each built when
-read) and may inject a corrective end-effector command; the loop drives it to arrival,
-resyncs its cursor, and hands control back. evaluate_assistant scores assistants offline.
+One episode loop runs the command stream of its unassisted rollout (a planned scene's,
+perturbed by an optional online fault), taking that rollout's worlds until the assistant
+first steps in. Every `cfg.supervisor.cadence` steps an assistant reads the last ten
+frames (each built when read) and may inject a corrective end-effector command; the loop
+drives it to arrival, resyncs its cursor, and hands control back. evaluate_assistant
+scores assistants offline.
 """
 
 import functools
@@ -23,7 +24,7 @@ from .geometry import DeltaAction, Pose, apply_delta, delta_action, norm, pose_d
 from .recovery import CORRECTION_TAIL, DEVIATION_MARGIN
 from .seeding import seed_stream
 from .sim import Simulator, WorldState
-from .tasks import Plan, Trajectory, plan_commands, rollout_plan, shared_steps
+from .tasks import Plan, Trajectory, rollout_plan
 
 # Spread below which the last-10 end-effector history counts as stalled.
 FROZEN_EPS = 1e-9
@@ -126,13 +127,13 @@ def runs_unassisted(
 ) -> tuple:
     """(success, rollout) of the scene's episode with no assistant, its stream
     perturbed by the fault if one is given: the stream cut at the budget, rolled
-    sharing `correct`'s frames up to the first command that differs, then judged
+    sharing `correct`'s worlds up to the first command that differs, then judged
     after the settle holds the episode drives."""
     budget = episode_budget(plan, cfg)
     faulted = plan if fault is None else perturb_stage(plan, fault)
     run = rollout_plan(faulted, world, sim, max_steps=budget, reuse=correct)
-    last = run.frames[-1].world
-    holds = [last.ee_pose.copy()] * min(cfg.supervisor.settle_steps, budget - len(run.frames))
+    last = run.worlds[-1]
+    holds = [last.ee_pose.copy()] * min(cfg.supervisor.settle_steps, budget - len(run.worlds))
     return sim.evaluate_success([last, *sim.drive(last, holds)][-1], plan.task_id), run
 
 
@@ -142,7 +143,7 @@ def sample_harness_fault(
     """(fault, rollout): the episode's confirmed online fault and its confirming unassisted run.
 
     Draws are re-rolled until one actually breaks the unassisted episode, so a
-    "perturbed policy" seed really is a failing seed; each draw shares the frames
+    "perturbed policy" seed really is a failing seed; each draw shares the worlds
     of `correct`, the plan's own rollout from `world`. Returns (None, None) when
     the task has no configured faults or no draw broke anything.
     """
@@ -169,14 +170,14 @@ class EpisodeContext:
 
     def __post_init__(self):
         self.stage_names = task_spec(self.task_id).stage_names
-        poses = [f.world.ee_pose for f in self.correct.frames]
+        poses = [w.ee_pose for w in self.correct.worlds]
         self._positions = np.stack([p.position for p in poses])
         self._orientations = np.stack([p.orientation for p in poses])
 
     def stage_at(self, step: int) -> tuple:
         """(stage index, steps elapsed inside it) for a global step count,
         judged against the nominal schedule and clamped to the last stage."""
-        index = min(step, len(self.correct.frames) - 1)
+        index = min(step, len(self.correct.worlds) - 1)
         for stage, last in enumerate(self.correct.stage_boundaries):
             if index <= last:
                 first, _ = self.correct.stage_bounds(stage)
@@ -238,7 +239,7 @@ def oracle_assistant_decide(frames, ground_truth) -> AssistantDecision:
     # Effectively-done gate. Kept tighter than any task's success margin
     # (the slimmest is pick's ~5.6 mm of lift headroom) so a stall that
     # parks the arm just shy of done still gets flagged.
-    if _within(ee, context.correct.frames[-1].world.ee_pose, 0.004, 0.05, 0.05):
+    if _within(ee, context.correct.worlds[-1].ee_pose, 0.004, 0.05, 0.05):
         return quiet
     if _window_frozen(frames):
         pass  # stalled in place
@@ -248,7 +249,7 @@ def oracle_assistant_decide(frames, ground_truth) -> AssistantDecision:
     first, _ = context.correct.stage_bounds(stage)
     length = context.correct.stage_length(stage)
     c_star = max(DEVIATION_MARGIN, min(elapsed + lead, length - CORRECTION_TAIL))
-    target = context.correct.frames[first + c_star].world.ee_pose
+    target = context.correct.worlds[first + c_star].ee_pose
     return AssistantDecision(
         sub_task=name,
         is_failure=True,
@@ -300,8 +301,9 @@ def run_supervised_episode(
     fault if one is given, consulting the assistant every cfg.supervisor.cadence steps.
 
     `correct`, the plan's own rollout from `world`, is the assistant's nominal
-    reference; `unassisted`, the stream's own rollout (runs_unassisted's), lends its
-    worlds up to the first command that differs until the assistant first steps in.
+    reference. `unassisted` is the rollout of the episode's own stream, as
+    runs_unassisted returns it: the episode runs its commands and takes its worlds
+    until the assistant first steps in.
     The assistant is any callable(frames, context) -> AssistantDecision; an exception
     from it is logged and treated as "no failure" (fail-open). Its frames are observed
     when first read, each world once, cameras projected only if read. An intervention's
@@ -311,10 +313,9 @@ def run_supervised_episode(
     if cadence < 1:
         raise ContractViolation("cadence must be at least 1")
     context = EpisodeContext(plan.task_id, fault, correct, cfg)
-    commands = plan_commands(plan if fault is None else perturb_stage(plan, fault), world.ee_pose)
+    commands, lent = unassisted.commands, unassisted.worlds
     cursor = 0  # next stream command to run; the steps run, until an intervention
     budget = episode_budget(plan, cfg)
-    lent = [f.world for f in unassisted.frames[: shared_steps(unassisted.frames, commands)]]
 
     worlds = [world]  # index = steps run; the trace is their EE poses
     transit_mask = [False]

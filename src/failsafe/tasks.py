@@ -5,8 +5,8 @@ seeded random object placements. What a task is comes from its row in the
 task table (config.TASKS, re-exported here): the row's family picks the
 stage plan (and a push scene's goal), and its objects are the ids the scene
 places, one random xy each, the moved object first. Rollouts feed interpolated waypoints to the
-simulator one step per waypoint and record every frame, so a (task, seed,
-config) triple fully determines the resulting trajectory.
+simulator one step per waypoint; a rollout is its command stream and the world after each
+command run, so a (task, seed, config) triple fully determines the resulting trajectory.
 """
 
 import itertools
@@ -83,22 +83,16 @@ class Plan:
 
 
 @dataclass(frozen=True)
-class Frame:
-    step: int
-    command: Pose
-    world: WorldState
-
-
-@dataclass(frozen=True)
 class Trajectory:
     task_id: str
     seed: int
-    frames: tuple
-    stage_boundaries: tuple  # index of each executed stage's last frame
+    commands: tuple  # the plan's whole waypoint stream
+    worlds: tuple  # worlds[i]: the world after commands[i]; fewer when cut at max_steps
+    stage_boundaries: tuple  # index of each executed stage's last world
     outcome: bool
 
     def stage_bounds(self, stage_index: int) -> tuple:
-        """(first, last) frame indices of a stage, inclusive."""
+        """(first, last) step indices of a stage, inclusive."""
         if stage_index < 0 or stage_index >= len(self.stage_boundaries):
             raise IndexError(f"stage {stage_index} not in trajectory")
         first = 0 if stage_index == 0 else self.stage_boundaries[stage_index - 1] + 1
@@ -270,13 +264,6 @@ def plan_commands(plan: Plan, start: Pose) -> list:
     return commands
 
 
-def shared_steps(frames, commands) -> int:
-    """How many leading `frames`, of a rollout from the world `commands` start at, ran
-    `commands` (equal `Pose.key()`): step is pure, so theirs are the worlds these make."""
-    same = (frame.command.key() == command.key() for frame, command in zip(frames, commands))
-    return sum(itertools.takewhile(bool, same))
-
-
 def rollout_plan(
     plan: Plan,
     world: WorldState,
@@ -284,36 +271,35 @@ def rollout_plan(
     max_steps: int | None = None,
     reuse: Trajectory | None = None,
 ) -> Trajectory:
-    """Execute a plan one waypoint per step, recording every frame.
+    """Execute a plan one waypoint per step, keeping the world after each.
 
     If max_steps is given the rollout truncates there and the outcome is
     whatever evaluate_success says at the cutoff, which is how stalled plans
     come to count as failures. `reuse`, a rollout from the same world, lends
-    its frames up to the first command that differs: step is pure, so they
-    are the frames this plan would make.
+    its worlds up to the first command that differs (equal `Pose.key()`):
+    step is pure, so they are the worlds this plan would make.
     """
-    commands = plan_commands(plan, world.ee_pose)[:max_steps]
-    prefix = reuse.frames if reuse is not None else ()
-    shared = shared_steps(prefix, commands)
-    worlds = sim.drive(prefix[shared - 1].world if shared else world, commands[shared:])
-    frames = prefix[:shared] + tuple(
-        Frame(step=i, command=c, world=w)
-        for i, (c, w) in enumerate(zip(commands[shared:], worlds), start=shared)
-    )
+    commands = tuple(plan_commands(plan, world.ee_pose))
+    run = commands[:max_steps]
+    lent, ran = (reuse.worlds, reuse.commands) if reuse is not None else ((), ())
+    same = (a.key() == b.key() for _, a, b in zip(lent, ran, run))
+    lent = lent[: sum(itertools.takewhile(bool, same))]
+    worlds = (*lent, *sim.drive(lent[-1] if lent else world, run[len(lent) :]))
     # Each executed stage ends at its cumulative emitted step; a truncated
     # final stage still closes the partition.
     boundaries = []
     end = 0
     for stage in plan.stages:
-        if end >= len(frames):
+        if end >= len(worlds):
             break
         end += stage.emitted_steps()
-        boundaries.append(min(end, len(frames)) - 1)
-    outcome = sim.evaluate_success(frames[-1].world if frames else world, plan.task_id)
+        boundaries.append(min(end, len(worlds)) - 1)
+    outcome = sim.evaluate_success(worlds[-1] if worlds else world, plan.task_id)
     return Trajectory(
         task_id=plan.task_id,
         seed=plan.seed,
-        frames=frames,
+        commands=commands,
+        worlds=worlds,
         stage_boundaries=tuple(boundaries),
         outcome=outcome,
     )

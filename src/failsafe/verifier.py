@@ -38,11 +38,11 @@ def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simul
     resume_local = case.correct.stage_length(idx) - CORRECTION_TAIL + 1
 
     # The failure, exactly as recorded, up to the deviation point.
-    prefix = case.failed.frames[: global_d + 1]
+    prefix = case.failed.worlds[: global_d + 1]
     steps = len(prefix)
     if steps > budget:
         return False
-    world = prefix[-1].world
+    world = prefix[-1]
     try:
         # The candidate's correction, driven until the arm arrives.
         target = apply_delta(world.ee_pose, candidate.action)
@@ -56,7 +56,7 @@ def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simul
 
         # The correct plan takes over at its normal one-step-per-waypoint
         # cadence; a correction the arm cannot track from fails here.
-        resume = [f.command for f in case.correct.frames[correct_start + resume_local :]]
+        resume = case.correct.commands[correct_start + resume_local :]
         if steps + len(resume) > budget:
             return False
         worlds = sim.drive(world, resume)
@@ -66,11 +66,6 @@ def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simul
     if ok:
         candidate.verified = True
     return ok
-
-
-def verify_candidates(case, candidates, cfg: Config, sim: Simulator) -> list:
-    """Verify a batch; returns the per-candidate outcomes in order."""
-    return [verify_candidate(case, cand, cfg, sim) for cand in candidates]
 
 
 def reverify_entries(entries, cfg: Config) -> float:

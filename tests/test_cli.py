@@ -515,6 +515,28 @@ class TestParserPlumbing:
         assert code == EXIT_USAGE
         assert "FAILSAFE_JOBS" in err
 
+    @pytest.mark.parametrize(
+        "flag, env, named",
+        [(["--jobs", "0"], None, "--jobs"), (["--jobs", "-3"], None, "--jobs"),
+         ([], "0", "FAILSAFE_JOBS"), ([], "-2", "FAILSAFE_JOBS")],
+    )
+    def test_jobs_below_one_is_usage_error(self, flag, env, named, monkeypatch, tmp_path, capsys):
+        if env is None:
+            monkeypatch.delenv("FAILSAFE_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("FAILSAFE_JOBS", env)
+        code, payload, err = run_cli(
+            ["supervise", "--task", TASK, "--seeds", "0..1", "--assistant", "null", *flag], capsys
+        )
+        assert (code, payload) == (EXIT_USAGE, None)
+        assert named in err and "at least 1" in err
+        out = tmp_path / "gen"
+        code, payload, err = run_cli(
+            ["generate", "--task", TASK, "--seeds", "0..1", "--out", str(out), *flag], capsys
+        )
+        assert (code, payload) == (EXIT_USAGE, None)
+        assert named in err and not out.exists()
+
 
 class TestPoolBounds:
     def test_pool_size_clamps_huge_jobs(self):

@@ -34,7 +34,7 @@ from failsafe.pipeline import build_seed_entries
 from failsafe.recovery import collect_candidates
 from failsafe.sim import Simulator
 from failsafe.tasks import plan_task, rollout_plan, task_spec
-from failsafe.verifier import verify_candidates
+from failsafe.verifier import verify_candidate
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +56,7 @@ def corpus(cfg, sim):
         case = failure_case("pick_cube", seed, cfg, sim)
         if case is not None:
             cands = collect_candidates(case, cfg.dataset.candidates_per_case)
-            verify_candidates(case, cands, cfg, sim)
-            good = [c for c in cands if c.verified]
+            good = [c for c in cands if verify_candidate(case, c, cfg, sim)]
             if good:
                 cases[seed] = (case, good)
                 entries.extend(build_entry(case, c, sim) for c in good)

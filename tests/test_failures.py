@@ -134,10 +134,10 @@ class TestGenerateFailureCase:
         a = failure_case("pick_cube", 4, cfg, sim)
         b = failure_case("pick_cube", 4, cfg, sim)
         assert a.spec == b.spec
-        assert len(a.failed.frames) == len(b.failed.frames)
+        assert len(a.failed.worlds) == len(b.failed.worlds)
         assert np.array_equal(
-            a.failed.frames[-1].world.ee_pose.position,
-            b.failed.frames[-1].world.ee_pose.position,
+            a.failed.worlds[-1].ee_pose.position,
+            b.failed.worlds[-1].ee_pose.position,
         )
 
     def test_confirmed_case_shape(self, cfg, sim):
@@ -146,7 +146,7 @@ class TestGenerateFailureCase:
         assert case.correct.outcome and not case.failed.outcome
         assert case.nominal_steps == 120
         # The unperturbed budget caps the perturbed rollout.
-        assert len(case.failed.frames) == case.nominal_steps
+        assert len(case.failed.worlds) == case.nominal_steps
         assert case.spec.stage_name in TASKS["pick_cube"].stage_names
 
     def test_carries_the_given_correct_rollout(self, cfg, sim):
@@ -203,17 +203,17 @@ def world_key(world):
 
 
 def shared_prefix(a, b):
-    """How many leading frames of two rollouts carry the same command."""
+    """How many leading worlds of two rollouts follow the same command."""
     k = 0
-    for fa, fb in zip(a.frames, b.frames):
-        if fa.command.key() != fb.command.key():
+    for _, _, ca, cb in zip(a.worlds, b.worlds, a.commands, b.commands):
+        if ca.key() != cb.key():
             break
         k += 1
     return k
 
 
 class TestSharedPrefix:
-    """The failed rollout reuses the correct rollout's frames up to the
+    """The failed rollout reuses the correct rollout's worlds up to the
     first command that differs; it must be the rollout stepped from scratch."""
 
     @pytest.mark.parametrize("mode", ["translation", "rotation", "no_ops@0", "no_ops@mid"])
@@ -226,15 +226,14 @@ class TestSharedPrefix:
             nominal = plan.total_steps()
             fresh = rollout_plan(failed_plan, world, sim, max_steps=nominal)
             shared = rollout_plan(failed_plan, world, sim, max_steps=nominal, reuse=correct)
-            assert len(shared.frames) == len(fresh.frames)
-            for a, b in zip(shared.frames, fresh.frames):
-                assert a.step == b.step
-                assert a.command.key() == b.command.key()
-                assert world_key(a.world) == world_key(b.world)
+            assert [c.key() for c in shared.commands] == [c.key() for c in fresh.commands]
+            assert len(shared.worlds) == len(fresh.worlds)
+            for a, b in zip(shared.worlds, fresh.worlds):
+                assert world_key(a) == world_key(b)
             assert shared.stage_boundaries == fresh.stage_boundaries
             assert shared.outcome == fresh.outcome
             k = shared_prefix(correct, fresh)
-            assert all(a is b for a, b in zip(shared.frames[:k], correct.frames))
+            assert all(a is b for a, b in zip(shared.worlds[:k], correct.worlds))
 
     def test_generate_failure_case_steps_only_past_the_shared_prefix(
         self, cfg, sim, monkeypatch
@@ -252,7 +251,7 @@ class TestSharedPrefix:
                 if case is None:
                     continue
                 k = shared_prefix(correct, case.failed)
-                assert len(calls) == len(case.failed.frames) - k
+                assert len(calls) == len(case.failed.worlds) - k
                 saved += k
         assert saved > 0
 

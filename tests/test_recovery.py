@@ -15,7 +15,7 @@ from failsafe.recovery import (
 )
 from failsafe.failures import generate_failure_case
 from failsafe.sim import Simulator, WorldState
-from failsafe.tasks import Frame, Trajectory, plan_task, rollout_plan
+from failsafe.tasks import Trajectory, plan_task, rollout_plan
 
 
 @pytest.fixture(scope="module")
@@ -83,18 +83,18 @@ class TestEvenSubsample:
 
 
 def line_trajectory(n, x_offset=0.0):
-    """n frames walking +y in a single stage; optionally shifted in x."""
-    frames = []
-    for i in range(n):
-        pose = Pose(
-            np.array([x_offset, 0.002 * i, 0.1]), IDENTITY_QUAT, 0.5
-        )
-        world = WorldState(ee_pose=pose, objects={}, step_count=i + 1)
-        frames.append(Frame(step=i, command=pose, world=world))
+    """n steps walking +y in a single stage; optionally shifted in x."""
+    commands = tuple(
+        Pose(np.array([x_offset, 0.002 * i, 0.1]), IDENTITY_QUAT, 0.5) for i in range(n)
+    )
     return Trajectory(
         task_id="pick_cube",
         seed=0,
-        frames=tuple(frames),
+        commands=commands,
+        worlds=tuple(
+            WorldState(ee_pose=pose, objects={}, step_count=i + 1)
+            for i, pose in enumerate(commands)
+        ),
         stage_boundaries=(n - 1,),
         outcome=False,
     )
@@ -146,8 +146,8 @@ class TestCollectCandidates:
         # Synchronized indices on otherwise congruent trajectories: the
         # action is exactly the negated offset with no rotation.
         for j in (10, 20, 39):
-            pd = case.failed.frames[j].world.ee_pose
-            pc = case.correct.frames[j].world.ee_pose
+            pd = case.failed.worlds[j].ee_pose
+            pc = case.correct.worlds[j].ee_pose
             action = delta_action(pd, pc)
             assert action.d_position[0] == pytest.approx(-0.05, abs=1e-9)
             assert action.d_position[1:] == pytest.approx([0.0, 0.0], abs=1e-12)

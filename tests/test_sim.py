@@ -505,16 +505,16 @@ class TestObservation:
     @pytest.mark.parametrize("task_id", sorted(TASKS))
     def test_keypoints_equal_per_corner_loop(self, sim, task_id):
         plan, world = plan_task(task_id, 0, Config())
-        for frame in rollout_plan(plan, world, sim).frames:
-            got, want = sim._keypoints(frame.world), loop_keypoints(frame.world)
+        for w in rollout_plan(plan, world, sim).worlds:
+            got, want = sim._keypoints(w), loop_keypoints(w)
             assert [k for k, _ in got] == [k for k, _ in want]
             assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
 
     @pytest.mark.parametrize("task_id", sorted(TASKS))
     def test_lazy_cameras_equal_eager_projection(self, sim, task_id):
         plan, world = plan_task(task_id, 0, Config())
-        for frame in rollout_plan(plan, world, sim).frames:
-            assert sim.observe(frame.world).cameras == eager_cameras(sim, frame.world)
+        for w in rollout_plan(plan, world, sim).worlds:
+            assert sim.observe(w).cameras == eager_cameras(sim, w)
 
     def test_hand_camera_equals_numpy_cross_basis(self, sim):
         """The hand basis is built on Python floats; it must give the bytes

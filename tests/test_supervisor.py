@@ -33,7 +33,7 @@ from failsafe.supervisor import (
 import failsafe.pipeline as pipeline
 from failsafe.pipeline import run_episode_pair
 from failsafe.tasks import TASKS, plan_commands, plan_task, rollout_plan
-from failsafe.verifier import verify_candidates
+from failsafe.verifier import verify_candidate
 
 
 @pytest.fixture(scope="module")
@@ -84,9 +84,8 @@ def entries(cfg, sim):
         case = failure_case("pick_cube", seed, cfg, sim)
         if case is not None:
             cands = collect_candidates(case, cfg.dataset.candidates_per_case)
-            verify_candidates(case, cands, cfg, sim)
             out.extend(
-                build_entry(case, c, sim) for c in cands if c.verified
+                build_entry(case, c, sim) for c in cands if verify_candidate(case, c, cfg, sim)
             )
         correct = rollout_plan(*plan_task("pick_cube", seed, cfg), sim)
         out.extend(build_gt_entries(correct, cfg, sim))
@@ -203,7 +202,7 @@ class TestRunSupervisedEpisode:
     def test_unperturbed_null_episode(self, cfg, sim):
         _, _, correct, _, _ = scene = scene_for("pick_cube", 0, cfg, sim)
         result = run_supervised_episode(*scene, null_assistant, cfg, sim)
-        nominal = len(correct.frames)
+        nominal = len(correct.worlds)
         assert result.success
         assert result.interventions == 0
         assert result.total_steps == nominal + cfg.supervisor.settle_steps
@@ -244,7 +243,7 @@ class TestRunSupervisedEpisode:
         for seed in range(4):
             fault = harness_fault("pick_cube", seed, cfg, sim)
             _, _, correct, _, _ = scene = scene_for("pick_cube", seed, cfg, sim, fault)
-            nominal = len(correct.frames)
+            nominal = len(correct.worlds)
             budget = math.ceil(nominal * (1 + cfg.supervisor.budget_slack))
             budget += cfg.supervisor.settle_steps
             result = run_supervised_episode(*scene, null_assistant, cfg, sim)
@@ -300,10 +299,10 @@ class TestUnsupervisedEpisode:
     @pytest.mark.parametrize("task", TASKS)
     def test_plan_steps_equal_nominal_frames(self, task, cfg, sim):
         # The episode budget reads total_steps(); the nominal rollout
-        # records one frame per command.
+        # keeps one world per command.
         for seed in range(2):
             plan, world = plan_task(task, seed, cfg)
-            assert len(rollout_plan(plan, world, sim).frames) == plan.total_steps()
+            assert len(rollout_plan(plan, world, sim).worlds) == plan.total_steps()
 
     @pytest.mark.parametrize("cadence", (1, 3, 10))
     @pytest.mark.parametrize("task", ("pick_cube", "push_cube", "stack_cube"))
@@ -328,11 +327,10 @@ class TestUnsupervisedEpisode:
             ]
             for fault in [None, *forced]:
                 ok, unassisted = runs_unassisted(plan, world, correct, fault, cfg, sim)
-                for lent in (unassisted, correct):
-                    episode = run_supervised_episode(
-                        plan, world, correct, fault, lent, null_assistant, cfg, sim
-                    )
-                    assert ok == episode.success
+                episode = run_supervised_episode(
+                    plan, world, correct, fault, unassisted, null_assistant, cfg, sim
+                )
+                assert ok == episode.success
                 outcomes.add(episode.success)
         assert outcomes == {True, False}
 
@@ -352,8 +350,8 @@ class TestUnsupervisedEpisode:
         assert fault is not None
         ok, rolled_again = runs_unassisted(plan, world, correct, fault, cfg, sim)
         assert not ok
-        assert [f.world.ee_pose.key() for f in rolled_again.frames] == [
-            f.world.ee_pose.key() for f in unassisted.frames
+        assert [w.ee_pose.key() for w in rolled_again.worlds] == [
+            w.ee_pose.key() for w in unassisted.worlds
         ]
         assert observed == []
         # Every draw is cut at the budget and shares the given correct rollout.
@@ -382,8 +380,8 @@ class TestUnsupervisedEpisode:
                 for fault in draws:
                     stream = plan_commands(perturb_stage(plan, fault), world.ee_pose)[:budget]
                     shared = 0
-                    for frame, command in zip(correct.frames, stream):
-                        if frame.command.key() != command.key():
+                    for ran, command in zip(correct.commands, stream):
+                        if ran.key() != command.key():
                             break
                         shared += 1
                     holds = min(cfg.supervisor.settle_steps, budget - len(stream))
@@ -557,16 +555,15 @@ class TestResumedEpisode:
             plan, world, correct, fault, unassisted = confirmed_scene(task, seed, cfg, sim)
             for name, make in EPISODE_ASSISTANTS.items():
                 want = stepping_episode(plan, world, correct, fault, make(), cfg, sim)
-                for lent in (unassisted, correct):
-                    got = run_supervised_episode(
-                        plan, world, correct, fault, lent, make(), cfg, sim
-                    )
-                    where = (task, seed, name, lent is correct)
-                    assert [p.key() for p in got.trace] == [p.key() for p in want.trace], where
-                    assert got.transit_mask == want.transit_mask, where
-                    assert got.interventions == want.interventions, where
-                    assert got.total_steps == want.total_steps, where
-                    assert got.success == want.success, where
+                got = run_supervised_episode(
+                    plan, world, correct, fault, unassisted, make(), cfg, sim
+                )
+                where = (task, seed, name)
+                assert [p.key() for p in got.trace] == [p.key() for p in want.trace], where
+                assert got.transit_mask == want.transit_mask, where
+                assert got.interventions == want.interventions, where
+                assert got.total_steps == want.total_steps, where
+                assert got.success == want.success, where
                 if name == "first_consult":
                     assert want.interventions == 1
         capsys.readouterr()
@@ -605,6 +602,43 @@ class TestResumedEpisode:
         # window in full took 4039 steps and 3670 observes with the oracle,
         # 4620 and 4280 with the null assistant.
         assert counts == {"step": steps, "observe": observes}
+
+    def test_episode_builds_no_command_stream(self, cfg, monkeypatch):
+        # The episode runs its unassisted rollout's commands: it plans and perturbs
+        # nothing, so the correct rollouts and the fault draws build every stream.
+        counts = {"plan_commands": 0, "perturb_stage": 0, "in_episode": 0}
+        inside = []
+        episode = pipeline.run_supervised_episode
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                counts["in_episode"] += bool(inside)
+                return original(*args, **kwargs)
+
+            return call
+
+        def in_episode(*args):
+            inside.append(1)
+            try:
+                return episode(*args)
+            finally:
+                inside.pop()
+
+        # Every failsafe module global bound to either function, however it is imported.
+        for original in (plan_commands, perturb_stage):
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "failsafe":
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, counted(original.__name__, original))
+        monkeypatch.setattr(pipeline, "run_supervised_episode", in_episode)
+        for task in ("pick_cube", "push_cube", "stack_cube"):
+            for seed in range(8):
+                run_episode_pair(task, seed, cfg, "oracle")
+        # 24 correct rollouts and 26 fault draws; the episodes rebuilt 24 more.
+        assert (counts["plan_commands"], counts["perturb_stage"]) == (50, 26)
+        assert counts["in_episode"] == 0
 
     def test_window_reads_like_the_list(self, cfg, sim):
         reads = {"list": [], "window": []}

@@ -162,12 +162,19 @@ class TestRollout:
     def test_trajectory_length_is_stage_sum(self, cfg, sim):
         plan, world = plan_task("stack_cube", 1, cfg)
         traj = rollout_plan(plan, world, sim)
-        assert len(traj.frames) == plan.total_steps() == 240
+        assert len(traj.worlds) == len(traj.commands) == plan.total_steps() == 240
 
-    def test_frame_steps_contiguous_from_zero(self, cfg, sim):
+    def test_cut_rollout_holds_whole_stream_and_max_steps_worlds(self, cfg, sim):
         plan, world = plan_task("pick_cube", 1, cfg)
-        traj = rollout_plan(plan, world, sim)
-        assert [f.step for f in traj.frames] == list(range(len(traj.frames)))
+        traj = rollout_plan(plan, world, sim, max_steps=70)
+        stream = plan_commands(plan, world.ee_pose)
+        assert [c.key() for c in traj.commands] == [c.key() for c in stream]
+        assert len(traj.worlds) == 70 < len(stream)
+        before = world
+        for command, after in zip(traj.commands, traj.worlds):
+            assert after.ee_pose.key() == sim.step(before, command).ee_pose.key()
+            assert after.step_count == before.step_count + 1
+            before = after
 
     def test_stage_bounds_partition_the_frames(self, cfg, sim):
         plan, world = plan_task("stack_cube", 4, cfg)
@@ -179,20 +186,20 @@ class TestRollout:
             assert lo == first
             assert traj.stage_length(i) == plan.stages[i].emitted_steps()
             first = hi + 1
-        assert traj.stage_boundaries[-1] == len(traj.frames) - 1
+        assert traj.stage_boundaries[-1] == len(traj.worlds) - 1
 
     def test_nominal_attach_waypoint_is_pinned(self, cfg, sim):
         plan, world = plan_task("pick_cube", 0, cfg)
         traj = rollout_plan(plan, world, sim)
         attach_at = next(
-            i for i, f in enumerate(traj.frames) if f.world.attached == "cube"
+            i for i, w in enumerate(traj.worlds) if w.attached == "cube"
         )
         assert attach_at == 76  # 40 reach steps + grasp waypoint 36
 
     def test_truncation_closes_the_partition(self, cfg, sim):
         plan, world = plan_task("pick_cube", 0, cfg)
         traj = rollout_plan(plan, world, sim, max_steps=50)
-        assert len(traj.frames) == 50
+        assert len(traj.worlds) == 50
         assert traj.stage_boundaries[-1] == 49
         assert not traj.outcome
 
@@ -200,10 +207,10 @@ class TestRollout:
         plan, world = plan_task("pick_cube", 2, cfg)
         stream = plan_commands(plan, world.ee_pose)
         traj = rollout_plan(plan, world, sim)
-        assert len(stream) == len(traj.frames)
-        for cmd, frame in zip(stream, traj.frames):
-            assert np.array_equal(cmd.position, frame.command.position)
-            assert cmd.gripper == frame.command.gripper
+        assert len(stream) == len(traj.commands) == len(traj.worlds)
+        for cmd, ran in zip(stream, traj.commands):
+            assert np.array_equal(cmd.position, ran.position)
+            assert cmd.gripper == ran.gripper
 
 
 class TestHolds:

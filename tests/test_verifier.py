@@ -16,7 +16,7 @@ from failsafe.recovery import (
 )
 from failsafe.sim import Simulator
 from failsafe.tasks import plan_task, rollout_plan
-from failsafe.verifier import step_budget, verify_candidate, verify_candidates
+from failsafe.verifier import step_budget, verify_candidate
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +35,10 @@ def failure_case(task_id, seed, cfg, sim):
     return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
 
 
+def verify_all(case, candidates, cfg, sim):
+    return [verify_candidate(case, c, cfg, sim) for c in candidates]
+
+
 def case_with_mode(task_id, mode, cfg, sim, start_seed=0):
     for seed in range(start_seed, start_seed + 200):
         case = failure_case(task_id, seed, cfg, sim)
@@ -51,7 +55,7 @@ class TestVerifyCandidate:
     def test_good_candidates_verify_and_get_marked(self, cfg, sim):
         case = case_with_mode("pick_cube", "translation", cfg, sim)
         cands = collect_candidates(case, 5)
-        results = verify_candidates(case, cands, cfg, sim)
+        results = verify_all(case, cands, cfg, sim)
         assert any(results)
         for cand, ok in zip(cands, results):
             assert cand.verified == ok
@@ -71,8 +75,8 @@ class TestVerifyCandidate:
     def test_reverification_agrees(self, cfg, sim):
         case = case_with_mode("pick_cube", "translation", cfg, sim)
         cands = collect_candidates(case, 5)
-        first = verify_candidates(case, cands, cfg, sim)
-        second = verify_candidates(case, cands, cfg, sim)
+        first = verify_all(case, cands, cfg, sim)
+        second = verify_all(case, cands, cfg, sim)
         assert first == second
 
     def test_batch_fraction_sits_strictly_inside_unit_interval(self, cfg, sim):
@@ -83,7 +87,7 @@ class TestVerifyCandidate:
                 if case is None:
                     continue
                 cands = collect_candidates(case, 3)
-                results.extend(verify_candidates(case, cands, cfg, sim))
+                results.extend(verify_all(case, cands, cfg, sim))
         frac = sum(results) / len(results)
         assert 0.0 < frac < 1.0
 
@@ -101,11 +105,11 @@ class TestVerifyCandidate:
     def test_tight_budget_rejects_more(self, cfg, sim):
         case = case_with_mode("pick_cube", "translation", cfg, sim)
         cands = collect_candidates(case, 5)
-        normal = sum(verify_candidates(case, cands, cfg, sim))
+        normal = sum(verify_all(case, cands, cfg, sim))
         strangled = replace(
             cfg, verifier=replace(cfg.verifier, budget_slack=0.0)
         )
-        tight = sum(verify_candidates(case, cands, strangled, sim))
+        tight = sum(verify_all(case, cands, strangled, sim))
         assert tight <= normal
 
     def test_sim_error_counts_as_failure(self, cfg, sim):
@@ -128,5 +132,5 @@ class TestVerifyCandidate:
     def test_no_ops_cases_verify_via_catch_up(self, cfg, sim):
         case = case_with_mode("pick_cube", "no_ops", cfg, sim)
         cands = collect_candidates(case, 5)
-        results = verify_candidates(case, cands, cfg, sim)
+        results = verify_all(case, cands, cfg, sim)
         assert any(results)
