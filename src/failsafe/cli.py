@@ -225,8 +225,8 @@ def _matches_manifest(path, manifest) -> bool:
             for line in fh:
                 if key(line) in wanted:
                     digest.update(line)
-    except (KeyError, TypeError, ValueError):
-        return False  # a line that names no (task, seed) pins nothing
+    except (KeyError, TypeError, ValueError, RecursionError):
+        return False  # a line that does not parse, or names no (task, seed), pins nothing
     return digest.hexdigest() == file_sha256(path)
 
 

@@ -280,18 +280,9 @@ class Config:
     tasks: dict = field(default_factory=dict)  # task_id -> list[FailureEntry]
 
 
-_VECTOR_FIELDS = {
-    "charger_half_extents",
-    "pad_half_extents",
-    "workspace_min",
-    "workspace_max",
-    "front_camera",
-    "side_camera",
-}
-_PAIR_FIELDS = {"push_distance_range"}
-
-
 def _parse_section(cls, raw, prefix: str):
+    """A section dataclass from its mapping. Each field's default states its kind:
+    a 3-tuple is a vector, a 2-tuple a [lo, hi] pair, else an int or a float."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -301,22 +292,23 @@ def _parse_section(cls, raw, prefix: str):
     values = {}
     for name, value in raw.items():
         path = prefix + name
+        default = getattr(cls, name, None)  # None: a default_factory field
         if name == "faults":
             values[name] = _parse_fault_map(value, path)
         elif name == "task_steps":
             values[name] = _parse_task_steps(value, path)
-        elif name in _VECTOR_FIELDS:
+        elif isinstance(default, tuple) and len(default) == 3:
             values[name] = _vector3(value, path)
-        elif name in _PAIR_FIELDS:
+        elif isinstance(default, tuple) and len(default) == 2:
             if not isinstance(value, (list, tuple)) or len(value) != 2:
                 raise ConfigError(f"'{path}' must be [lo, hi]")
             lo, hi = (_number(v, path) for v in value)
             if lo > hi:
                 raise ConfigError(f"'{path}' inverted range [{lo}, {hi}]")
             values[name] = (lo, hi)
-        elif isinstance(getattr(cls, name), int):
+        elif isinstance(default, int):
             values[name] = _integer(value, path)
-        elif isinstance(getattr(cls, name), float):
+        elif isinstance(default, float):
             values[name] = _number(value, path)
         else:
             raise ConfigError(f"'{path}' is not settable from config")
@@ -461,7 +453,7 @@ def load_config(path) -> Config:
             data = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:  # YAML text is Unicode
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     return config_from_mapping(_overlay(_packaged(), {} if data is None else data))
 

@@ -188,7 +188,7 @@ def build_entry(case, candidate, sim):
 def build_gt_entries(trajectory, cfg, sim):
     """Success windows cut from an unperturbed rollout at seeded end steps."""
     task_id, seed = trajectory.task_id, trajectory.seed
-    if not trajectory.outcome:
+    if not sim.evaluate_success(trajectory.worlds[-1], task_id):
         raise ContractViolation(
             f"unperturbed rollout failed for '{task_id}' seed {seed}"
         )
@@ -320,19 +320,23 @@ def atomic_writer(path):
 def read_dataset(path):
     """Parse a dataset file back into entries.
 
-    A bad line raises DatasetFormatError (or DatasetVersionError) naming
-    its 1-based line number.
+    A bad line (not UTF-8, not JSON, nested past the parser's depth, or not an
+    entry) raises DatasetFormatError (or DatasetVersionError) naming its 1-based
+    line number. Lines are decoded one by one, so a bad byte is pinned to its line.
     """
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, start=1):
             try:
-                text = line.strip()
+                try:
+                    text = line.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise DatasetFormatError(f"not UTF-8 ({exc})") from None
                 if not text:
                     raise DatasetFormatError("blank line")
                 try:
                     record = json.loads(text)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise DatasetFormatError(f"not valid JSON ({exc})") from None
                 entries.append(entry_from_record(record))
             except DatasetFormatError as exc:

@@ -9,14 +9,17 @@ Three perturbation families:
   no_ops      - duration hold frames are inserted at a step inside the
                 stage, stretching it without moving the target
 
-A perturbed rollout runs under the unperturbed plan's step budget, so a
-stretched plan that runs out of time fails its success check the same way
-a geometrically broken one does. Perturbations whose rollout still succeeds
-are discarded; those seeds only contribute ground-truth windows.
+A fault is confirmed in one place, runs_unassisted: it rolls the perturbed
+plan under a step budget (the unperturbed plan's for a failure case, the
+episode's for an online fault), holds still for any settle steps, and
+judges the last world once. A stretched plan that runs out of time fails
+the same way a geometrically broken one does. Perturbations whose rollout
+still succeeds are discarded; those seeds only contribute ground-truth windows.
 
 The caller plans the scene and rolls its correct plan once; the failure
-case and the ground-truth windows share that rollout, and the failed
-rollout reuses its worlds up to the first command that differs.
+case and the ground-truth windows share that rollout. The perturbed rollout
+borrows its worlds up to onset_step, the first command the perturbation
+changes, and steps only from there.
 """
 
 from dataclasses import dataclass, replace as dc_replace
@@ -51,7 +54,6 @@ class FailureCase:
     spec: FailureSpec
     correct: Trajectory
     failed: Trajectory
-    nominal_steps: int
 
 
 def perturb_stage(plan: Plan, spec: FailureSpec) -> Plan:
@@ -117,29 +119,48 @@ def sample_failure_spec(plan: Plan, entries, rng) -> FailureSpec:
     )
 
 
+def onset_step(spec: FailureSpec, correct: Trajectory) -> int:
+    """Index of the first command of `correct`'s stream that the spec changes:
+    its stage's first step, or the step its no_ops holds are inserted at."""
+    first, _ = correct.stage_bounds(spec.stage_index)
+    return first + (spec.insertion_step if spec.mode == "no_ops" else 0)
+
+
+def runs_unassisted(
+    plan: Plan, world, correct: Trajectory, spec: FailureSpec | None,
+    max_steps: int, settle_steps: int, sim: Simulator,
+) -> tuple:
+    """(success, rollout) of the plan from `world`, perturbed by the spec if one is
+    given: the stream cut at max_steps, `correct`'s worlds lent up to the onset (step
+    is pure, so they are the worlds this stream makes), the last pose held for as many
+    of settle_steps as still fit in max_steps, and the settled world judged once."""
+    faulted = plan if spec is None else perturb_stage(plan, spec)
+    onset = len(correct.worlds) if spec is None else onset_step(spec, correct)
+    run = rollout_plan(faulted, world, sim, max_steps, correct.worlds[: min(onset, max_steps)])
+    last = run.worlds[-1]
+    holds = [last.ee_pose.copy()] * min(settle_steps, max_steps - len(run.worlds))
+    return sim.evaluate_success([last, *sim.drive(last, holds)][-1], plan.task_id), run
+
+
 def generate_failure_case(plan: Plan, world, correct: Trajectory, cfg: Config, sim: Simulator):
     """Sample, inject, and confirm one failure for a planned scene.
 
     `correct` is the plan's own rollout from `world`; the case carries it
     as is. Returns a FailureCase, or None when the task has no configured
-    perturbations or the sampled one fails to break the rollout. The latter
-    seeds still serve as ground-truth material.
+    perturbations or the sampled one fails to break the rollout within the
+    unperturbed plan's steps. The latter seeds still serve as ground-truth material.
     """
     entries = cfg.tasks.get(plan.task_id, [])
     if not entries:
         return None
-    if not correct.outcome:
+    if not sim.evaluate_success(correct.worlds[-1], plan.task_id):
         raise ContractViolation(
             f"nominal rollout failed for {plan.task_id} seed {plan.seed}"
         )
 
-    rng = seed_stream("failure", plan.task_id, plan.seed)
-    spec = sample_failure_spec(plan, entries, rng)
-    failed_plan = perturb_stage(plan, spec)
-
-    nominal = plan.total_steps()
-    failed = rollout_plan(failed_plan, world, sim, max_steps=nominal, reuse=correct)
-    if failed.outcome:
+    spec = sample_failure_spec(plan, entries, seed_stream("failure", plan.task_id, plan.seed))
+    ok, failed = runs_unassisted(plan, world, correct, spec, plan.total_steps(), 0, sim)
+    if ok:
         return None
     return FailureCase(
         task_id=plan.task_id,
@@ -147,5 +168,4 @@ def generate_failure_case(plan: Plan, world, correct: Trajectory, cfg: Config, s
         spec=spec,
         correct=correct,
         failed=failed,
-        nominal_steps=nominal,
     )

@@ -23,7 +23,6 @@ from .supervisor import (
     null_assistant,
     oracle_assistant_decide,
     run_supervised_episode,
-    runs_unassisted,
     sample_harness_fault,
 )
 from .tasks import plan_task, rollout_plan
@@ -85,16 +84,12 @@ def run_episode_pair(task_id, seed: int, cfg: Config, assistant: str):
 
     Both runs carry the same confirmed fault, so the pair isolates exactly what
     the assistant contributed. The scene is planned and rolled once; the fault
-    draws and both runs share that correct rollout. A confirmed fault already failed
-    the bare run, so only an unfaulted scene runs it; the episode resumes the rollout
-    of its own stream, the confirming draw's or the bare run's."""
+    draws and both runs share that correct rollout. The fault sampler's unassisted
+    run is the bare run, and the episode resumes its rollout."""
     sim = Simulator(cfg)
     plan, world = plan_task(task_id, seed, cfg)
     correct = rollout_plan(plan, world, sim)
-    fault, unassisted = sample_harness_fault(plan, world, correct, cfg, sim)
-    bare_ok = False
-    if fault is None:
-        bare_ok, unassisted = runs_unassisted(plan, world, correct, None, cfg, sim)
+    fault, bare_ok, unassisted = sample_harness_fault(plan, world, correct, cfg, sim)
     helped = run_supervised_episode(
         plan, world, correct, fault, unassisted, ASSISTANTS[assistant], cfg, sim
     )

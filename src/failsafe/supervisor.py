@@ -19,12 +19,12 @@ import numpy as np
 from .config import Config, task_spec
 from .dataset import WINDOW_FRAMES, DatasetEntry
 from .errors import ContractViolation, MetricsError
-from .failures import FailureSpec, perturb_stage, sample_failure_spec
+from .failures import FailureSpec, onset_step, runs_unassisted, sample_failure_spec
 from .geometry import DeltaAction, Pose, apply_delta, delta_action, norm, pose_distance
 from .recovery import CORRECTION_TAIL, DEVIATION_MARGIN
 from .seeding import seed_stream
 from .sim import Simulator, WorldState
-from .tasks import Plan, Trajectory, rollout_plan
+from .tasks import Plan, Trajectory
 
 # Spread below which the last-10 end-effector history counts as stalled.
 FROZEN_EPS = 1e-9
@@ -121,42 +121,28 @@ def episode_budget(plan: Plan, cfg: Config) -> int:
     return math.ceil(plan.total_steps() * (1.0 + sup.budget_slack)) + sup.settle_steps
 
 
-def runs_unassisted(
-    plan: Plan, world: WorldState, correct: Trajectory, fault: FailureSpec | None,
-    cfg: Config, sim: Simulator,
-) -> tuple:
-    """(success, rollout) of the scene's episode with no assistant, its stream
-    perturbed by the fault if one is given: the stream cut at the budget, rolled
-    sharing `correct`'s worlds up to the first command that differs, then judged
-    after the settle holds the episode drives."""
-    budget = episode_budget(plan, cfg)
-    faulted = plan if fault is None else perturb_stage(plan, fault)
-    run = rollout_plan(faulted, world, sim, max_steps=budget, reuse=correct)
-    last = run.worlds[-1]
-    holds = [last.ee_pose.copy()] * min(cfg.supervisor.settle_steps, budget - len(run.worlds))
-    return sim.evaluate_success([last, *sim.drive(last, holds)][-1], plan.task_id), run
-
-
 def sample_harness_fault(
     plan: Plan, world: WorldState, correct: Trajectory, cfg: Config, sim: Simulator
 ) -> tuple:
-    """(fault, rollout): the episode's confirmed online fault and its confirming unassisted run.
+    """(fault, success, rollout): the episode's confirmed online fault and the unassisted
+    run of its stream, the rollout the episode resumes.
 
     Draws are re-rolled until one actually breaks the unassisted episode, so a
-    "perturbed policy" seed really is a failing seed; each draw shares the worlds
-    of `correct`, the plan's own rollout from `world`. Returns (None, None) when
-    the task has no configured faults or no draw broke anything.
+    "perturbed policy" seed really is a failing seed; each draw is confirmed by
+    failures.runs_unassisted under the episode's budget and settle holds, lent the worlds
+    of `correct`, the plan's own rollout from `world`. When the task has no configured
+    faults or no draw broke anything, the fault is None and the run is the bare plan's.
     """
-    entries = cfg.supervisor.faults.get(plan.task_id, ())
-    if not entries:
-        return None, None
+    sup = cfg.supervisor
+    budget = episode_budget(plan, cfg)
+    entries = sup.faults.get(plan.task_id, ())
     rng = seed_stream("harness", plan.task_id, plan.seed)
-    for _ in range(MAX_FAULT_DRAWS):
+    for _ in range(MAX_FAULT_DRAWS if entries else 0):
         spec = sample_failure_spec(plan, entries, rng)
-        ok, run = runs_unassisted(plan, world, correct, spec, cfg, sim)
+        ok, run = runs_unassisted(plan, world, correct, spec, budget, sup.settle_steps, sim)
         if not ok:
-            return spec, run
-    return None, None
+            return spec, False, run
+    return (None, *runs_unassisted(plan, world, correct, None, budget, sup.settle_steps, sim))
 
 
 @dataclass
@@ -183,15 +169,6 @@ class EpisodeContext:
                 first, _ = self.correct.stage_bounds(stage)
                 return stage, step - first
         raise ContractViolation("unreachable: boundaries always cover the plan")
-
-    def onset_step(self) -> int:
-        """Global step at which the fault starts shaping execution."""
-        if self.fault is None:
-            raise ContractViolation("no fault, no onset")
-        first, _ = self.correct.stage_bounds(self.fault.stage_index)
-        if self.fault.mode == "no_ops":
-            return first + self.fault.insertion_step
-        return first
 
     def off_path(self, ee: Pose) -> bool:
         """True when no nominal frame sits near the pose (gripper ignored)."""
@@ -233,7 +210,7 @@ def oracle_assistant_decide(frames, ground_truth) -> AssistantDecision:
     stage, elapsed = context.stage_at(step)
     name = context.stage_names[stage]
     quiet = AssistantDecision(sub_task=name, is_failure=False)
-    if context.fault is None or step < context.onset_step():
+    if context.fault is None or step < onset_step(context.fault, context.correct):
         return quiet
     ee = frames[-1].ee_pose
     # Effectively-done gate. Kept tighter than any task's success margin
@@ -302,7 +279,7 @@ def run_supervised_episode(
 
     `correct`, the plan's own rollout from `world`, is the assistant's nominal
     reference. `unassisted` is the rollout of the episode's own stream, as
-    runs_unassisted returns it: the episode runs its commands and takes its worlds
+    sample_harness_fault returns it: the episode runs its commands and takes its worlds
     until the assistant first steps in.
     The assistant is any callable(frames, context) -> AssistantDecision; an exception
     from it is logged and treated as "no failure" (fail-open). Its frames are observed

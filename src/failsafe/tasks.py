@@ -6,7 +6,8 @@ task table (config.TASKS, re-exported here): the row's family picks the
 stage plan (and a push scene's goal), and its objects are the ids the scene
 places, one random xy each, the moved object first. Rollouts feed interpolated waypoints to the
 simulator one step per waypoint; a rollout is its command stream and the world after each
-command run, so a (task, seed, config) triple fully determines the resulting trajectory.
+command run, so a (task, seed, config) triple fully determines the resulting trajectory. A
+rollout does not judge itself: a caller that needs its success evaluates its last world.
 """
 
 import itertools
@@ -89,7 +90,6 @@ class Trajectory:
     commands: tuple  # the plan's whole waypoint stream
     worlds: tuple  # worlds[i]: the world after commands[i]; fewer when cut at max_steps
     stage_boundaries: tuple  # index of each executed stage's last world
-    outcome: bool
 
     def stage_bounds(self, stage_index: int) -> tuple:
         """(first, last) step indices of a stage, inclusive."""
@@ -265,25 +265,16 @@ def plan_commands(plan: Plan, start: Pose) -> list:
 
 
 def rollout_plan(
-    plan: Plan,
-    world: WorldState,
-    sim: Simulator,
-    max_steps: int | None = None,
-    reuse: Trajectory | None = None,
+    plan: Plan, world: WorldState, sim: Simulator, max_steps: int | None = None, lent: tuple = ()
 ) -> Trajectory:
     """Execute a plan one waypoint per step, keeping the world after each.
 
-    If max_steps is given the rollout truncates there and the outcome is
-    whatever evaluate_success says at the cutoff, which is how stalled plans
-    come to count as failures. `reuse`, a rollout from the same world, lends
-    its worlds up to the first command that differs (equal `Pose.key()`):
-    step is pure, so they are the worlds this plan would make.
+    If max_steps is given the rollout truncates there. `lent` are the worlds
+    the stream's leading commands already made from `world` (the caller
+    knows how many it shares with another rollout); stepping starts past them.
     """
     commands = tuple(plan_commands(plan, world.ee_pose))
     run = commands[:max_steps]
-    lent, ran = (reuse.worlds, reuse.commands) if reuse is not None else ((), ())
-    same = (a.key() == b.key() for _, a, b in zip(lent, ran, run))
-    lent = lent[: sum(itertools.takewhile(bool, same))]
     worlds = (*lent, *sim.drive(lent[-1] if lent else world, run[len(lent) :]))
     # Each executed stage ends at its cumulative emitted step; a truncated
     # final stage still closes the partition.
@@ -294,12 +285,10 @@ def rollout_plan(
             break
         end += stage.emitted_steps()
         boundaries.append(min(end, len(worlds)) - 1)
-    outcome = sim.evaluate_success(worlds[-1] if worlds else world, plan.task_id)
     return Trajectory(
         task_id=plan.task_id,
         seed=plan.seed,
         commands=commands,
         worlds=worlds,
         stage_boundaries=tuple(boundaries),
-        outcome=outcome,
     )

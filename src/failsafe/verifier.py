@@ -29,7 +29,7 @@ def step_budget(nominal_steps: int, cfg: Config) -> int:
 
 def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simulator) -> bool:
     """Replay one candidate from the deviation point. Marks and returns success."""
-    budget = step_budget(case.nominal_steps, cfg)
+    budget = step_budget(len(case.correct.commands), cfg)
     idx = case.spec.stage_index
     failed_start, _ = case.failed.stage_bounds(idx)
     correct_start, _ = case.correct.stage_bounds(idx)

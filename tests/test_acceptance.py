@@ -92,7 +92,7 @@ def test_criterion_2_ground_truth_validity(capsys):
     for task in TASKS:
         for seed in range(100):
             plan, world = plan_task(task, seed, cfg)
-            if not rollout_plan(plan, world, sim).outcome:
+            if not sim.evaluate_success(rollout_plan(plan, world, sim).worlds[-1], task):
                 rollout_failures.append((task, seed))
 
     emitted = 0
@@ -102,7 +102,7 @@ def test_criterion_2_ground_truth_validity(capsys):
             case = failure_case(task, seed, cfg, sim)
             if case is not None:
                 emitted += 1
-                if case.failed.outcome:
+                if sim.evaluate_success(case.failed.worlds[-1], task):
                     leaked.append((task, seed))
 
     ok = not rollout_failures and emitted > 0 and not leaked

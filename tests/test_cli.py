@@ -50,6 +50,19 @@ def all_outdir(tmp_path_factory):
     return out
 
 
+# Lines no reader can parse: undecodable bytes, and nesting past the JSON parser's depth.
+UNREADABLE_LINES = {
+    "non_utf8": b'{"task": "\xff\xfe"}\n',
+    "too_deep": b"[" * 200_000 + b"]" * 200_000 + b"\n",
+}
+
+
+def with_second_line(path, line):
+    """Rewrite a .jsonl file with `line` inserted as its line 2."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join([lines[0], line, *lines[1:]]))
+
+
 def copy_run(run, into):
     """A copy of a run directory's files that a test may edit."""
     for path in run.iterdir():
@@ -231,6 +244,15 @@ class TestStats:
         code, _, _ = run_cli(["stats", "--data", str(tmp_path / "nope.jsonl")], capsys)
         assert code == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("bad", sorted(UNREADABLE_LINES))
+    def test_unreadable_line_is_format_error_naming_it(self, dataset, tmp_path, capsys, bad):
+        data = tmp_path / "bad.jsonl"
+        data.write_bytes(open(dataset, "rb").read())
+        with_second_line(data, UNREADABLE_LINES[bad])
+        code, payload, err = run_cli(["stats", "--data", str(data)], capsys)
+        assert code == EXIT_RUNTIME and payload is None
+        assert "line 2:" in err and err.count("\n") == 1
+
 
 class TestVerify:
     def test_fresh_dataset_verifies_fully(self, dataset, capsys):
@@ -350,6 +372,16 @@ class TestVerify:
         assert payload["entries"] == len(lines)
         assert "test.jsonl does not match its manifest" in err
 
+    @pytest.mark.parametrize("bad", sorted(UNREADABLE_LINES))
+    def test_unreadable_split_line_is_format_error(self, outdir, tmp_path, capsys, bad):
+        run = self.split_beside_manifest(outdir, tmp_path, capsys)
+        with_second_line(run / "test.jsonl", UNREADABLE_LINES[bad])
+        code, payload, err = run_cli(["verify", "--data", str(run / "test.jsonl")], capsys)
+        assert code == EXIT_RUNTIME and payload is None
+        # The manifest check counts the line as unmatched; the reader then names it.
+        assert "test.jsonl does not match its manifest" in err
+        assert "line 2:" in err
+
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\udcff"])
     def test_malformed_manifest_is_runtime_error(self, dataset, tmp_path, capsys, text):
         lone = tmp_path / "dataset.jsonl"
@@ -451,6 +483,17 @@ class TestSupervise:
         pooled = self.supervise_run(["--jobs", "2"], tmp_path / "pooled", capsys)
         assert serial[0] == EXIT_OK and len(serial[2]) == 3
         assert serial == pooled
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "latin1.yaml"
+        config.write_bytes(b"sim:\n  table_z: \xff\xfe\n")
+        code, payload, err = run_cli(
+            ["supervise", "--task", TASK, "--seeds", "1", "--assistant", "oracle",
+             "--config", str(config)],
+            capsys,
+        )
+        assert code == EXIT_USAGE and payload is None
+        assert err.startswith("config error:") and "latin1.yaml" in err
 
     @pytest.mark.parametrize("cadence", ["0", "-3"])
     def test_nonpositive_cadence_is_usage_error(self, capsys, cadence):

@@ -120,6 +120,25 @@ class TestMappingValidation:
         with pytest.raises(ConfigError, match="juggle_cube"):
             config_from_mapping({"tasks": {"juggle_cube": {"failures": []}}})
 
+    @pytest.mark.parametrize("name", [
+        "charger_half_extents", "pad_half_extents", "workspace_min", "workspace_max",
+        "front_camera", "side_camera",
+    ])
+    def test_vector_fields_take_three_numbers(self, name):
+        with pytest.raises(ConfigError, match=f"^'sim.{name}' must be a list of 3 numbers$"):
+            config_from_mapping({"sim": {name: [0.1, 0.2]}})
+        cfg = config_from_mapping({"sim": {name: [0.1, 0.2, 0.3]}})
+        assert getattr(cfg.sim, name) == (0.1, 0.2, 0.3)
+
+    def test_pair_field_takes_lo_hi(self):
+        path = "planner.push_distance_range"
+        with pytest.raises(ConfigError, match=rf"^'{path}' must be \[lo, hi\]$"):
+            config_from_mapping({"planner": {"push_distance_range": [0.1, 0.2, 0.3]}})
+        with pytest.raises(ConfigError, match=rf"^'{path}' inverted range \[0.2, 0.1\]$"):
+            config_from_mapping({"planner": {"push_distance_range": [0.2, 0.1]}})
+        cfg = config_from_mapping({"planner": {"push_distance_range": [0.1, 0.2]}})
+        assert cfg.planner.push_distance_range == (0.1, 0.2)
+
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"sim": {"max_ee_speed": True}})

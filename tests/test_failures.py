@@ -9,14 +9,16 @@ from failsafe.config import config_from_mapping, default_config, parse_failure_e
 from failsafe.errors import ConfigError
 from failsafe.failures import (
     generate_failure_case,
+    onset_step,
     perturb_stage,
+    runs_unassisted,
     sample_failure_spec,
     FailureSpec,
 )
 from failsafe.geometry import ROTATION_AXES, TRANSLATION_AXES, quat_about_axis, quat_multiply
 from failsafe.seeding import seed_stream
 from failsafe.sim import Simulator
-from failsafe.tasks import TASKS, plan_task, rollout_plan
+from failsafe.tasks import TASKS, plan_commands, plan_task, rollout_plan
 
 
 @pytest.fixture(scope="module")
@@ -143,10 +145,11 @@ class TestGenerateFailureCase:
     def test_confirmed_case_shape(self, cfg, sim):
         case = failure_case("pick_cube", 4, cfg, sim)
         assert case is not None
-        assert case.correct.outcome and not case.failed.outcome
-        assert case.nominal_steps == 120
+        assert sim.evaluate_success(case.correct.worlds[-1], "pick_cube")
+        assert not sim.evaluate_success(case.failed.worlds[-1], "pick_cube")
+        assert len(case.correct.commands) == 120
         # The unperturbed budget caps the perturbed rollout.
-        assert len(case.failed.worlds) == case.nominal_steps
+        assert len(case.failed.worlds) == 120
         assert case.spec.stage_name in TASKS["pick_cube"].stage_names
 
     def test_carries_the_given_correct_rollout(self, cfg, sim):
@@ -190,6 +193,18 @@ def forced_spec(mode, plan, seed):
     return FailureSpec("no_ops", None, 12.0, index, stage.name, insertion_step=insertion)
 
 
+def menu_specs(task_id, plan, seed, cfg):
+    """One draw from every entry of both failure menus (`cfg.tasks` and
+    `cfg.supervisor.faults`); a no_ops draw also at insertion 0 and mid-stage."""
+    rng = seed_stream("onset-test", task_id, seed)
+    for entry in [*cfg.tasks.get(task_id, ()), *cfg.supervisor.faults.get(task_id, ())]:
+        spec = sample_failure_spec(plan, [entry], rng)
+        yield spec
+        if spec.mode == "no_ops":
+            yield replace(spec, insertion_step=0)
+            yield replace(spec, insertion_step=plan.stages[spec.stage_index].steps // 2)
+
+
 def world_key(world):
     """Every field of a world as Python values: equal keys, equal worlds."""
     offset = world.grasp_offset
@@ -203,9 +218,9 @@ def world_key(world):
 
 
 def shared_prefix(a, b):
-    """How many leading worlds of two rollouts follow the same command."""
+    """Length of the longest common `Pose.key()` prefix of two command streams."""
     k = 0
-    for _, _, ca, cb in zip(a.worlds, b.worlds, a.commands, b.commands):
+    for ca, cb in zip(a, b):
         if ca.key() != cb.key():
             break
         k += 1
@@ -213,8 +228,21 @@ def shared_prefix(a, b):
 
 
 class TestSharedPrefix:
-    """The failed rollout reuses the correct rollout's worlds up to the
-    first command that differs; it must be the rollout stepped from scratch."""
+    """The perturbed rollout borrows the correct rollout's worlds up to onset_step;
+    the onset must be where the two command streams part, and the borrowed rollout
+    must be the rollout stepped from scratch."""
+
+    @pytest.mark.parametrize("task_id", sorted(TASKS))
+    def test_onset_is_where_the_streams_part(self, cfg, sim, task_id):
+        checked = set()
+        for seed in range(8):
+            plan, world = plan_task(task_id, seed, cfg)
+            correct = rollout_plan(plan, world, sim)
+            for spec in menu_specs(task_id, plan, seed, cfg):
+                stream = plan_commands(perturb_stage(plan, spec), world.ee_pose)
+                assert onset_step(spec, correct) == shared_prefix(correct.commands, stream)
+                checked.add((spec.mode, spec.insertion_step == 0))
+        assert ("no_ops", True) in checked and ("no_ops", False) in checked
 
     @pytest.mark.parametrize("mode", ["translation", "rotation", "no_ops@0", "no_ops@mid"])
     @pytest.mark.parametrize("task_id", sorted(TASKS))
@@ -222,22 +250,45 @@ class TestSharedPrefix:
         for seed in range(8):
             plan, world = plan_task(task_id, seed, cfg)
             correct = rollout_plan(plan, world, sim)
-            failed_plan = perturb_stage(plan, forced_spec(mode, plan, seed))
+            spec = forced_spec(mode, plan, seed)
             nominal = plan.total_steps()
-            fresh = rollout_plan(failed_plan, world, sim, max_steps=nominal)
-            shared = rollout_plan(failed_plan, world, sim, max_steps=nominal, reuse=correct)
+            fresh = rollout_plan(perturb_stage(plan, spec), world, sim, max_steps=nominal)
+            ok, shared = runs_unassisted(plan, world, correct, spec, nominal, 0, sim)
             assert [c.key() for c in shared.commands] == [c.key() for c in fresh.commands]
             assert len(shared.worlds) == len(fresh.worlds)
             for a, b in zip(shared.worlds, fresh.worlds):
                 assert world_key(a) == world_key(b)
             assert shared.stage_boundaries == fresh.stage_boundaries
-            assert shared.outcome == fresh.outcome
-            k = shared_prefix(correct, fresh)
+            assert ok == sim.evaluate_success(fresh.worlds[-1], task_id)
+            k = onset_step(spec, correct)
             assert all(a is b for a, b in zip(shared.worlds[:k], correct.worlds))
 
-    def test_generate_failure_case_steps_only_past_the_shared_prefix(
-        self, cfg, sim, monkeypatch
-    ):
+    def test_settle_holds_fit_in_the_budget(self, cfg, sim, monkeypatch):
+        plan, world = plan_task("pick_cube", 0, cfg)
+        correct = rollout_plan(plan, world, sim)
+        spec = forced_spec("no_ops@mid", plan, 2)  # lift stretched by 12 steps
+        steps = []
+        step = Simulator.step
+        monkeypatch.setattr(Simulator, "step", lambda self, *a: steps.append(1) or step(self, *a))
+        total = plan.total_steps() + 12
+        for budget, settle in ((total + 5, 3), (total + 2, 5), (total - 4, 5)):
+            steps.clear()
+            _, run = runs_unassisted(plan, world, correct, spec, budget, settle, sim)
+            assert len(run.worlds) == min(total, budget)
+            ran = len(run.worlds) - onset_step(spec, correct)
+            assert len(steps) == ran + min(settle, budget - len(run.worlds))
+
+    def test_no_spec_lends_the_whole_correct_rollout(self, cfg, sim, monkeypatch):
+        plan, world = plan_task("stack_cube", 1, cfg)
+        correct = rollout_plan(plan, world, sim)
+        steps = []
+        step = Simulator.step
+        monkeypatch.setattr(Simulator, "step", lambda self, *a: steps.append(1) or step(self, *a))
+        ok, run = runs_unassisted(plan, world, correct, None, plan.total_steps() + 4, 3, sim)
+        assert ok and len(steps) == 3 and len(run.worlds) == len(correct.worlds)
+        assert all(a is b for a, b in zip(run.worlds, correct.worlds))
+
+    def test_generate_failure_case_steps_only_past_the_shared_prefix(self, cfg, sim, monkeypatch):
         calls = []
         step = Simulator.step
         monkeypatch.setattr(Simulator, "step", lambda self, *a: calls.append(1) or step(self, *a))
@@ -250,7 +301,8 @@ class TestSharedPrefix:
                 case = generate_failure_case(plan, world, correct, cfg, sim)
                 if case is None:
                     continue
-                k = shared_prefix(correct, case.failed)
+                k = onset_step(case.spec, correct)
+                assert k == shared_prefix(correct.commands, case.failed.commands)
                 assert len(calls) == len(case.failed.worlds) - k
                 saved += k
         assert saved > 0

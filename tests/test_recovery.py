@@ -96,7 +96,6 @@ def line_trajectory(n, x_offset=0.0):
             for i, pose in enumerate(commands)
         ),
         stage_boundaries=(n - 1,),
-        outcome=False,
     )
 
 
@@ -108,7 +107,6 @@ def offset_case(n=40, x_offset=0.05):
         spec=spec,
         failed=line_trajectory(n, x_offset=x_offset),
         correct=line_trajectory(n),
-        nominal_steps=n,
     )
 
 

@@ -1,5 +1,6 @@
 """Supervised-episode harness, assistants, and assistant scoring."""
 
+import inspect
 import math
 import sys
 from dataclasses import replace
@@ -10,7 +11,13 @@ import pytest
 from failsafe.config import default_config
 from failsafe.dataset import build_entry, build_gt_entries
 from failsafe.errors import ContractViolation, MetricsError
-from failsafe.failures import generate_failure_case, perturb_stage, sample_failure_spec
+from failsafe.failures import (
+    generate_failure_case,
+    onset_step,
+    perturb_stage,
+    runs_unassisted,
+    sample_failure_spec,
+)
 from failsafe.dataset import WINDOW_FRAMES
 from failsafe.geometry import DeltaAction, Pose, apply_delta
 from failsafe.recovery import collect_candidates
@@ -26,7 +33,6 @@ from failsafe.supervisor import (
     episode_budget,
     resync,
     run_supervised_episode,
-    runs_unassisted,
     sample_harness_fault,
     _window_frozen,
 )
@@ -52,12 +58,19 @@ def failure_case(task_id, seed, cfg, sim):
     return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
 
 
+def unassisted_run(plan, world, correct, fault, cfg, sim):
+    """(success, rollout) of the episode's stream with no assistant, under the
+    episode's budget and settle holds, as sample_harness_fault confirms a draw."""
+    budget, settle = episode_budget(plan, cfg), cfg.supervisor.settle_steps
+    return runs_unassisted(plan, world, correct, fault, budget, settle, sim)
+
+
 def scene_for(task, seed, cfg, sim, fault=None):
     """(plan, world, correct, fault, unassisted): the first five arguments of an
-    episode; the last is the stream's unassisted rollout, as runs_unassisted rolls it."""
+    episode; the last is the stream's unassisted rollout, as unassisted_run rolls it."""
     plan, world = plan_task(task, seed, cfg)
     correct = rollout_plan(plan, world, sim)
-    _, unassisted = runs_unassisted(plan, world, correct, fault, cfg, sim)
+    _, unassisted = unassisted_run(plan, world, correct, fault, cfg, sim)
     return plan, world, correct, fault, unassisted
 
 
@@ -138,7 +151,12 @@ class TestHarnessFaultSampling:
 
     def test_unconfigured_task_draws_nothing(self, cfg, sim):
         bare = replace(cfg, supervisor=replace(cfg.supervisor, faults={}))
-        assert harness_fault("pick_cube", 0, bare, sim) is None
+        plan, world, correct, _, _ = scene_for("pick_cube", 0, cfg, sim)
+        fault, ok, run = sample_harness_fault(plan, world, correct, bare, sim)
+        # The bare run: the whole correct rollout, lent, then the settle holds.
+        assert fault is None and ok
+        assert len(run.worlds) == len(correct.worlds)
+        assert all(a is b for a, b in zip(run.worlds, correct.worlds))
 
 
 class TestResync:
@@ -313,7 +331,7 @@ class TestUnsupervisedEpisode:
         for seed in range(4):
             scene = scene_for(task, seed, cfg, sim, cube_faults[(task, seed)])
             episode = run_supervised_episode(*scene, null_assistant, paced, sim)
-            assert runs_unassisted(*scene[:4], paced, sim)[0] == episode.success
+            assert unassisted_run(*scene[:4], paced, sim)[0] == episode.success
 
     @pytest.mark.parametrize("task", TASKS)
     def test_matches_null_assistant_for_every_menu_entry(self, task, cfg, sim):
@@ -326,7 +344,7 @@ class TestUnsupervisedEpisode:
                 for entry in cfg.supervisor.faults[task]
             ]
             for fault in [None, *forced]:
-                ok, unassisted = runs_unassisted(plan, world, correct, fault, cfg, sim)
+                ok, unassisted = unassisted_run(plan, world, correct, fault, cfg, sim)
                 episode = run_supervised_episode(
                     plan, world, correct, fault, unassisted, null_assistant, cfg, sim
                 )
@@ -335,28 +353,30 @@ class TestUnsupervisedEpisode:
         assert outcomes == {True, False}
 
     def test_observes_nothing_and_rolls_no_reference(self, cfg, sim, monkeypatch):
-        import failsafe.supervisor as supervisor
+        import failsafe.failures as failures
 
         plan, world, correct, _, _ = scene_for("pick_cube", 1, cfg, sim)
         observed, rolled = [], []
-        observe, rollout = Simulator.observe, supervisor.rollout_plan
+        observe, rollout = Simulator.observe, failures.rollout_plan
         monkeypatch.setattr(
             Simulator, "observe", lambda self, w: observed.append(w) or observe(self, w)
         )
         monkeypatch.setattr(
-            supervisor, "rollout_plan", lambda *a, **k: rolled.append(k) or rollout(*a, **k)
+            failures, "rollout_plan", lambda *a: rolled.append(a) or rollout(*a)
         )
-        fault, unassisted = sample_harness_fault(plan, world, correct, cfg, sim)
-        assert fault is not None
-        ok, rolled_again = runs_unassisted(plan, world, correct, fault, cfg, sim)
-        assert not ok
+        fault, ok, unassisted = sample_harness_fault(plan, world, correct, cfg, sim)
+        assert fault is not None and not ok
+        again, rolled_again = unassisted_run(plan, world, correct, fault, cfg, sim)
+        assert not again
         assert [w.ee_pose.key() for w in rolled_again.worlds] == [
             w.ee_pose.key() for w in unassisted.worlds
         ]
         assert observed == []
-        # Every draw is cut at the budget and shares the given correct rollout.
+        # Every draw is cut at the budget and borrows the given correct rollout's worlds.
         assert rolled and all(
-            k["max_steps"] == episode_budget(plan, cfg) and k["reuse"] is correct for k in rolled
+            max_steps == episode_budget(plan, cfg)
+            and all(a is b for a, b in zip(lent, correct.worlds))
+            for _, _, _, max_steps, lent in rolled
         )
 
     def test_draws_step_only_past_the_shared_prefix(self, cfg, sim, monkeypatch):
@@ -542,9 +562,7 @@ def confirmed_scene(task, seed, cfg, sim):
     the confirming draw's rollout, or the bare run's when no fault is confirmed."""
     plan, world = plan_task(task, seed, cfg)
     correct = rollout_plan(plan, world, sim)
-    fault, unassisted = sample_harness_fault(plan, world, correct, cfg, sim)
-    if fault is None:
-        _, unassisted = runs_unassisted(plan, world, correct, None, cfg, sim)
+    fault, _, unassisted = sample_harness_fault(plan, world, correct, cfg, sim)
     return plan, world, correct, fault, unassisted
 
 
@@ -732,9 +750,10 @@ class TestEpisodePair:
             cfg = replace(cfg, supervisor=replace(cfg.supervisor, faults={}))
         full = []
         rollout = failsafe.tasks.rollout_plan
+        signature = inspect.signature(rollout)
 
         def counted(*args, **kwargs):
-            if kwargs.get("max_steps") is None:
+            if signature.bind(*args, **kwargs).arguments.get("max_steps") is None:
                 full.append(args[0])
             return rollout(*args, **kwargs)
 
@@ -744,6 +763,21 @@ class TestEpisodePair:
         bare_ok, helped_ok, _ = run_episode_pair("pick_cube", 1, cfg, "oracle")
         assert helped_ok and bare_ok == (faults == "none")
         assert len(full) == 1
+
+
+    def test_judges_each_unassisted_run_and_each_episode_once(self, cfg, monkeypatch):
+        # A rollout does not judge itself: one evaluate_success per fault draw
+        # (or bare run) and one per assisted episode, and no extra stepping.
+        judged, stepped = [], []
+        evaluate, step = Simulator.evaluate_success, Simulator.step
+        monkeypatch.setattr(
+            Simulator, "evaluate_success", lambda self, *a: judged.append(1) or evaluate(self, *a)
+        )
+        monkeypatch.setattr(Simulator, "step", lambda self, *a: stepped.append(1) or step(self, *a))
+        for task in ("pick_cube", "push_cube", "stack_cube"):
+            for seed in range(8):
+                run_episode_pair(task, seed, cfg, "oracle")
+        assert (len(judged), len(stepped)) == (50, 8495)
 
 
 class TestOracleOnEpisodes:
@@ -759,7 +793,7 @@ class TestOracleOnEpisodes:
             cfg=cfg,
         )
         frames = [sim.observe(world)]
-        onset = context.onset_step()
+        onset = onset_step(fault, correct)
         for command in commands[: min(onset, 30)]:
             world = sim.step(world, command)
             frames.append(sim.observe(world))
