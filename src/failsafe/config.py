@@ -420,6 +420,8 @@ def _check_ranges(cfg: Config):
         )
     if planner.max_placement_attempts < 1:
         raise ConfigError("'planner.max_placement_attempts' must be >= 1")
+    if planner.placement_half_range < 0:
+        raise ConfigError("'planner.placement_half_range' must be >= 0")
     for task_id, steps in planner.task_steps.items():
         if steps < planner.min_stage_steps:
             raise ConfigError(
@@ -429,6 +431,8 @@ def _check_ranges(cfg: Config):
         raise ConfigError("'dataset.failure_to_gt_ratio' must be positive")
     if cfg.dataset.candidates_per_case < 1:
         raise ConfigError("'dataset.candidates_per_case' must be >= 1")
+    if cfg.dataset.gt_entries_per_seed < 0:
+        raise ConfigError("'dataset.gt_entries_per_seed' must be >= 0")
     if cfg.supervisor.cadence < 1:
         raise ConfigError("'supervisor.cadence' must be >= 1")
 

@@ -186,12 +186,8 @@ def build_entry(case, candidate, sim):
 
 
 def build_gt_entries(trajectory, cfg, sim):
-    """Success windows cut from an unperturbed rollout at seeded end steps."""
+    """Success windows cut at seeded end steps from a correct rollout its caller has judged."""
     task_id, seed = trajectory.task_id, trajectory.seed
-    if not sim.evaluate_success(trajectory.worlds[-1], task_id):
-        raise ContractViolation(
-            f"unperturbed rollout failed for '{task_id}' seed {seed}"
-        )
     eligible = np.arange(WINDOW_FRAMES - 1, len(trajectory.worlds))
     count = min(cfg.dataset.gt_entries_per_seed, len(eligible))
     rng = seed_stream("gt-window", task_id, seed)

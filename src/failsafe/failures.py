@@ -17,9 +17,10 @@ the same way a geometrically broken one does. Perturbations whose rollout
 still succeeds are discarded; those seeds only contribute ground-truth windows.
 
 The caller plans the scene and rolls its correct plan once; the failure
-case and the ground-truth windows share that rollout. The perturbed rollout
-borrows its worlds up to onset_step, the first command the perturbation
-changes, and steps only from there.
+case and the ground-truth windows share that rollout, judged once in
+generate_failure_case. Up to onset_step, the first command the perturbation
+changes, the perturbed rollout is the correct one's commands and worlds;
+only the rest is interpolated and stepped.
 """
 
 from dataclasses import dataclass, replace as dc_replace
@@ -131,12 +132,12 @@ def runs_unassisted(
     max_steps: int, settle_steps: int, sim: Simulator,
 ) -> tuple:
     """(success, rollout) of the plan from `world`, perturbed by the spec if one is
-    given: the stream cut at max_steps, `correct`'s worlds lent up to the onset (step
-    is pure, so they are the worlds this stream makes), the last pose held for as many
-    of settle_steps as still fit in max_steps, and the settled world judged once."""
+    given: `correct`'s commands and worlds up to the onset (all of them if bare), the rest
+    of the stream stepped up to max_steps, the last pose held for as many of settle_steps
+    as still fit, and the settled world judged once."""
     faulted = plan if spec is None else perturb_stage(plan, spec)
-    onset = len(correct.worlds) if spec is None else onset_step(spec, correct)
-    run = rollout_plan(faulted, world, sim, max_steps, correct.worlds[: min(onset, max_steps)])
+    onset = len(correct.commands) if spec is None else onset_step(spec, correct)
+    run = rollout_plan(faulted, world, sim, max_steps, correct, onset)
     last = run.worlds[-1]
     holds = [last.ee_pose.copy()] * min(settle_steps, max_steps - len(run.worlds))
     return sim.evaluate_success([last, *sim.drive(last, holds)][-1], plan.task_id), run
@@ -145,18 +146,18 @@ def runs_unassisted(
 def generate_failure_case(plan: Plan, world, correct: Trajectory, cfg: Config, sim: Simulator):
     """Sample, inject, and confirm one failure for a planned scene.
 
-    `correct` is the plan's own rollout from `world`; the case carries it
-    as is. Returns a FailureCase, or None when the task has no configured
-    perturbations or the sampled one fails to break the rollout within the
-    unperturbed plan's steps. The latter seeds still serve as ground-truth material.
+    `correct` is the plan's own rollout from `world`: judged here once (a failing one
+    is a ContractViolation), then carried by the case as is. Returns a FailureCase, or
+    None when the task has no configured perturbations or the sampled one fails to break
+    the rollout within the unperturbed plan's steps; those seeds still serve as ground truth.
     """
-    entries = cfg.tasks.get(plan.task_id, [])
-    if not entries:
-        return None
     if not sim.evaluate_success(correct.worlds[-1], plan.task_id):
         raise ContractViolation(
             f"nominal rollout failed for {plan.task_id} seed {plan.seed}"
         )
+    entries = cfg.tasks.get(plan.task_id, [])
+    if not entries:
+        return None
 
     spec = sample_failure_spec(plan, entries, seed_stream("failure", plan.task_id, plan.seed))
     ok, failed = runs_unassisted(plan, world, correct, spec, plan.total_steps(), 0, sim)

@@ -108,13 +108,6 @@ def resync(commands, cursor: int, ee: Pose, cfg: Config) -> int:
     return best + 1
 
 
-def _within(pose: Pose, other: Pose, pos_tol, ang_tol, grip_tol=None) -> bool:
-    translational, angular = pose_distance(pose, other)
-    if translational > pos_tol or angular > ang_tol:
-        return False
-    return grip_tol is None or abs(pose.gripper - other.gripper) <= grip_tol
-
-
 def episode_budget(plan: Plan, cfg: Config) -> int:
     """Steps an episode may run: the nominal stream with its slack, then the settle holds."""
     sup = cfg.supervisor
@@ -216,7 +209,9 @@ def oracle_assistant_decide(frames, ground_truth) -> AssistantDecision:
     # Effectively-done gate. Kept tighter than any task's success margin
     # (the slimmest is pick's ~5.6 mm of lift headroom) so a stall that
     # parks the arm just shy of done still gets flagged.
-    if _within(ee, context.correct.worlds[-1].ee_pose, 0.004, 0.05, 0.05):
+    done = context.correct.worlds[-1].ee_pose
+    translational, angular = pose_distance(ee, done)
+    if translational <= 0.004 and angular <= 0.05 and abs(ee.gripper - done.gripper) <= 0.05:
         return quiet
     if _window_frozen(frames):
         pass  # stalled in place

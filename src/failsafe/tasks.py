@@ -6,8 +6,9 @@ task table (config.TASKS, re-exported here): the row's family picks the
 stage plan (and a push scene's goal), and its objects are the ids the scene
 places, one random xy each, the moved object first. Rollouts feed interpolated waypoints to the
 simulator one step per waypoint; a rollout is its command stream and the world after each
-command run, so a (task, seed, config) triple fully determines the resulting trajectory. A
-rollout does not judge itself: a caller that needs its success evaluates its last world.
+command run, so a (task, seed, config) triple fully determines the resulting trajectory; one
+that agrees with another rollout before an onset index takes that one's commands and worlds
+up to there. A rollout does not judge itself: its caller evaluates its last world.
 """
 
 import itertools
@@ -254,26 +255,30 @@ def plan_task(task_id: str, seed: int, cfg: Config) -> tuple:
     return Plan(task_id, tuple(stages), seed), world
 
 
-def plan_commands(plan: Plan, start: Pose) -> list:
-    """The full per-step waypoint stream a rollout feeds to the simulator."""
-    commands = []
-    current = start
+def plan_commands(plan: Plan, start: Pose, onset: int = 0) -> list:
+    """The per-step waypoint stream a rollout feeds to the simulator, from index `onset` on."""
+    commands, first = [], 0
     for stage in plan.stages:
-        commands.extend(stage_commands(stage, current))
-        current = stage.target
+        if first + stage.emitted_steps() > onset:
+            commands.extend(stage_commands(stage, start)[max(onset - first, 0) :])
+        first += stage.emitted_steps()
+        start = stage.target
     return commands
 
 
 def rollout_plan(
-    plan: Plan, world: WorldState, sim: Simulator, max_steps: int | None = None, lent: tuple = ()
+    plan: Plan, world: WorldState, sim: Simulator, max_steps: int | None = None,
+    base: Trajectory | None = None, onset: int = 0,
 ) -> Trajectory:
     """Execute a plan one waypoint per step, keeping the world after each.
 
-    If max_steps is given the rollout truncates there. `lent` are the worlds
-    the stream's leading commands already made from `world` (the caller
-    knows how many it shares with another rollout); stepping starts past them.
+    If max_steps is given the rollout truncates there. `base` is a rollout from
+    `world` of a plan that agrees with this one before command `onset`: its commands
+    and worlds up to there are this rollout's own (step is pure), so only the stream
+    from the onset on is interpolated and stepped.
     """
-    commands = tuple(plan_commands(plan, world.ee_pose))
+    head, lent = (base.commands[:onset], base.worlds[:onset][:max_steps]) if onset else ((), ())
+    commands = (*head, *plan_commands(plan, world.ee_pose, onset))
     run = commands[:max_steps]
     worlds = (*lent, *sim.drive(lent[-1] if lent else world, run[len(lent) :]))
     # Each executed stage ends at its cumulative emitted step; a truncated

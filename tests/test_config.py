@@ -152,6 +152,11 @@ class TestMappingValidation:
         with pytest.raises(ConfigError, match="max_placement_attempts"):
             config_from_mapping({"planner": {"max_placement_attempts": attempts}})
 
+    def test_placement_half_range_must_not_be_negative(self):
+        # numpy's uniform(high < low) raised ValueError from inside generate.
+        with pytest.raises(ConfigError, match=r"^'planner.placement_half_range' must be >= 0$"):
+            config_from_mapping({"planner": {"placement_half_range": -0.1}})
+
     def test_grasp_offset_must_sit_inside_radius(self):
         with pytest.raises(ConfigError, match="grasp_approach_offset"):
             config_from_mapping({"planner": {"grasp_approach_offset": 0.02}})
@@ -264,6 +269,11 @@ class TestSectionConfigs:
     def test_dataset_ratio_positive(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"dataset": {"failure_to_gt_ratio": 0}})
+
+    def test_gt_entries_per_seed_must_not_be_negative(self):
+        # A negative sample size raised ValueError from inside generate.
+        with pytest.raises(ConfigError, match=r"^'dataset.gt_entries_per_seed' must be >= 0$"):
+            config_from_mapping({"dataset": {"gt_entries_per_seed": -1}})
 
     def test_cadence_positive(self):
         with pytest.raises(ConfigError):

@@ -33,7 +33,7 @@ from failsafe.failures import generate_failure_case
 from failsafe.pipeline import build_seed_entries
 from failsafe.recovery import collect_candidates
 from failsafe.sim import Simulator
-from failsafe.tasks import plan_task, rollout_plan, task_spec
+from failsafe.tasks import TASKS, plan_task, rollout_plan, task_spec
 from failsafe.verifier import verify_candidate
 
 
@@ -174,6 +174,21 @@ class TestBuildSeedEntries:
         assert [e for e in entries if not e.is_failure] == build_gt_entries(
             correct_rollout(4, cfg, sim), cfg, sim
         )
+
+    def test_judges_each_correct_rollout_once(self, cfg, monkeypatch):
+        # The funnel of `generate --task all --seeds 0..7`: one evaluate_success per
+        # correct rollout (in generate_failure_case), failure draw and replayed
+        # candidate. build_gt_entries judged each correct rollout again: 354 calls.
+        judged, stepped = [], []
+        evaluate, step = Simulator.evaluate_success, Simulator.step
+        monkeypatch.setattr(
+            Simulator, "evaluate_success", lambda self, *a: judged.append(1) or evaluate(self, *a)
+        )
+        monkeypatch.setattr(Simulator, "step", lambda self, *a: stepped.append(1) or step(self, *a))
+        for task_id in sorted(TASKS):
+            for seed in range(8):
+                build_seed_entries(task_id, seed, cfg)
+        assert (len(judged), len(stepped)) == (306, 24428)
 
 
 class TestEntryInvariants:

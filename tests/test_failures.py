@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import failsafe.tasks as tasks
 from failsafe.config import config_from_mapping, default_config, parse_failure_entry
-from failsafe.errors import ConfigError
+from failsafe.errors import ConfigError, ContractViolation
 from failsafe.failures import (
     generate_failure_case,
     onset_step,
@@ -163,6 +164,15 @@ class TestGenerateFailureCase:
         bare = replace(cfg, tasks={})
         assert failure_case("pick_cube", 0, bare, sim) is None
 
+    def test_failing_correct_rollout_is_a_contract_violation(self, cfg, sim):
+        # Judged before the menu is read, so a task with no perturbations is checked too.
+        plan, world = plan_task("pick_cube", 0, cfg)
+        cut = rollout_plan(plan, world, sim, max_steps=20)
+        message = "^nominal rollout failed for pick_cube seed 0$"
+        for menus in (cfg, replace(cfg, tasks={})):
+            with pytest.raises(ContractViolation, match=message):
+                generate_failure_case(plan, world, cut, menus, sim)
+
     def test_benign_perturbation_returns_none(self, cfg, sim):
         gentle = replace(
             cfg,
@@ -228,9 +238,9 @@ def shared_prefix(a, b):
 
 
 class TestSharedPrefix:
-    """The perturbed rollout borrows the correct rollout's worlds up to onset_step;
-    the onset must be where the two command streams part, and the borrowed rollout
-    must be the rollout stepped from scratch."""
+    """The perturbed rollout takes the correct rollout's commands and worlds up to
+    onset_step; the onset must be where the two command streams part, and the spliced
+    rollout must be the rollout interpolated and stepped from scratch."""
 
     @pytest.mark.parametrize("task_id", sorted(TASKS))
     def test_onset_is_where_the_streams_part(self, cfg, sim, task_id):
@@ -243,6 +253,25 @@ class TestSharedPrefix:
                 assert onset_step(spec, correct) == shared_prefix(correct.commands, stream)
                 checked.add((spec.mode, spec.insertion_step == 0))
         assert ("no_ops", True) in checked and ("no_ops", False) in checked
+
+    @pytest.mark.parametrize("task_id", sorted(TASKS))
+    def test_interpolates_only_from_the_drawn_stage_on(self, cfg, sim, task_id, monkeypatch):
+        # Commands before the onset are the correct rollout's own: no stage that ends
+        # before it is interpolated again, and a bare run interpolates none.
+        interpolated = []
+        stage_commands = tasks.stage_commands
+        monkeypatch.setattr(
+            tasks, "stage_commands",
+            lambda stage, start: interpolated.append(stage.name) or stage_commands(stage, start),
+        )
+        for seed in range(8):
+            plan, world = plan_task(task_id, seed, cfg)
+            correct = rollout_plan(plan, world, sim)
+            for spec in [None, *menu_specs(task_id, plan, seed, cfg)]:
+                interpolated.clear()
+                runs_unassisted(plan, world, correct, spec, plan.total_steps(), 0, sim)
+                first = len(plan.stages) if spec is None else spec.stage_index
+                assert interpolated == [stage.name for stage in plan.stages[first:]]
 
     @pytest.mark.parametrize("mode", ["translation", "rotation", "no_ops@0", "no_ops@mid"])
     @pytest.mark.parametrize("task_id", sorted(TASKS))
@@ -261,6 +290,7 @@ class TestSharedPrefix:
             assert shared.stage_boundaries == fresh.stage_boundaries
             assert ok == sim.evaluate_success(fresh.worlds[-1], task_id)
             k = onset_step(spec, correct)
+            assert all(a is b for a, b in zip(shared.commands[:k], correct.commands))
             assert all(a is b for a, b in zip(shared.worlds[:k], correct.worlds))
 
     def test_settle_holds_fit_in_the_budget(self, cfg, sim, monkeypatch):

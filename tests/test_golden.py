@@ -9,7 +9,10 @@ pass; a change that moves these digests changes the dataset.
 
 import hashlib
 
+import pytest
+
 from failsafe.cli import EXIT_OK, cli_main
+from failsafe.tasks import TASKS
 
 DATASET_SHA256 = "75f9f5f661e863f922179ac84e6bef48516580a9831f858dd5e747c610b2e29e"
 MANIFEST_SHA256 = "b41d09d45969ff639b5119ce83da20991d578b9b5981ea4a389884ddbbaf2aa2"
@@ -23,6 +26,14 @@ SHARD_SHA256 = {
     "stack_cube": "9f1362a2b9a8d01a5f203387ec2673be639d126fd01124e3a591c97c0fa205bf",
 }
 TRACE_TASKS = ("pick_cube", "push_cube", "stack_cube")
+# `supervise --seeds 0..2 --trace` for every task, one digest per assistant, recorded
+# before a perturbed stream took the correct rollout's commands up to its onset. A
+# null trace is exactly the unassisted stream plus its settle holds. Seeds 0..2 draw
+# no_ops on lift, push, align and release, and grasp rotations on every arm task.
+EVERY_TASK_TRACES_SHA256 = {
+    "null": "f0d3da46d69f938e5cb3c347ed756d5692b2f43b5e8971a0bb7a508801c75bb9",
+    "oracle": "b0bc672f53998c281c495ecabac8003c112e324ab43fb4f224dad3ada19d7723",
+}
 # A disjoint scene mix: `generate --task all --seeds 1000..1003 --jobs 1`,
 # recorded at the commit before the failed rollout began to reuse the
 # correct rollout's frames, so these bytes are the ones stepped from scratch.
@@ -61,20 +72,30 @@ def test_generate_held_out_seeds_bytes(tmp_path, capsys):
     assert _sha256(out / "manifest.json") == HELD_OUT_MANIFEST_SHA256
 
 
-def test_supervise_oracle_trace_bytes(tmp_path, capsys):
-    traces = tmp_path / "traces"
-    for task in TRACE_TASKS:
+def _trace_digest(tasks, assistant, traces, capsys) -> str:
+    """sha256 over the `supervise --seeds 0..2 --trace` files of the tasks, by file name."""
+    for task in tasks:
         code = cli_main(
             [
                 "supervise", "--task", task, "--seeds", "0..2",
-                "--assistant", "oracle", "--trace", str(traces),
+                "--assistant", assistant, "--trace", str(traces),
             ]
         )
         assert code == EXIT_OK
     capsys.readouterr()
     files = sorted(traces.iterdir(), key=lambda p: p.name)
-    assert len(files) == 3 * len(TRACE_TASKS)
+    assert len(files) == 3 * len(tasks)
     digest = hashlib.sha256()
     for path in files:
         digest.update(path.read_bytes())
-    assert digest.hexdigest() == TRACES_SHA256
+    return digest.hexdigest()
+
+
+def test_supervise_oracle_trace_bytes(tmp_path, capsys):
+    assert _trace_digest(TRACE_TASKS, "oracle", tmp_path / "traces", capsys) == TRACES_SHA256
+
+
+@pytest.mark.parametrize("assistant", sorted(EVERY_TASK_TRACES_SHA256))
+def test_supervise_every_task_trace_bytes(assistant, tmp_path, capsys):
+    digest = _trace_digest(tuple(TASKS), assistant, tmp_path / "traces", capsys)
+    assert digest == EVERY_TASK_TRACES_SHA256[assistant]

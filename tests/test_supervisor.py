@@ -358,12 +358,16 @@ class TestUnsupervisedEpisode:
         plan, world, correct, _, _ = scene_for("pick_cube", 1, cfg, sim)
         observed, rolled = [], []
         observe, rollout = Simulator.observe, failures.rollout_plan
+        signature = inspect.signature(rollout)
         monkeypatch.setattr(
             Simulator, "observe", lambda self, w: observed.append(w) or observe(self, w)
         )
-        monkeypatch.setattr(
-            failures, "rollout_plan", lambda *a: rolled.append(a) or rollout(*a)
-        )
+
+        def counted(*args, **kwargs):
+            rolled.append(signature.bind(*args, **kwargs).arguments)
+            return rollout(*args, **kwargs)
+
+        monkeypatch.setattr(failures, "rollout_plan", counted)
         fault, ok, unassisted = sample_harness_fault(plan, world, correct, cfg, sim)
         assert fault is not None and not ok
         again, rolled_again = unassisted_run(plan, world, correct, fault, cfg, sim)
@@ -372,11 +376,11 @@ class TestUnsupervisedEpisode:
             w.ee_pose.key() for w in unassisted.worlds
         ]
         assert observed == []
-        # Every draw is cut at the budget and borrows the given correct rollout's worlds.
+        # Every draw is cut at the budget and is handed the given correct rollout as
+        # its base, so it borrows that rollout's commands and worlds up to its onset.
         assert rolled and all(
-            max_steps == episode_budget(plan, cfg)
-            and all(a is b for a, b in zip(lent, correct.worlds))
-            for _, _, _, max_steps, lent in rolled
+            bound["max_steps"] == episode_budget(plan, cfg) and bound["base"] is correct
+            for bound in rolled
         )
 
     def test_draws_step_only_past_the_shared_prefix(self, cfg, sim, monkeypatch):
