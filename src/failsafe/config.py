@@ -418,10 +418,6 @@ def _check_ranges(cfg: Config):
         raise ConfigError(
             "'planner.grasp_approach_offset' must sit inside the grasp radius"
         )
-    if planner.max_placement_attempts < 1:
-        raise ConfigError("'planner.max_placement_attempts' must be >= 1")
-    if planner.placement_half_range < 0:
-        raise ConfigError("'planner.placement_half_range' must be >= 0")
     for task_id, steps in planner.task_steps.items():
         if steps < planner.min_stage_steps:
             raise ConfigError(
@@ -429,12 +425,15 @@ def _check_ranges(cfg: Config):
             )
     if cfg.dataset.failure_to_gt_ratio <= 0:
         raise ConfigError("'dataset.failure_to_gt_ratio' must be positive")
-    if cfg.dataset.candidates_per_case < 1:
-        raise ConfigError("'dataset.candidates_per_case' must be >= 1")
-    if cfg.dataset.gt_entries_per_seed < 0:
-        raise ConfigError("'dataset.gt_entries_per_seed' must be >= 0")
-    if cfg.supervisor.cadence < 1:
-        raise ConfigError("'supervisor.cadence' must be >= 1")
+    for path, low in (  # every setting bounded only from below, with its least value
+        ("planner.max_placement_attempts", 1), ("planner.placement_half_range", 0),
+        ("dataset.candidates_per_case", 1), ("dataset.gt_entries_per_seed", 0),
+        ("supervisor.cadence", 1), ("supervisor.budget_slack", 0), ("supervisor.settle_steps", 0),
+        ("verifier.budget_slack", 0), ("verifier.max_transit_steps", 0),
+    ):
+        section, key = path.split(".")
+        if getattr(getattr(cfg, section), key) < low:
+            raise ConfigError(f"'{path}' must be >= {low}")
 
 
 def _overlay(base, top):

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,19 +164,18 @@ def build_entry(case, candidate, sim):
     """
     if not candidate.verified:
         raise ContractViolation("refusing to export an unverified recovery")
-    start, _ = case.failed.stage_bounds(case.spec.stage_index)
-    global_d = start + candidate.d_index
-    spec = case.spec
+    spec, plan = case.spec, case.correct.plan
+    start, _ = case.failed.stage_bounds(spec.stage_index)
     return DatasetEntry(
-        task_id=case.task_id,
-        instruction=task_spec(case.task_id).instruction,
+        task_id=plan.task_id,
+        instruction=task_spec(plan.task_id).instruction,
         sub_task=spec.stage_name,
-        frames=_window(case.failed, global_d, sim),
+        frames=_window(case.failed, start + candidate.d_index, sim),
         is_failure=True,
         failure_type=(spec.mode, spec.axis),
         recovery=candidate.action,
         provenance={
-            "seed": case.seed,
+            "seed": plan.seed,
             "stage": spec.stage_index,
             "d_index": candidate.d_index,
             "c_index": candidate.c_index,
@@ -187,7 +186,7 @@ def build_entry(case, candidate, sim):
 
 def build_gt_entries(trajectory, cfg, sim):
     """Success windows cut at seeded end steps from a correct rollout its caller has judged."""
-    task_id, seed = trajectory.task_id, trajectory.seed
+    task_id, seed = trajectory.plan.task_id, trajectory.plan.seed
     eligible = np.arange(WINDOW_FRAMES - 1, len(trajectory.worlds))
     count = min(cfg.dataset.gt_entries_per_seed, len(eligible))
     rng = seed_stream("gt-window", task_id, seed)
@@ -222,11 +221,7 @@ def build_gt_entries(trajectory, cfg, sim):
 def _window(trajectory, end, sim):
     """The 10 observation frames ending at trajectory step `end`."""
     first = end - WINDOW_FRAMES + 1
-    # observe() reports the world's own step counter, which runs one ahead
-    # of the trajectory index (the initial state is not a recorded world);
-    # entries index windows by trajectory step.
-    worlds = trajectory.worlds[first : end + 1]
-    return tuple(replace(sim.observe(w), step=i) for i, w in enumerate(worlds, first))
+    return tuple(sim.observe(trajectory.worlds[i], i) for i in range(first, end + 1))
 
 
 def enforce_ratio(entries, cfg):

@@ -16,11 +16,10 @@ judges the last world once. A stretched plan that runs out of time fails
 the same way a geometrically broken one does. Perturbations whose rollout
 still succeeds are discarded; those seeds only contribute ground-truth windows.
 
-The caller plans the scene and rolls its correct plan once; the failure
-case and the ground-truth windows share that rollout, judged once in
-generate_failure_case. Up to onset_step, the first command the perturbation
-changes, the perturbed rollout is the correct one's commands and worlds;
-only the rest is interpolated and stepped.
+The caller rolls the scene's correct plan once; the failure case and the
+ground-truth windows share that rollout, judged once in generate_failure_case.
+Up to onset_step, the first command the perturbation changes, the perturbed
+rollout is the correct one's commands and worlds; only the rest is stepped.
 """
 
 from dataclasses import dataclass, replace as dc_replace
@@ -50,8 +49,6 @@ class FailureCase:
     """A confirmed failure: the correct rollout, the failed one, and the
     perturbation that separates them."""
 
-    task_id: str
-    seed: int
     spec: FailureSpec
     correct: Trajectory
     failed: Trajectory
@@ -128,29 +125,30 @@ def onset_step(spec: FailureSpec, correct: Trajectory) -> int:
 
 
 def runs_unassisted(
-    plan: Plan, world, correct: Trajectory, spec: FailureSpec | None,
-    max_steps: int, settle_steps: int, sim: Simulator,
+    correct: Trajectory, spec: FailureSpec | None, max_steps: int, settle_steps: int,
+    sim: Simulator,
 ) -> tuple:
-    """(success, rollout) of the plan from `world`, perturbed by the spec if one is
-    given: `correct`'s commands and worlds up to the onset (all of them if bare), the rest
-    of the stream stepped up to max_steps, the last pose held for as many of settle_steps
-    as still fit, and the settled world judged once."""
-    faulted = plan if spec is None else perturb_stage(plan, spec)
+    """(success, rollout) of `correct`'s plan from its start, perturbed by the spec if one
+    is given: `correct`'s commands and worlds up to the onset (all of them if bare), the
+    rest of the stream stepped up to max_steps, the last pose held for as many of
+    settle_steps as still fit, and the settled world judged once."""
+    faulted = correct.plan if spec is None else perturb_stage(correct.plan, spec)
     onset = len(correct.commands) if spec is None else onset_step(spec, correct)
-    run = rollout_plan(faulted, world, sim, max_steps, correct, onset)
+    run = rollout_plan(faulted, correct.start, sim, max_steps, correct, onset)
     last = run.worlds[-1]
     holds = [last.ee_pose.copy()] * min(settle_steps, max_steps - len(run.worlds))
-    return sim.evaluate_success([last, *sim.drive(last, holds)][-1], plan.task_id), run
+    return sim.evaluate_success([last, *sim.drive(last, holds)][-1], faulted.task_id), run
 
 
-def generate_failure_case(plan: Plan, world, correct: Trajectory, cfg: Config, sim: Simulator):
-    """Sample, inject, and confirm one failure for a planned scene.
+def generate_failure_case(correct: Trajectory, cfg: Config, sim: Simulator):
+    """Sample, inject, and confirm one failure for a scene's correct rollout.
 
-    `correct` is the plan's own rollout from `world`: judged here once (a failing one
-    is a ContractViolation), then carried by the case as is. Returns a FailureCase, or
-    None when the task has no configured perturbations or the sampled one fails to break
-    the rollout within the unperturbed plan's steps; those seeds still serve as ground truth.
+    `correct` is judged here once (a failing one is a ContractViolation), then carried
+    by the case as is. Returns a FailureCase, or None when the task has no configured
+    perturbations or the sampled one fails to break the rollout within the unperturbed
+    plan's steps; those seeds still serve as ground truth.
     """
+    plan = correct.plan
     if not sim.evaluate_success(correct.worlds[-1], plan.task_id):
         raise ContractViolation(
             f"nominal rollout failed for {plan.task_id} seed {plan.seed}"
@@ -160,12 +158,10 @@ def generate_failure_case(plan: Plan, world, correct: Trajectory, cfg: Config, s
         return None
 
     spec = sample_failure_spec(plan, entries, seed_stream("failure", plan.task_id, plan.seed))
-    ok, failed = runs_unassisted(plan, world, correct, spec, plan.total_steps(), 0, sim)
+    ok, failed = runs_unassisted(correct, spec, plan.total_steps(), 0, sim)
     if ok:
         return None
     return FailureCase(
-        task_id=plan.task_id,
-        seed=plan.seed,
         spec=spec,
         correct=correct,
         failed=failed,

@@ -32,14 +32,12 @@ ASSISTANTS = {"oracle": oracle_assistant_decide, "null": null_assistant}
 
 
 def build_seed_entries(task_id, seed: int, cfg: Config) -> list:
-    """One scene seed's dataset rows: injection, collection, verification,
-    entry building for every surviving candidate, plus the seed's success
-    windows. The scene is planned and its correct plan rolled once; the
-    failure case and the success windows share that rollout."""
+    """One scene seed's dataset rows: injection, collection, verification and
+    entry building for every surviving candidate, plus success windows cut from
+    the same correct rollout, the scene's only one."""
     sim = Simulator(cfg)
-    plan, world = plan_task(task_id, seed, cfg)
-    correct = rollout_plan(plan, world, sim)
-    case = generate_failure_case(plan, world, correct, cfg, sim)
+    correct = rollout_plan(*plan_task(task_id, seed, cfg), sim)
+    case = generate_failure_case(correct, cfg, sim)
     entries = []
     if case is not None:
         candidates = collect_candidates(case, cfg.dataset.candidates_per_case)
@@ -83,16 +81,12 @@ def run_episode_pair(task_id, seed: int, cfg: Config, assistant: str):
     """(unassisted success, assisted success, assisted result) for one seed.
 
     Both runs carry the same confirmed fault, so the pair isolates exactly what
-    the assistant contributed. The scene is planned and rolled once; the fault
-    draws and both runs share that correct rollout. The fault sampler's unassisted
-    run is the bare run, and the episode resumes its rollout."""
+    the assistant contributed. They and the fault draws share the scene's one correct
+    rollout; the sampler's unassisted run is the bare run, which the episode resumes."""
     sim = Simulator(cfg)
-    plan, world = plan_task(task_id, seed, cfg)
-    correct = rollout_plan(plan, world, sim)
-    fault, bare_ok, unassisted = sample_harness_fault(plan, world, correct, cfg, sim)
-    helped = run_supervised_episode(
-        plan, world, correct, fault, unassisted, ASSISTANTS[assistant], cfg, sim
-    )
+    correct = rollout_plan(*plan_task(task_id, seed, cfg), sim)
+    fault, bare_ok, unassisted = sample_harness_fault(correct, cfg, sim)
+    helped = run_supervised_episode(correct, fault, unassisted, ASSISTANTS[assistant], cfg, sim)
     return bare_ok, helped.success, helped
 
 

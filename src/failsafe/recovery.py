@@ -71,7 +71,7 @@ def candidate_index_ranges(case) -> tuple:
 def collect_candidates(case, k: int) -> list:
     """Propose up to k recovery candidates for a confirmed failure case.
 
-    Deterministic in (case task, case seed, k). Returns [] when the deviated
+    Deterministic in (the correct plan's task and seed, k). Returns [] when the deviated
     segment is too short to host a window.
     """
     d_range, c_range = candidate_index_ranges(case)
@@ -80,7 +80,7 @@ def collect_candidates(case, k: int) -> list:
     idx = case.spec.stage_index
     failed_start, _ = case.failed.stage_bounds(idx)
     correct_start, _ = case.correct.stage_bounds(idx)
-    rng = seed_stream("candidates", case.task_id, case.seed)
+    rng = seed_stream("candidates", case.correct.plan.task_id, case.correct.plan.seed)
     out = []
     for d_index in even_subsample(d_range, k):
         c_index = int(rng.integers(c_range.start, c_range.stop))

@@ -53,7 +53,6 @@ class WorldState:
     grasp_offset: GraspOffset | None = None
     table_z: float = 0.0
     goal: tuple | None = None
-    step_count: int = 0
 
 
 def attached_object_pose(ee_pose: Pose, offset: GraspOffset) -> Pose:
@@ -145,9 +144,7 @@ class Simulator:
             if new_grip <= cfg.grasp_threshold and self._tool_aligned(new_ee):
                 attached, offset = self._try_attach(new_ee, objects)
 
-        return WorldState(
-            new_ee, objects, attached, offset, world.table_z, world.goal, world.step_count + 1
-        )
+        return WorldState(new_ee, objects, attached, offset, world.table_z, world.goal)
 
     def drive(self, world: WorldState, commands) -> list:
         """Step through a command stream in order; the world after each step."""
@@ -253,13 +250,13 @@ class Simulator:
 
     # -- observation -------------------------------------------------------
 
-    def observe(self, world: WorldState) -> "ObservationFrame":
-        """The frame of world: poses copied now, cameras projected on first read."""
+    def observe(self, world: WorldState, step: int) -> "ObservationFrame":
+        """The frame of world at a step: poses copied now, cameras projected on first read."""
         return ObservationFrame(
             ee_pose=world.ee_pose.copy(),
             object_poses={obj_id: obj.pose.copy() for obj_id, obj in sorted(world.objects.items())},
             _cameras=lambda: self._project_cameras(world),
-            step=world.step_count,
+            step=step,
         )
 
     def _project_cameras(self, world: WorldState) -> dict:

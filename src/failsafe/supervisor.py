@@ -1,10 +1,10 @@
 """Supervised execution: a fault-prone executor checked at a fixed cadence.
 
-One episode loop runs the command stream of its unassisted rollout (a planned scene's,
-perturbed by an optional online fault), taking that rollout's worlds until the assistant
-first steps in. Every `cfg.supervisor.cadence` steps an assistant reads the last ten
-frames (each built when read) and may inject a corrective end-effector command; the loop
-drives it to arrival, resyncs its cursor, and hands control back. evaluate_assistant
+One episode loop runs the command stream of its unassisted rollout (the scene's correct
+rollout, perturbed by an optional online fault), taking that rollout's worlds until the
+assistant first steps in. Every `cfg.supervisor.cadence` steps an assistant reads the last
+ten frames (each built when read) and may inject a corrective end-effector command; the
+loop drives it to arrival, resyncs its cursor, and hands control back. evaluate_assistant
 scores assistants offline.
 """
 
@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config, task_spec
+from .config import Config
 from .dataset import WINDOW_FRAMES, DatasetEntry
 from .errors import ContractViolation, MetricsError
 from .failures import FailureSpec, onset_step, runs_unassisted, sample_failure_spec
 from .geometry import DeltaAction, Pose, apply_delta, delta_action, norm, pose_distance
 from .recovery import CORRECTION_TAIL, DEVIATION_MARGIN
 from .seeding import seed_stream
-from .sim import Simulator, WorldState
+from .sim import Simulator
 from .tasks import Plan, Trajectory
 
 # Spread below which the last-10 end-effector history counts as stalled.
@@ -114,41 +114,37 @@ def episode_budget(plan: Plan, cfg: Config) -> int:
     return math.ceil(plan.total_steps() * (1.0 + sup.budget_slack)) + sup.settle_steps
 
 
-def sample_harness_fault(
-    plan: Plan, world: WorldState, correct: Trajectory, cfg: Config, sim: Simulator
-) -> tuple:
+def sample_harness_fault(correct: Trajectory, cfg: Config, sim: Simulator) -> tuple:
     """(fault, success, rollout): the episode's confirmed online fault and the unassisted
     run of its stream, the rollout the episode resumes.
 
     Draws are re-rolled until one actually breaks the unassisted episode, so a
     "perturbed policy" seed really is a failing seed; each draw is confirmed by
     failures.runs_unassisted under the episode's budget and settle holds, lent the worlds
-    of `correct`, the plan's own rollout from `world`. When the task has no configured
-    faults or no draw broke anything, the fault is None and the run is the bare plan's.
+    of `correct`, the scene's correct rollout. When the task has no configured faults or
+    no draw broke anything, the fault is None and the run is the bare plan's.
     """
-    sup = cfg.supervisor
+    sup, plan = cfg.supervisor, correct.plan
     budget = episode_budget(plan, cfg)
     entries = sup.faults.get(plan.task_id, ())
     rng = seed_stream("harness", plan.task_id, plan.seed)
     for _ in range(MAX_FAULT_DRAWS if entries else 0):
         spec = sample_failure_spec(plan, entries, rng)
-        ok, run = runs_unassisted(plan, world, correct, spec, budget, sup.settle_steps, sim)
+        ok, run = runs_unassisted(correct, spec, budget, sup.settle_steps, sim)
         if not ok:
             return spec, False, run
-    return (None, *runs_unassisted(plan, world, correct, None, budget, sup.settle_steps, sim))
+    return (None, *runs_unassisted(correct, None, budget, sup.settle_steps, sim))
 
 
 @dataclass
 class EpisodeContext:
     """What a ground-truth-aware assistant may consult during an episode."""
 
-    task_id: str
     fault: FailureSpec | None
     correct: Trajectory
     cfg: Config
 
     def __post_init__(self):
-        self.stage_names = task_spec(self.task_id).stage_names
         poses = [w.ee_pose for w in self.correct.worlds]
         self._positions = np.stack([p.position for p in poses])
         self._orientations = np.stack([p.orientation for p in poses])
@@ -201,7 +197,7 @@ def oracle_assistant_decide(frames, ground_truth) -> AssistantDecision:
     context = ground_truth
     step = frames[-1].step
     stage, elapsed = context.stage_at(step)
-    name = context.stage_names[stage]
+    name = context.correct.plan.stages[stage].name
     quiet = AssistantDecision(sub_task=name, is_failure=False)
     if context.fault is None or step < onset_step(context.fault, context.correct):
         return quiet
@@ -243,7 +239,7 @@ def _context_stage(frames, context) -> str:
     if isinstance(context, DatasetEntry):
         return context.sub_task
     stage, _ = context.stage_at(frames[-1].step)
-    return context.stage_names[stage]
+    return context.correct.plan.stages[stage].name
 
 
 class _Window(Sequence):
@@ -260,8 +256,6 @@ class _Window(Sequence):
 
 
 def run_supervised_episode(
-    plan: Plan,
-    world: WorldState,
     correct: Trajectory,
     fault: FailureSpec | None,
     unassisted: Trajectory,
@@ -269,13 +263,13 @@ def run_supervised_episode(
     cfg: Config,
     sim: Simulator,
 ) -> EpisodeResult:
-    """Execute one episode of the planned scene, its stream perturbed by the
-    fault if one is given, consulting the assistant every cfg.supervisor.cadence steps.
+    """Execute one episode of the scene from `correct`'s start, its stream perturbed by
+    the fault if one is given, consulting the assistant every cfg.supervisor.cadence steps.
 
-    `correct`, the plan's own rollout from `world`, is the assistant's nominal
-    reference. `unassisted` is the rollout of the episode's own stream, as
-    sample_harness_fault returns it: the episode runs its commands and takes its worlds
-    until the assistant first steps in.
+    `correct`, the scene's correct rollout, is the assistant's nominal reference.
+    `unassisted` is the rollout of the episode's own stream, as sample_harness_fault
+    returns it: the episode runs its commands and takes its worlds until the assistant
+    first steps in.
     The assistant is any callable(frames, context) -> AssistantDecision; an exception
     from it is logged and treated as "no failure" (fail-open). Its frames are observed
     when first read, each world once, cameras projected only if read. An intervention's
@@ -284,14 +278,15 @@ def run_supervised_episode(
     cadence = cfg.supervisor.cadence
     if cadence < 1:
         raise ContractViolation("cadence must be at least 1")
-    context = EpisodeContext(plan.task_id, fault, correct, cfg)
+    plan, world = correct.plan, correct.start
+    context = EpisodeContext(fault, correct, cfg)
     commands, lent = unassisted.commands, unassisted.worlds
     cursor = 0  # next stream command to run; the steps run, until an intervention
     budget = episode_budget(plan, cfg)
 
     worlds = [world]  # index = steps run; the trace is their EE poses
     transit_mask = [False]
-    frame = functools.cache(lambda i: sim.observe(worlds[i]))  # each world observed at most once
+    frame = functools.cache(lambda i: sim.observe(worlds[i], i))  # each world observed at most once
     interventions = 0
 
     def record(start, stepped, transit):

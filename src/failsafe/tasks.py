@@ -4,11 +4,11 @@ Each task is a fixed stage decomposition whose targets are computed from
 seeded random object placements. What a task is comes from its row in the
 task table (config.TASKS, re-exported here): the row's family picks the
 stage plan (and a push scene's goal), and its objects are the ids the scene
-places, one random xy each, the moved object first. Rollouts feed interpolated waypoints to the
-simulator one step per waypoint; a rollout is its command stream and the world after each
-command run, so a (task, seed, config) triple fully determines the resulting trajectory; one
-that agrees with another rollout before an onset index takes that one's commands and worlds
-up to there. A rollout does not judge itself: its caller evaluates its last world.
+places, one random xy each, the moved object first. A rollout feeds its plan's waypoints to
+the simulator from its start world, one step each, and keeps the world after each, so a
+(task, seed, config) triple fully determines it; one that agrees with another rollout before
+an onset index takes that one's commands and worlds up to there. A rollout does not judge
+itself: its caller evaluates its last world.
 """
 
 import itertools
@@ -86,8 +86,8 @@ class Plan:
 
 @dataclass(frozen=True)
 class Trajectory:
-    task_id: str
-    seed: int
+    plan: Plan  # the plan it ran
+    start: WorldState  # the world before commands[0]
     commands: tuple  # the plan's whole waypoint stream
     worlds: tuple  # worlds[i]: the world after commands[i]; fewer when cut at max_steps
     stage_boundaries: tuple  # index of each executed stage's last world
@@ -272,10 +272,10 @@ def rollout_plan(
 ) -> Trajectory:
     """Execute a plan one waypoint per step, keeping the world after each.
 
-    If max_steps is given the rollout truncates there. `base` is a rollout from
-    `world` of a plan that agrees with this one before command `onset`: its commands
-    and worlds up to there are this rollout's own (step is pure), so only the stream
-    from the onset on is interpolated and stepped.
+    The rollout names `plan` and `world`, its start. If max_steps is given it truncates
+    there. `base` is a rollout from `world` of a plan that agrees with this one before
+    command `onset`: its commands and worlds up to there are this rollout's own (step is
+    pure), so only the stream from the onset on is interpolated and stepped.
     """
     head, lent = (base.commands[:onset], base.worlds[:onset][:max_steps]) if onset else ((), ())
     commands = (*head, *plan_commands(plan, world.ee_pose, onset))
@@ -291,8 +291,8 @@ def rollout_plan(
         end += stage.emitted_steps()
         boundaries.append(min(end, len(worlds)) - 1)
     return Trajectory(
-        task_id=plan.task_id,
-        seed=plan.seed,
+        plan=plan,
+        start=world,
         commands=commands,
         worlds=worlds,
         stage_boundaries=tuple(boundaries),

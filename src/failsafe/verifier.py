@@ -14,7 +14,7 @@ Replay is deterministic, so verifying twice always agrees.
 
 import math
 
-from .config import Config
+from .config import Config, task_spec
 from .errors import FailSafeError
 from .failures import generate_failure_case
 from .geometry import apply_delta
@@ -60,7 +60,7 @@ def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simul
         if steps + len(resume) > budget:
             return False
         worlds = sim.drive(world, resume)
-        ok = sim.evaluate_success(worlds[-1] if worlds else world, case.task_id)
+        ok = sim.evaluate_success(worlds[-1] if worlds else world, case.correct.plan.task_id)
     except FailSafeError:
         return False
     if ok:
@@ -75,8 +75,9 @@ def reverify_entries(entries, cfg: Config) -> float:
     the failure case itself is regenerated from config + seed (the scene
     planned and its correct plan rolled once per (task, seed)), which is
     deterministic, so anything exported as verified must verify again. An
-    entry whose regenerated case no longer matches its provenance counts
-    as failed rather than raising: the point is to distrust the file.
+    entry whose regenerated case no longer matches its provenance or its
+    labels (failure type, sub-task, instruction) counts as failed rather
+    than raising: the point is to distrust the file.
     """
     failures = [e for e in entries if e.is_failure]
     if not failures:
@@ -87,15 +88,17 @@ def reverify_entries(entries, cfg: Config) -> float:
     for entry in failures:
         key = (entry.task_id, entry.seed)
         if key not in cases:
-            plan, world = plan_task(entry.task_id, entry.seed, cfg)
-            correct = rollout_plan(plan, world, sim)
-            cases[key] = generate_failure_case(plan, world, correct, cfg, sim)
+            correct = rollout_plan(*plan_task(entry.task_id, entry.seed, cfg), sim)
+            cases[key] = generate_failure_case(correct, cfg, sim)
         case = cases[key]
         prov = entry.provenance
         if (
             case is None
             or case.spec.stage_index != prov["stage"]
             or float(case.spec.magnitude) != prov["magnitude"]
+            or entry.failure_type != (case.spec.mode, case.spec.axis)
+            or entry.sub_task != case.spec.stage_name
+            or entry.instruction != task_spec(entry.task_id).instruction
         ):
             continue
         candidate = CandidateRecovery(

@@ -42,8 +42,7 @@ def quat_distance(a, b) -> float:
 
 def failure_case(task_id, seed, cfg, sim):
     """Plan the scene and roll its correct plan, then inject and confirm."""
-    plan, world = plan_task(task_id, seed, cfg)
-    return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
+    return generate_failure_case(rollout_plan(*plan_task(task_id, seed, cfg), sim), cfg, sim)
 
 
 def report(capsys, number, ok, detail):

@@ -400,6 +400,28 @@ class TestVerify:
         assert payload["verified_fraction"] == 1.0
         assert "manifest" in err
 
+    @pytest.mark.parametrize("field", ["failure_type", "sub_task", "instruction"])
+    def test_edited_failure_label_exits_three_without_manifest(
+        self, dataset, tmp_path, capsys, field
+    ):
+        # The replay regenerates each case, so its labels are checked against it too.
+        lines = open(dataset).read().splitlines(keepends=True)
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["is_failure"])
+        record = json.loads(lines[index])
+        if field == "failure_type":
+            swap = {"mode": "translation", "axis": "x"}
+            record[field] = {"mode": "rotation", "axis": "yaw"} if record[field] == swap else swap
+        elif field == "sub_task":
+            record[field] = next(n for n in TASKS[TASK].stage_names if n != record[field])
+        else:
+            record[field] += " now"
+        lines[index] = json.dumps(record, separators=(",", ":")) + "\n"
+        lone = tmp_path / "lone.jsonl"
+        lone.write_text("".join(lines))
+        code, payload, _ = run_cli(["verify", "--data", str(lone)], capsys)
+        assert code == EXIT_VERIFY
+        assert payload["verified_fraction"] == (payload["failures"] - 1) / payload["failures"]
+
 
 def default_config_yaml() -> str:
     from importlib import resources

@@ -278,3 +278,18 @@ class TestSectionConfigs:
     def test_cadence_positive(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"supervisor": {"cadence": 0}})
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("verifier", "budget_slack"),
+            ("verifier", "max_transit_steps"),
+            ("supervisor", "budget_slack"),
+            ("supervisor", "settle_steps"),
+        ],
+    )
+    def test_budgets_must_not_be_negative(self, section, key):
+        # A negative value ran: generate wrote no entries and supervise scored 0.0/0.0.
+        with pytest.raises(ConfigError, match=rf"^'{section}.{key}' must be >= 0$"):
+            config_from_mapping({section: {key: -1}})
+        assert getattr(getattr(config_from_mapping({section: {key: 0}}), section), key) == 0

@@ -53,26 +53,21 @@ def corpus(cfg, sim):
     cases = {}
     entries = []
     for seed in range(8):
-        case = failure_case("pick_cube", seed, cfg, sim)
+        correct = correct_rollout(seed, cfg, sim)
+        case = generate_failure_case(correct, cfg, sim)
         if case is not None:
             cands = collect_candidates(case, cfg.dataset.candidates_per_case)
             good = [c for c in cands if verify_candidate(case, c, cfg, sim)]
             if good:
                 cases[seed] = (case, good)
                 entries.extend(build_entry(case, c, sim) for c in good)
-        entries.extend(build_gt_entries(correct_rollout(seed, cfg, sim), cfg, sim))
+        entries.extend(build_gt_entries(correct, cfg, sim))
     assert cases and any(e.is_failure for e in entries)
     return cases, entries
 
 
 def correct_rollout(seed, cfg, sim):
     return rollout_plan(*plan_task("pick_cube", seed, cfg), sim)
-
-
-def failure_case(task_id, seed, cfg, sim):
-    """Plan the scene and roll its correct plan, then inject and confirm."""
-    plan, world = plan_task(task_id, seed, cfg)
-    return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
 
 
 def reseeded(entry, new_seed):
@@ -95,7 +90,7 @@ class TestBuildEntry:
         assert entry.instruction == task_spec("pick_cube").instruction
         assert list(entry.recovery.as_vector()) == list(cand.action.as_vector())
         assert entry.provenance == {
-            "seed": case.seed,
+            "seed": case.correct.plan.seed,
             "stage": case.spec.stage_index,
             "d_index": cand.d_index,
             "c_index": cand.c_index,
@@ -119,7 +114,7 @@ class TestBuildEntry:
         cases, _ = corpus
         _, (case, good) = next(iter(cases.items()))
         # Deviate in the first stage, two steps short of a full window.
-        first = task_spec(case.task_id).stage_names[0]
+        first = task_spec(case.correct.plan.task_id).stage_names[0]
         early = replace(case, spec=replace(case.spec, stage_index=0, stage_name=first))
         with pytest.raises(ContractViolation):
             build_entry(early, replace(good[0], d_index=WINDOW_FRAMES - 2), sim)

@@ -34,8 +34,7 @@ def sim(cfg):
 
 def failure_case(task_id, seed, cfg, sim):
     """Plan the scene and roll its correct plan, then inject and confirm."""
-    plan, world = plan_task(task_id, seed, cfg)
-    return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
+    return generate_failure_case(rollout_plan(*plan_task(task_id, seed, cfg), sim), cfg, sim)
 
 
 def entry(**kw):
@@ -156,9 +155,9 @@ class TestGenerateFailureCase:
     def test_carries_the_given_correct_rollout(self, cfg, sim):
         plan, world = plan_task("pick_cube", 4, cfg)
         correct = rollout_plan(plan, world, sim)
-        case = generate_failure_case(plan, world, correct, cfg, sim)
+        case = generate_failure_case(correct, cfg, sim)
         assert case.correct is correct
-        assert (case.task_id, case.seed) == ("pick_cube", 4)
+        assert (case.correct.plan.task_id, case.correct.plan.seed) == ("pick_cube", 4)
 
     def test_empty_failure_list_is_a_no_op(self, cfg, sim):
         bare = replace(cfg, tasks={})
@@ -171,7 +170,7 @@ class TestGenerateFailureCase:
         message = "^nominal rollout failed for pick_cube seed 0$"
         for menus in (cfg, replace(cfg, tasks={})):
             with pytest.raises(ContractViolation, match=message):
-                generate_failure_case(plan, world, cut, menus, sim)
+                generate_failure_case(cut, menus, sim)
 
     def test_benign_perturbation_returns_none(self, cfg, sim):
         gentle = replace(
@@ -223,7 +222,8 @@ def world_key(world):
         {obj_id: obj.pose.key() for obj_id, obj in world.objects.items()},
         world.attached,
         None if offset is None else (offset.position.tolist(), offset.orientation.tolist()),
-        world.step_count,
+        world.table_z,
+        world.goal,
     )
 
 
@@ -269,7 +269,7 @@ class TestSharedPrefix:
             correct = rollout_plan(plan, world, sim)
             for spec in [None, *menu_specs(task_id, plan, seed, cfg)]:
                 interpolated.clear()
-                runs_unassisted(plan, world, correct, spec, plan.total_steps(), 0, sim)
+                runs_unassisted(correct, spec, plan.total_steps(), 0, sim)
                 first = len(plan.stages) if spec is None else spec.stage_index
                 assert interpolated == [stage.name for stage in plan.stages[first:]]
 
@@ -282,7 +282,7 @@ class TestSharedPrefix:
             spec = forced_spec(mode, plan, seed)
             nominal = plan.total_steps()
             fresh = rollout_plan(perturb_stage(plan, spec), world, sim, max_steps=nominal)
-            ok, shared = runs_unassisted(plan, world, correct, spec, nominal, 0, sim)
+            ok, shared = runs_unassisted(correct, spec, nominal, 0, sim)
             assert [c.key() for c in shared.commands] == [c.key() for c in fresh.commands]
             assert len(shared.worlds) == len(fresh.worlds)
             for a, b in zip(shared.worlds, fresh.worlds):
@@ -292,6 +292,29 @@ class TestSharedPrefix:
             k = onset_step(spec, correct)
             assert all(a is b for a, b in zip(shared.commands[:k], correct.commands))
             assert all(a is b for a, b in zip(shared.worlds[:k], correct.worlds))
+
+    @pytest.mark.parametrize("mode", ["translation", "rotation", "no_ops@0", "no_ops@mid"])
+    def test_failed_rollout_names_its_perturbed_plan_and_start(self, cfg, sim, mode):
+        for seed in range(4):
+            plan, world = plan_task("stack_cube", seed, cfg)
+            correct = rollout_plan(plan, world, sim)
+            spec = forced_spec(mode, plan, seed)
+            want = perturb_stage(plan, spec)
+            for budget in (plan.total_steps(), want.total_steps()):  # cut, then whole
+                _, run = runs_unassisted(correct, spec, budget, 0, sim)
+                got = run.plan.stages
+                assert [s.target.key() for s in got] == [s.target.key() for s in want.stages]
+                assert [(s.hold_at, s.hold_steps) for s in got] == [
+                    (s.hold_at, s.hold_steps) for s in want.stages
+                ]
+                # Each stage that starts before the cut ends at its cumulative emitted step.
+                ends = np.cumsum([s.emitted_steps() for s in want.stages]) - 1
+                ran = len(run.worlds)
+                assert run.stage_boundaries == tuple(
+                    min(int(end), ran - 1)
+                    for first, end in zip([0, *(ends[:-1] + 1)], ends) if first < ran
+                )
+                assert run.start is world and correct.start is world
 
     def test_settle_holds_fit_in_the_budget(self, cfg, sim, monkeypatch):
         plan, world = plan_task("pick_cube", 0, cfg)
@@ -303,7 +326,7 @@ class TestSharedPrefix:
         total = plan.total_steps() + 12
         for budget, settle in ((total + 5, 3), (total + 2, 5), (total - 4, 5)):
             steps.clear()
-            _, run = runs_unassisted(plan, world, correct, spec, budget, settle, sim)
+            _, run = runs_unassisted(correct, spec, budget, settle, sim)
             assert len(run.worlds) == min(total, budget)
             ran = len(run.worlds) - onset_step(spec, correct)
             assert len(steps) == ran + min(settle, budget - len(run.worlds))
@@ -314,7 +337,7 @@ class TestSharedPrefix:
         steps = []
         step = Simulator.step
         monkeypatch.setattr(Simulator, "step", lambda self, *a: steps.append(1) or step(self, *a))
-        ok, run = runs_unassisted(plan, world, correct, None, plan.total_steps() + 4, 3, sim)
+        ok, run = runs_unassisted(correct, None, plan.total_steps() + 4, 3, sim)
         assert ok and len(steps) == 3 and len(run.worlds) == len(correct.worlds)
         assert all(a is b for a, b in zip(run.worlds, correct.worlds))
 
@@ -328,7 +351,7 @@ class TestSharedPrefix:
                 plan, world = plan_task(task_id, seed, cfg)
                 correct = rollout_plan(plan, world, sim)
                 calls.clear()
-                case = generate_failure_case(plan, world, correct, cfg, sim)
+                case = generate_failure_case(correct, cfg, sim)
                 if case is None:
                     continue
                 k = onset_step(case.spec, correct)

@@ -25,8 +25,7 @@ def cfg():
 
 def failure_case(task_id, seed, cfg, sim):
     """Plan the scene and roll its correct plan, then inject and confirm."""
-    plan, world = plan_task(task_id, seed, cfg)
-    return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
+    return generate_failure_case(rollout_plan(*plan_task(task_id, seed, cfg), sim), cfg, sim)
 
 
 @pytest.fixture(scope="module")
@@ -88,13 +87,10 @@ def line_trajectory(n, x_offset=0.0):
         Pose(np.array([x_offset, 0.002 * i, 0.1]), IDENTITY_QUAT, 0.5) for i in range(n)
     )
     return Trajectory(
-        task_id="pick_cube",
-        seed=0,
+        plan=types.SimpleNamespace(task_id="pick_cube", seed=0),  # stands in for a Plan
+        start=WorldState(ee_pose=commands[0], objects={}),
         commands=commands,
-        worlds=tuple(
-            WorldState(ee_pose=pose, objects={}, step_count=i + 1)
-            for i, pose in enumerate(commands)
-        ),
+        worlds=tuple(WorldState(ee_pose=pose, objects={}) for pose in commands),
         stage_boundaries=(n - 1,),
     )
 
@@ -102,8 +98,6 @@ def line_trajectory(n, x_offset=0.0):
 def offset_case(n=40, x_offset=0.05):
     spec = types.SimpleNamespace(stage_index=0)
     return types.SimpleNamespace(
-        task_id="pick_cube",
-        seed=0,
         spec=spec,
         failed=line_trajectory(n, x_offset=x_offset),
         correct=line_trajectory(n),

@@ -121,13 +121,15 @@ def count_projections(monkeypatch):
 
 
 class TestStepping:
-    def test_holding_position_changes_only_step_count(self, sim):
-        world = make_world(ee=pose(0.05, -0.02, 0.12, grip=0.4))
+    def test_holding_position_changes_nothing(self, sim):
+        world = make_world(
+            ee=pose(0.05, -0.02, 0.12, grip=0.4), objects={"cube": cube_at(0.1, 0.1)}
+        )
         after = sim.step(world, world.ee_pose)
         assert np.array_equal(after.ee_pose.position, world.ee_pose.position)
         assert np.array_equal(after.ee_pose.orientation, world.ee_pose.orientation)
         assert after.ee_pose.gripper == world.ee_pose.gripper
-        assert after.step_count == world.step_count + 1
+        assert after.objects == world.objects and after.attached is None
 
     def test_position_moves_at_cap_toward_far_target(self, sim):
         world = make_world(ee=pose(0.0, 0.0, 0.2))
@@ -198,7 +200,7 @@ class TestStepping:
         assert last.gripper == target.gripper
         assert sim.drive_to(worlds[-1], target, max_steps=50) == ([], True)
         capped, arrived = sim.drive_to(world, target, max_steps=2)
-        assert not arrived and [w.step_count for w in capped] == [1, 2]
+        assert not arrived and len(capped) == 2
 
     def test_speed_cap_property(self, sim):
         rng = np.random.default_rng(0)
@@ -447,7 +449,7 @@ class TestSuccessPredicates:
 class TestObservation:
     def test_point_on_front_camera_axis_hits_principal_point(self, sim):
         world = make_world(ee=Pose(np.array([0.0, 0.0, 0.05]), IDENTITY_QUAT, 1.0))
-        frame = sim.observe(world)
+        frame = sim.observe(world, 0)
         kp = dict((k, (u, v)) for k, u, v in frame.cameras["front"])
         assert kp["ee:center"][0] == pytest.approx(320.0)
         assert kp["ee:center"][1] == pytest.approx(240.0)
@@ -458,7 +460,7 @@ class TestObservation:
             ee=Pose(np.array([0.0, 0.0, 0.52]), IDENTITY_QUAT, 1.0),
             objects={"cube": cube_at(0.1, 0.0)},
         )
-        frame = sim.observe(world)
+        frame = sim.observe(world, 0)
         kp = dict((k, (u, v)) for k, u, v in frame.cameras["hand"])
         u, v = kp["cube:center"]
         assert u == pytest.approx(420.0)
@@ -469,7 +471,7 @@ class TestObservation:
             ee=Pose(np.array([0.0, 0.0, 0.1]), IDENTITY_QUAT, 1.0),
             objects={"cube": cube_at(0.0, 0.0, 0.3)},  # above the hand camera
         )
-        frame = sim.observe(world)
+        frame = sim.observe(world, 0)
         hand_ids = [k for k, _, _ in frame.cameras["hand"]]
         assert "cube:center" not in hand_ids
         front_ids = [k for k, _, _ in frame.cameras["front"]]
@@ -477,7 +479,7 @@ class TestObservation:
 
     def test_box_contributes_center_and_eight_corners(self, sim):
         world = make_world(objects={"cube": cube_at(0.0, 0.0)})
-        frame = sim.observe(world)
+        frame = sim.observe(world, 0)
         ids = [k for k, _, _ in frame.cameras["front"]]
         assert len([k for k in ids if k.startswith("cube:corner")]) == 8
         assert "cube:center" in ids and "ee:center" in ids
@@ -492,15 +494,16 @@ class TestObservation:
                 )
             }
         )
-        frame = sim.observe(world)
+        frame = sim.observe(world, 0)
         ids = [k for k, _, _ in frame.cameras["front"]]
         assert ids == ["ee:center", "sphere:center"]
 
     def test_observation_reports_step_count(self, sim):
         world = make_world(objects={"cube": cube_at(0.0, 0.0)})
         world = sim.step(world, pose(0.0, 0.0, 0.19))
-        frame = sim.observe(world)
-        assert frame.step == 1
+        early, late = sim.observe(world, 1), sim.observe(world, 5)
+        assert (early.step, late.step) == (1, 5)
+        assert early.ee_pose.key() == late.ee_pose.key() and early.cameras == late.cameras
 
     @pytest.mark.parametrize("task_id", sorted(TASKS))
     def test_keypoints_equal_per_corner_loop(self, sim, task_id):
@@ -514,7 +517,7 @@ class TestObservation:
     def test_lazy_cameras_equal_eager_projection(self, sim, task_id):
         plan, world = plan_task(task_id, 0, Config())
         for w in rollout_plan(plan, world, sim).worlds:
-            assert sim.observe(w).cameras == eager_cameras(sim, w)
+            assert sim.observe(w, 0).cameras == eager_cameras(sim, w)
 
     def test_hand_camera_equals_numpy_cross_basis(self, sim):
         """The hand basis is built on Python floats; it must give the bytes
@@ -541,7 +544,7 @@ class TestObservation:
     def test_cameras_projected_on_first_read_only(self, sim, monkeypatch):
         projected = count_projections(monkeypatch)
         world = make_world(objects={"cube": cube_at(0.05, 0.0)})
-        copy = replace(sim.observe(world), step=7)
+        copy = sim.observe(world, 7)
         assert projected == []
         assert copy.step == 7 and copy.cameras == eager_cameras(sim, world)
         assert len(projected) == len(CAMERA_IDS)
@@ -549,7 +552,7 @@ class TestObservation:
 
     def test_projected_frame_lets_go_of_its_world(self, sim):
         world = make_world(objects={"cube": cube_at(0.05, 0.0)})
-        frame, alive = sim.observe(world), weakref.ref(world)
+        frame, alive = sim.observe(world, 0), weakref.ref(world)
         del world
         gc.collect()
         assert alive() is not None  # the unread cameras still need it
@@ -559,12 +562,12 @@ class TestObservation:
 
     def test_pickle_carries_projected_cameras(self, sim):
         world = make_world(objects={"cube": cube_at(0.05, 0.0)})
-        copy = pickle.loads(pickle.dumps(sim.observe(world)))
+        copy = pickle.loads(pickle.dumps(sim.observe(world, 0)))
         assert copy.step == 0 and copy.cameras == eager_cameras(sim, world)
 
     def test_frames_differing_in_one_camera_value_are_unequal(self, sim):
         world = make_world(objects={"cube": cube_at(0.05, 0.0)})
-        frame = sim.observe(world)
+        frame = sim.observe(world, 0)
         cameras = eager_cameras(sim, world)
         kp, u, v = cameras["side"][1]
         moved = dict(cameras, side=[cameras["side"][0], (kp, u + 1e-6, v), *cameras["side"][2:]])

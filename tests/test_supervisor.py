@@ -54,24 +54,22 @@ def sim(cfg):
 
 def failure_case(task_id, seed, cfg, sim):
     """Plan the scene and roll its correct plan, then inject and confirm."""
-    plan, world = plan_task(task_id, seed, cfg)
-    return generate_failure_case(plan, world, rollout_plan(plan, world, sim), cfg, sim)
+    return generate_failure_case(rollout_plan(*plan_task(task_id, seed, cfg), sim), cfg, sim)
 
 
-def unassisted_run(plan, world, correct, fault, cfg, sim):
+def unassisted_run(correct, fault, cfg, sim):
     """(success, rollout) of the episode's stream with no assistant, under the
     episode's budget and settle holds, as sample_harness_fault confirms a draw."""
-    budget, settle = episode_budget(plan, cfg), cfg.supervisor.settle_steps
-    return runs_unassisted(plan, world, correct, fault, budget, settle, sim)
+    budget, settle = episode_budget(correct.plan, cfg), cfg.supervisor.settle_steps
+    return runs_unassisted(correct, fault, budget, settle, sim)
 
 
 def scene_for(task, seed, cfg, sim, fault=None):
-    """(plan, world, correct, fault, unassisted): the first five arguments of an
-    episode; the last is the stream's unassisted rollout, as unassisted_run rolls it."""
-    plan, world = plan_task(task, seed, cfg)
-    correct = rollout_plan(plan, world, sim)
-    _, unassisted = unassisted_run(plan, world, correct, fault, cfg, sim)
-    return plan, world, correct, fault, unassisted
+    """(correct, fault, unassisted): the first three arguments of an episode; the
+    last is the stream's unassisted rollout, as unassisted_run rolls it."""
+    correct = rollout_plan(*plan_task(task, seed, cfg), sim)
+    _, unassisted = unassisted_run(correct, fault, cfg, sim)
+    return correct, fault, unassisted
 
 
 def stream_for(task, seed, cfg, fault=None):
@@ -85,8 +83,8 @@ def with_cadence(cfg, cadence):
 
 
 def harness_fault(task, seed, cfg, sim):
-    plan, world, correct, _, _ = scene_for(task, seed, cfg, sim)
-    return sample_harness_fault(plan, world, correct, cfg, sim)[0]
+    correct, _, _ = scene_for(task, seed, cfg, sim)
+    return sample_harness_fault(correct, cfg, sim)[0]
 
 
 @pytest.fixture(scope="module")
@@ -151,8 +149,8 @@ class TestHarnessFaultSampling:
 
     def test_unconfigured_task_draws_nothing(self, cfg, sim):
         bare = replace(cfg, supervisor=replace(cfg.supervisor, faults={}))
-        plan, world, correct, _, _ = scene_for("pick_cube", 0, cfg, sim)
-        fault, ok, run = sample_harness_fault(plan, world, correct, bare, sim)
+        correct, _, _ = scene_for("pick_cube", 0, cfg, sim)
+        fault, ok, run = sample_harness_fault(correct, bare, sim)
         # The bare run: the whole correct rollout, lent, then the settle holds.
         assert fault is None and ok
         assert len(run.worlds) == len(correct.worlds)
@@ -218,7 +216,7 @@ class TestResync:
 
 class TestRunSupervisedEpisode:
     def test_unperturbed_null_episode(self, cfg, sim):
-        _, _, correct, _, _ = scene = scene_for("pick_cube", 0, cfg, sim)
+        correct, _, _ = scene = scene_for("pick_cube", 0, cfg, sim)
         result = run_supervised_episode(*scene, null_assistant, cfg, sim)
         nominal = len(correct.worlds)
         assert result.success
@@ -260,7 +258,7 @@ class TestRunSupervisedEpisode:
     def test_budget_caps_total_steps(self, cfg, sim):
         for seed in range(4):
             fault = harness_fault("pick_cube", seed, cfg, sim)
-            _, _, correct, _, _ = scene = scene_for("pick_cube", seed, cfg, sim, fault)
+            correct, _, _ = scene = scene_for("pick_cube", seed, cfg, sim, fault)
             nominal = len(correct.worlds)
             budget = math.ceil(nominal * (1 + cfg.supervisor.budget_slack))
             budget += cfg.supervisor.settle_steps
@@ -331,22 +329,22 @@ class TestUnsupervisedEpisode:
         for seed in range(4):
             scene = scene_for(task, seed, cfg, sim, cube_faults[(task, seed)])
             episode = run_supervised_episode(*scene, null_assistant, paced, sim)
-            assert unassisted_run(*scene[:4], paced, sim)[0] == episode.success
+            assert unassisted_run(*scene[:2], paced, sim)[0] == episode.success
 
     @pytest.mark.parametrize("task", TASKS)
     def test_matches_null_assistant_for_every_menu_entry(self, task, cfg, sim):
         outcomes = set()
         for seed in range(8):
-            plan, world, correct, _, _ = scene_for(task, seed, cfg, sim)
+            correct, _, _ = scene_for(task, seed, cfg, sim)
             rng = seed_stream("harness", task, seed)
             forced = [
-                sample_failure_spec(plan, [entry], rng)
+                sample_failure_spec(correct.plan, [entry], rng)
                 for entry in cfg.supervisor.faults[task]
             ]
             for fault in [None, *forced]:
-                ok, unassisted = unassisted_run(plan, world, correct, fault, cfg, sim)
+                ok, unassisted = unassisted_run(correct, fault, cfg, sim)
                 episode = run_supervised_episode(
-                    plan, world, correct, fault, unassisted, null_assistant, cfg, sim
+                    correct, fault, unassisted, null_assistant, cfg, sim
                 )
                 assert ok == episode.success
                 outcomes.add(episode.success)
@@ -355,12 +353,12 @@ class TestUnsupervisedEpisode:
     def test_observes_nothing_and_rolls_no_reference(self, cfg, sim, monkeypatch):
         import failsafe.failures as failures
 
-        plan, world, correct, _, _ = scene_for("pick_cube", 1, cfg, sim)
+        correct, _, _ = scene_for("pick_cube", 1, cfg, sim)
         observed, rolled = [], []
         observe, rollout = Simulator.observe, failures.rollout_plan
         signature = inspect.signature(rollout)
         monkeypatch.setattr(
-            Simulator, "observe", lambda self, w: observed.append(w) or observe(self, w)
+            Simulator, "observe", lambda self, *a: observed.append(a) or observe(self, *a)
         )
 
         def counted(*args, **kwargs):
@@ -368,9 +366,9 @@ class TestUnsupervisedEpisode:
             return rollout(*args, **kwargs)
 
         monkeypatch.setattr(failures, "rollout_plan", counted)
-        fault, ok, unassisted = sample_harness_fault(plan, world, correct, cfg, sim)
+        fault, ok, unassisted = sample_harness_fault(correct, cfg, sim)
         assert fault is not None and not ok
-        again, rolled_again = unassisted_run(plan, world, correct, fault, cfg, sim)
+        again, rolled_again = unassisted_run(correct, fault, cfg, sim)
         assert not again
         assert [w.ee_pose.key() for w in rolled_again.worlds] == [
             w.ee_pose.key() for w in unassisted.worlds
@@ -379,7 +377,7 @@ class TestUnsupervisedEpisode:
         # Every draw is cut at the budget and is handed the given correct rollout as
         # its base, so it borrows that rollout's commands and worlds up to its onset.
         assert rolled and all(
-            bound["max_steps"] == episode_budget(plan, cfg) and bound["base"] is correct
+            bound["max_steps"] == episode_budget(correct.plan, cfg) and bound["base"] is correct
             for bound in rolled
         )
 
@@ -398,7 +396,7 @@ class TestUnsupervisedEpisode:
                 correct = rollout_plan(plan, world, sim)
                 draws.clear()
                 steps.clear()
-                assert sample_harness_fault(plan, world, correct, cfg, sim)[0] is draws[-1]
+                assert sample_harness_fault(correct, cfg, sim)[0] is draws[-1]
                 budget = episode_budget(plan, cfg)
                 expected = 0
                 for fault in draws:
@@ -418,7 +416,7 @@ class TestUnsupervisedEpisode:
         observed = []
         observe = Simulator.observe
         monkeypatch.setattr(
-            Simulator, "observe", lambda self, w: observed.append(w) or observe(self, w)
+            Simulator, "observe", lambda self, w, i: observed.append(w) or observe(self, w, i)
         )
         fault = harness_fault("pick_cube", 1, cfg, sim)
         observed.clear()
@@ -447,11 +445,11 @@ class TestUnsupervisedEpisode:
 
     def test_assistant_reading_cameras_gets_them(self, cfg, sim, monkeypatch):
         observe = Simulator.observe
-        world_of = {}  # frame id -> the world it was observed from
+        observed_at = {}  # frame id -> the world and step it was observed at
 
-        def recording_observe(self, world):
-            frame = observe(self, world)
-            world_of[id(frame)] = world
+        def recording_observe(self, world, step):
+            frame = observe(self, world, step)
+            observed_at[id(frame)] = world, step
             return frame
 
         monkeypatch.setattr(Simulator, "observe", recording_observe)
@@ -466,17 +464,18 @@ class TestUnsupervisedEpisode:
         result = run_supervised_episode(*scene, camera_reader, cfg, sim)
         assert read
         for frame, cameras in read:
-            assert cameras == observe(sim, world_of[id(frame)]).cameras
+            assert cameras == observe(sim, *observed_at[id(frame)]).cameras
         # Reading cameras changes nothing the episode does.
         oracle = run_supervised_episode(*scene, oracle_assistant_decide, cfg, sim)
         assert _same_episode(result, oracle)
 
 
-def stepping_episode(plan, world, correct, fault, assistant, cfg, sim):
+def stepping_episode(correct, fault, assistant, cfg, sim):
     """The reference episode loop: every world stepped from step 0, and every
     consulted window observed in full into a list."""
+    plan, world = correct.plan, correct.start
     cadence = cfg.supervisor.cadence
-    context = EpisodeContext(plan.task_id, fault, correct, cfg)
+    context = EpisodeContext(fault, correct, cfg)
     commands = plan_commands(plan if fault is None else perturb_stage(plan, fault), world.ee_pose)
     cursor = 0
     budget = episode_budget(plan, cfg)
@@ -488,7 +487,7 @@ def stepping_episode(plan, world, correct, fault, assistant, cfg, sim):
     def window():
         span = range(max(0, len(worlds) - WINDOW_FRAMES), len(worlds))
         for i in set(span) - observed.keys():
-            observed[i] = sim.observe(worlds[i])
+            observed[i] = sim.observe(worlds[i], i)
         return [observed[i] for i in span]
 
     def record(start, stepped, transit):
@@ -562,24 +561,21 @@ def frame_key(frame):
 
 
 def confirmed_scene(task, seed, cfg, sim):
-    """(plan, world, correct, fault, rollout) as run_episode_pair builds them:
-    the confirming draw's rollout, or the bare run's when no fault is confirmed."""
-    plan, world = plan_task(task, seed, cfg)
-    correct = rollout_plan(plan, world, sim)
-    fault, _, unassisted = sample_harness_fault(plan, world, correct, cfg, sim)
-    return plan, world, correct, fault, unassisted
+    """(correct, fault, rollout) as run_episode_pair builds them: the confirming
+    draw's rollout, or the bare run's when no fault is confirmed."""
+    correct = rollout_plan(*plan_task(task, seed, cfg), sim)
+    fault, _, unassisted = sample_harness_fault(correct, cfg, sim)
+    return correct, fault, unassisted
 
 
 class TestResumedEpisode:
     @pytest.mark.parametrize("task", TASKS)
     def test_matches_stepping_from_scratch(self, task, cfg, sim, capsys):
         for seed in range(8):
-            plan, world, correct, fault, unassisted = confirmed_scene(task, seed, cfg, sim)
+            correct, fault, unassisted = confirmed_scene(task, seed, cfg, sim)
             for name, make in EPISODE_ASSISTANTS.items():
-                want = stepping_episode(plan, world, correct, fault, make(), cfg, sim)
-                got = run_supervised_episode(
-                    plan, world, correct, fault, unassisted, make(), cfg, sim
-                )
+                want = stepping_episode(correct, fault, make(), cfg, sim)
+                got = run_supervised_episode(correct, fault, unassisted, make(), cfg, sim)
                 where = (task, seed, name)
                 assert [p.key() for p in got.trace] == [p.key() for p in want.trace], where
                 assert got.transit_mask == want.transit_mask, where
@@ -688,9 +684,9 @@ class TestResumedEpisode:
             return decide
 
         for task, seed in (("pick_cube", 1), ("stack_cube", 0)):
-            plan, world, correct, fault, unassisted = confirmed_scene(task, seed, cfg, sim)
-            stepping_episode(plan, world, correct, fault, reader("list"), cfg, sim)
-            run_supervised_episode(plan, world, correct, fault, unassisted, reader("window"), cfg, sim)
+            correct, fault, unassisted = confirmed_scene(task, seed, cfg, sim)
+            stepping_episode(correct, fault, reader("list"), cfg, sim)
+            run_supervised_episode(correct, fault, unassisted, reader("window"), cfg, sim)
         assert reads["window"] == reads["list"]
         assert {r[0] for r in reads["list"]} == {WINDOW_FRAMES}
 
@@ -791,16 +787,15 @@ class TestOracleOnEpisodes:
         commands = stream_for("pick_cube", 0, cfg, fault)
         correct = rollout_plan(plan, world, sim)
         context = EpisodeContext(
-            task_id="pick_cube",
             fault=fault,
             correct=correct,
             cfg=cfg,
         )
-        frames = [sim.observe(world)]
+        frames = [sim.observe(world, 0)]
         onset = onset_step(fault, correct)
-        for command in commands[: min(onset, 30)]:
+        for step, command in enumerate(commands[: min(onset, 30)], 1):
             world = sim.step(world, command)
-            frames.append(sim.observe(world))
+            frames.append(sim.observe(world, step))
             decision = oracle_assistant_decide(frames[-10:], context)
             assert not decision.is_failure
 
@@ -835,20 +830,20 @@ class TestOracleOnEpisodes:
 class TestWindowFrozen:
     def test_short_history_is_not_frozen(self, cfg, sim):
         _, world = plan_task("pick_cube", 0, cfg)
-        frames = [sim.observe(world)] * 9
+        frames = [sim.observe(world, 0)] * 9
         assert not _window_frozen(frames)
 
     def test_static_window_is_frozen(self, cfg, sim):
         _, world = plan_task("pick_cube", 0, cfg)
-        frames = [sim.observe(world)] * 10
+        frames = [sim.observe(world, 0)] * 10
         assert _window_frozen(frames)
 
     def test_moving_window_is_not_frozen(self, cfg, sim):
         _, world = plan_task("pick_cube", 0, cfg)
-        frames = [sim.observe(world)]
-        for command in stream_for("pick_cube", 0, cfg)[:12]:
+        frames = [sim.observe(world, 0)]
+        for step, command in enumerate(stream_for("pick_cube", 0, cfg)[:12], 1):
             world = sim.step(world, command)
-            frames.append(sim.observe(world))
+            frames.append(sim.observe(world, step))
         assert not _window_frozen(frames[-10:])
 
 

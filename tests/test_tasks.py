@@ -172,8 +172,9 @@ class TestRollout:
         assert len(traj.worlds) == 70 < len(stream)
         before = world
         for command, after in zip(traj.commands, traj.worlds):
-            assert after.ee_pose.key() == sim.step(before, command).ee_pose.key()
-            assert after.step_count == before.step_count + 1
+            stepped = sim.step(before, command)
+            assert after.ee_pose.key() == stepped.ee_pose.key()
+            assert after.attached == stepped.attached
             before = after
 
     def test_stage_bounds_partition_the_frames(self, cfg, sim):
