@@ -9,6 +9,7 @@ always produce the same bytes.
 """
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -155,7 +156,12 @@ class DatasetEntry:
 # -- building entries ------------------------------------------------------
 
 
-def build_entry(case, candidate, sim):
+def observer(sim):
+    """frame(trajectory, step): the step's observation, made once for every window that holds it."""
+    return functools.cache(lambda trajectory, step: sim.observe(trajectory.worlds[step], step))
+
+
+def build_entry(case, candidate, frame):
     """Label one verified recovery with the failure window that precedes it.
 
     Deviation indices start at recovery.DEVIATION_MARGIN, past a full
@@ -170,7 +176,7 @@ def build_entry(case, candidate, sim):
         task_id=plan.task_id,
         instruction=task_spec(plan.task_id).instruction,
         sub_task=spec.stage_name,
-        frames=_window(case.failed, start + candidate.d_index, sim),
+        frames=_window(case.failed, start + candidate.d_index, frame),
         is_failure=True,
         failure_type=(spec.mode, spec.axis),
         recovery=candidate.action,
@@ -184,7 +190,7 @@ def build_entry(case, candidate, sim):
     )
 
 
-def build_gt_entries(trajectory, cfg, sim):
+def build_gt_entries(trajectory, cfg, frame):
     """Success windows cut at seeded end steps from a correct rollout its caller has judged."""
     task_id, seed = trajectory.plan.task_id, trajectory.plan.seed
     eligible = np.arange(WINDOW_FRAMES - 1, len(trajectory.worlds))
@@ -202,7 +208,7 @@ def build_gt_entries(trajectory, cfg, sim):
                 task_id=task_id,
                 instruction=spec.instruction,
                 sub_task=spec.stage_names[stage],
-                frames=_window(trajectory, end, sim),
+                frames=_window(trajectory, end, frame),
                 is_failure=False,
                 failure_type=None,
                 recovery=None,
@@ -218,10 +224,9 @@ def build_gt_entries(trajectory, cfg, sim):
     return entries
 
 
-def _window(trajectory, end, sim):
+def _window(trajectory, end, frame):
     """The 10 observation frames ending at trajectory step `end`."""
-    first = end - WINDOW_FRAMES + 1
-    return tuple(sim.observe(trajectory.worlds[i], i) for i in range(first, end + 1))
+    return tuple(frame(trajectory, i) for i in range(end - WINDOW_FRAMES + 1, end + 1))
 
 
 def enforce_ratio(entries, cfg):
@@ -402,8 +407,8 @@ def _pose_from_record(record, what) -> Pose:
         raise DatasetFormatError(f"{what}.gripper must lie in [0, 1]")
     # Every field is checked above. Keep the writer's normalized quaternion
     # bits rather than renormalizing, so reading inverts writing.
-    pose = Pose.trusted(position, orientation, gripper)
-    pose.orientation = orientation
+    pose = Pose.__new__(Pose)
+    pose.position, pose.orientation, pose.gripper = position, orientation, gripper
     return pose
 
 

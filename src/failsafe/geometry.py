@@ -245,17 +245,21 @@ def interpolate_stage(start: Pose, end: Pose, steps: int) -> list:
     return poses
 
 
-def pose_distance(p: Pose, q: Pose) -> tuple:
-    """(translational meters, angular radians) distance between two poses."""
-    if p.position.tolist() == q.position.tolist():
-        translational = 0.0
-    else:
-        translational = norm(p.position - q.position)
+def position_distance(p: Pose, q: Pose) -> float:
+    """Meters between two poses' positions."""
+    return 0.0 if p.position.tolist() == q.position.tolist() else norm(p.position - q.position)
+
+
+def angle_between(p: Pose, q: Pose) -> float:
+    """Radians between two poses' orientations."""
     po = p.orientation.tolist()
     w, x, y, z = q.orientation.tolist()
     if po == [w, x, y, z] or po == [-w, -x, -y, -z]:
-        angular = 0.0
-    else:
-        rel_w, *rel_v = _qmul(po, (w, -x, -y, -z))
-        angular = 2.0 * math.atan2(norm(rel_v), abs(rel_w))
-    return translational, angular
+        return 0.0
+    rel_w, *rel_v = _qmul(po, (w, -x, -y, -z))
+    return 2.0 * math.atan2(norm(rel_v), abs(rel_w))
+
+
+def pose_distance(p: Pose, q: Pose) -> tuple:
+    """(translational meters, angular radians) distance between two poses."""
+    return position_distance(p, q), angle_between(p, q)

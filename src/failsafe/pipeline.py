@@ -14,7 +14,7 @@ from dataclasses import asdict
 from itertools import repeat
 
 from .config import Config
-from .dataset import atomic_writer, build_entry, build_gt_entries, enforce_ratio
+from .dataset import atomic_writer, build_entry, build_gt_entries, enforce_ratio, observer
 from .errors import FailSafeError
 from .failures import generate_failure_case
 from .recovery import collect_candidates
@@ -36,16 +36,17 @@ def build_seed_entries(task_id, seed: int, cfg: Config) -> list:
     entry building for every surviving candidate, plus success windows cut from
     the same correct rollout, the scene's only one."""
     sim = Simulator(cfg)
+    frame = observer(sim)  # overlapping windows share their frames
     correct = rollout_plan(*plan_task(task_id, seed, cfg), sim)
     case = generate_failure_case(correct, cfg, sim)
     entries = []
     if case is not None:
         candidates = collect_candidates(case, cfg.dataset.candidates_per_case)
         entries = [
-            build_entry(case, c, sim)
+            build_entry(case, c, frame)
             for c in candidates if verify_candidate(case, c, cfg, sim)
         ]
-    return entries + build_gt_entries(correct, cfg, sim)
+    return entries + build_gt_entries(correct, cfg, frame)
 
 
 def pool_size(jobs: int, seeds) -> int:

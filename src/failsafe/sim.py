@@ -8,6 +8,7 @@ component of an EE sweep that passes within the contact radius. Identical
 which is what makes recovery verification exactly replayable.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 
 from .config import TASKS, Config
 from .errors import InvalidCommandError, SceneError
-from .geometry import Pose, norm, pose_distance, quat_conjugate, quat_multiply, quat_rotate, slerp
+from .geometry import Pose, angle_between, norm, quat_conjugate, quat_multiply, quat_rotate, slerp
 
 DOWN = np.array([0.0, 0.0, -1.0])
 CAMERA_IDS = ("front", "side", "hand")
@@ -35,6 +36,15 @@ class ObjectState:
     pose: Pose
     graspable: bool = True
     pushable: bool = True
+
+    @functools.cached_property
+    def keypoints(self) -> np.ndarray:
+        """(n, 3): the center, then a box's eight corners; a moved object is a new state."""
+        position = self.pose.position
+        if self.shape not in ("box", "charger-slab"):
+            return position[None]
+        rotated = quat_rotate(self.pose.orientation, _CORNER_SIGNS * self.half_extents)
+        return np.vstack([position, position + rotated])
 
 
 @dataclass(frozen=True)
@@ -103,7 +113,7 @@ class Simulator:
         else:
             new_pos = ee.position + delta * (cfg.max_ee_speed / dist)
 
-        _, ang = pose_distance(ee, target)
+        ang = angle_between(ee, target)
         if ang <= cfg.max_ee_angular:
             new_quat = target.orientation  # Pose.trusted's divide makes the copy
         else:
@@ -260,20 +270,20 @@ class Simulator:
         )
 
     def _project_cameras(self, world: WorldState) -> dict:
-        keypoints = self._keypoints(world)
+        ids, points = self._keypoints(world)
         bases = (self._front, self._side, self._hand_camera(world.ee_pose))
-        return {cam: self._project_all(basis, keypoints) for cam, basis in zip(CAMERA_IDS, bases)}
+        return {cam: self._project_all(basis, ids, points) for cam, basis in zip(CAMERA_IDS, bases)}
 
-    def _keypoints(self, world: WorldState):
-        pts = [("ee:center", world.ee_pose.position)]
+    @staticmethod
+    def _keypoints(world: WorldState) -> tuple:
+        """(ids, (n, 3) points): the EE center, then each object's keypoints in id order."""
+        ids, points = ["ee:center"], [world.ee_pose.position[None]]
         for obj_id in sorted(world.objects):
-            obj = world.objects[obj_id]
-            pts.append((f"{obj_id}:center", obj.pose.position))
-            if obj.shape in ("box", "charger-slab"):
-                rotated = quat_rotate(obj.pose.orientation, _CORNER_SIGNS * obj.half_extents)
-                corners = obj.pose.position + rotated
-                pts.extend((f"{obj_id}:corner{i}", c) for i, c in enumerate(corners))
-        return pts
+            keypoints = world.objects[obj_id].keypoints
+            ids.append(f"{obj_id}:center")
+            ids.extend(f"{obj_id}:corner{i}" for i in range(len(keypoints) - 1))
+            points.append(keypoints)
+        return ids, np.concatenate(points)
 
     def _fixed_camera(self, position):
         pos = np.asarray(position, dtype=float)
@@ -296,14 +306,14 @@ class Simulator:
         down = [f1 * r2 - f2 * r1, f2 * r0 - f0 * r2, f0 * r1 - f1 * r0]
         return ee.position, np.array([forward, right, down]).T
 
-    def _project_all(self, camera, keypoints):
+    def _project_all(self, camera, ids, points):
         pos, basis = camera  # basis columns: forward (depth), right, down
         cfg = self.config
         cx = cfg.image_width / 2.0
         cy = cfg.image_height / 2.0
-        offsets = ((np.array([point for _, point in keypoints]) - pos) @ basis).tolist()
+        offsets = ((points - pos) @ basis).tolist()
         out = []
-        for (kp_id, _), (z, r, d) in zip(keypoints, offsets):
+        for kp_id, (z, r, d) in zip(ids, offsets):
             if z <= 1e-9:  # behind the camera: absent, never projected
                 continue
             out.append((kp_id, cx + cfg.focal_px * r / z, cy + cfg.focal_px * d / z))

@@ -20,7 +20,9 @@ from .config import Config
 from .dataset import WINDOW_FRAMES, DatasetEntry
 from .errors import ContractViolation, MetricsError
 from .failures import FailureSpec, onset_step, runs_unassisted, sample_failure_spec
-from .geometry import DeltaAction, Pose, apply_delta, delta_action, norm, pose_distance
+from .geometry import (
+    DeltaAction, Pose, apply_delta, delta_action, norm, pose_distance, position_distance,
+)
 from .recovery import CORRECTION_TAIL, DEVIATION_MARGIN
 from .seeding import seed_stream
 from .sim import Simulator
@@ -79,33 +81,16 @@ def resync(commands, cursor: int, ee: Pose, cfg: Config) -> int:
     unchanged, so the stream continues where it left off.
     """
     sup = cfg.supervisor
-
-    def gap(j):
-        command = commands[j]
-        translational, _ = pose_distance(ee, command)
-        if translational > sup.resume_pos_tol:
-            return None
-        if abs(ee.gripper - command.gripper) > sup.resume_grip_tol:
-            return None
-        return translational
-
-    first = None
+    best = None  # (index, gap) of the closest match in the run so far
     for j in range(cursor, len(commands)):
-        if gap(j) is not None:
-            first = j
-            break
-    if first is None:
-        return cursor
-    best, best_gap = first, gap(first)
-    j = first
-    while j + 1 < len(commands):
-        nxt = gap(j + 1)
-        if nxt is None:
-            break
-        j += 1
-        if nxt <= best_gap:
-            best, best_gap = j, nxt
-    return best + 1
+        command = commands[j]
+        gap = position_distance(ee, command)
+        if gap <= sup.resume_pos_tol and abs(ee.gripper - command.gripper) <= sup.resume_grip_tol:
+            if best is None or gap <= best[1]:
+                best = j, gap
+        elif best is not None:
+            break  # the run of matches ended
+    return cursor if best is None else best[0] + 1
 
 
 def episode_budget(plan: Plan, cfg: Config) -> int:

@@ -84,7 +84,7 @@ class Plan:
         raise ConfigError(f"task '{self.task_id}' has no stage '{name}'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: frames are cached per rollout
 class Trajectory:
     plan: Plan  # the plan it ran
     start: WorldState  # the world before commands[0]

@@ -18,7 +18,7 @@ from .config import Config, task_spec
 from .errors import FailSafeError
 from .failures import generate_failure_case
 from .geometry import apply_delta
-from .recovery import CORRECTION_TAIL, CandidateRecovery
+from .recovery import CORRECTION_TAIL, CandidateRecovery, collect_candidates
 from .sim import Simulator
 from .tasks import plan_task, rollout_plan
 
@@ -73,27 +73,30 @@ def reverify_entries(entries, cfg: Config) -> float:
 
     A failure entry pins its scene seed and window indices in provenance;
     the failure case itself is regenerated from config + seed (the scene
-    planned and its correct plan rolled once per (task, seed)), which is
-    deterministic, so anything exported as verified must verify again. An
-    entry whose regenerated case no longer matches its provenance or its
-    labels (failure type, sub-task, instruction) counts as failed rather
-    than raising: the point is to distrust the file.
+    planned and its correct plan rolled once per run of lines with one
+    (task, seed), and only that case held: files are written sorted, so
+    once per (task, seed)), which is deterministic, so anything exported as
+    verified must verify again. An
+    entry whose regenerated case no longer matches its provenance (window
+    indices included: they must be a candidate the case draws) or its labels
+    (failure type, sub-task, instruction) counts as failed rather than
+    raising: the point is to distrust the file.
     """
     failures = [e for e in entries if e.is_failure]
     if not failures:
         return 1.0
     sim = Simulator(cfg)
-    cases = {}
+    key = None
     passed = 0
     for entry in failures:
-        key = (entry.task_id, entry.seed)
-        if key not in cases:
-            correct = rollout_plan(*plan_task(entry.task_id, entry.seed, cfg), sim)
-            cases[key] = generate_failure_case(correct, cfg, sim)
-        case = cases[key]
+        if (entry.task_id, entry.seed) != key:
+            key = entry.task_id, entry.seed
+            case = generate_failure_case(rollout_plan(*plan_task(*key, cfg), sim), cfg, sim)
+            candidates = collect_candidates(case, cfg.dataset.candidates_per_case) if case else []
+            drawn = {(c.d_index, c.c_index) for c in candidates}
         prov = entry.provenance
         if (
-            case is None
+            (prov["d_index"], prov["c_index"]) not in drawn  # a missing case draws none
             or case.spec.stage_index != prov["stage"]
             or float(case.spec.magnitude) != prov["magnitude"]
             or entry.failure_type != (case.spec.mode, case.spec.axis)

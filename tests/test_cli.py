@@ -422,6 +422,25 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert payload["verified_fraction"] == (payload["failures"] - 1) / payload["failures"]
 
+    @pytest.mark.parametrize("index, value", [("d_index", 5000), ("c_index", 10**6)])
+    def test_undrawn_window_index_exits_three_without_manifest(
+        self, all_outdir, tmp_path, capsys, index, value
+    ):
+        # A failure line's window indices must be a candidate its regenerated case draws:
+        # a d_index past the failed rollout once replayed from its last world, and a
+        # c_index was never read at all.
+        lines = (all_outdir / "dataset.jsonl").read_text().splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            record = json.loads(line)
+            if record["is_failure"]:
+                record["provenance"][index] = value
+                lines[i] = json.dumps(record, separators=(",", ":")) + "\n"
+        lone = tmp_path / "lone.jsonl"
+        lone.write_text("".join(lines))
+        code, payload, _ = run_cli(["verify", "--data", str(lone)], capsys)
+        assert code == EXIT_VERIFY
+        assert payload["failures"] > 0 and payload["verified_fraction"] == 0.0
+
 
 def default_config_yaml() -> str:
     from importlib import resources

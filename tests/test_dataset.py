@@ -20,6 +20,7 @@ from failsafe.dataset import (
     enforce_ratio,
     entry_from_record,
     failure_label,
+    observer,
     read_dataset,
     split_by_seed,
     write_dataset,
@@ -53,6 +54,7 @@ def corpus(cfg, sim):
     cases = {}
     entries = []
     for seed in range(8):
+        frame = observer(sim)
         correct = correct_rollout(seed, cfg, sim)
         case = generate_failure_case(correct, cfg, sim)
         if case is not None:
@@ -60,8 +62,8 @@ def corpus(cfg, sim):
             good = [c for c in cands if verify_candidate(case, c, cfg, sim)]
             if good:
                 cases[seed] = (case, good)
-                entries.extend(build_entry(case, c, sim) for c in good)
-        entries.extend(build_gt_entries(correct, cfg, sim))
+                entries.extend(build_entry(case, c, frame) for c in good)
+        entries.extend(build_gt_entries(correct, cfg, frame))
     assert cases and any(e.is_failure for e in entries)
     return cases, entries
 
@@ -80,7 +82,7 @@ class TestBuildEntry:
         cases, _ = corpus
         seed, (case, good) = next(iter(cases.items()))
         cand = good[0]
-        entry = build_entry(case, cand, sim)
+        entry = build_entry(case, cand, observer(sim))
         start, _ = case.failed.stage_bounds(case.spec.stage_index)
         assert len(entry.frames) == WINDOW_FRAMES
         assert entry.end_step == start + cand.d_index
@@ -108,7 +110,7 @@ class TestBuildEntry:
         _, (case, good) = next(iter(cases.items()))
         pristine = replace(good[0], verified=False)
         with pytest.raises(ContractViolation):
-            build_entry(case, pristine, sim)
+            build_entry(case, pristine, observer(sim))
 
     def test_window_before_step_zero_rejected(self, cfg, sim, corpus):
         cases, _ = corpus
@@ -117,11 +119,11 @@ class TestBuildEntry:
         first = task_spec(case.correct.plan.task_id).stage_names[0]
         early = replace(case, spec=replace(case.spec, stage_index=0, stage_name=first))
         with pytest.raises(ContractViolation):
-            build_entry(early, replace(good[0], d_index=WINDOW_FRAMES - 2), sim)
+            build_entry(early, replace(good[0], d_index=WINDOW_FRAMES - 2), observer(sim))
 
     def test_gt_entries_shape_and_determinism(self, cfg, sim):
-        first = build_gt_entries(correct_rollout(3, cfg, sim), cfg, sim)
-        again = build_gt_entries(correct_rollout(3, cfg, sim), cfg, sim)
+        first = build_gt_entries(correct_rollout(3, cfg, sim), cfg, observer(sim))
+        again = build_gt_entries(correct_rollout(3, cfg, sim), cfg, observer(sim))
         assert first == again
         assert len(first) == cfg.dataset.gt_entries_per_seed
         for entry in first:
@@ -135,7 +137,7 @@ class TestBuildEntry:
 
     def test_gt_sub_task_names_the_containing_stage(self, cfg, sim):
         traj = correct_rollout(3, cfg, sim)
-        for entry in build_gt_entries(traj, cfg, sim):
+        for entry in build_gt_entries(traj, cfg, observer(sim)):
             end = entry.end_step
             stage = next(
                 i for i, last in enumerate(traj.stage_boundaries) if end <= last
@@ -167,7 +169,7 @@ class TestBuildSeedEntries:
         assert any(e.is_failure for e in entries) is not benign
         assert calls == {"plan_task": 1, "rollout_plan": 2}
         assert [e for e in entries if not e.is_failure] == build_gt_entries(
-            correct_rollout(4, cfg, sim), cfg, sim
+            correct_rollout(4, cfg, sim), cfg, observer(sim)
         )
 
     def test_judges_each_correct_rollout_once(self, cfg, monkeypatch):
@@ -184,6 +186,31 @@ class TestBuildSeedEntries:
             for seed in range(8):
                 build_seed_entries(task_id, seed, cfg)
         assert (len(judged), len(stepped)) == (306, 24428)
+
+    def test_observes_each_step_and_rotates_each_state_once(self, tmp_path, monkeypatch):
+        # `generate --task all --seeds 0..7 --jobs 1`. When every frame rotated every
+        # box's corners and every window observed its steps afresh, this read 2520
+        # observe calls, 2230 frames projected and 2090 box-corner rotations.
+        import failsafe.sim
+        from failsafe.cli import cli_main
+
+        observed, projected, rotated, stepped = [], [], [], []
+        observe, project, step = Simulator.observe, Simulator._project_cameras, Simulator.step
+        rotate = failsafe.sim.quat_rotate
+        monkeypatch.setattr(
+            Simulator, "observe", lambda self, *a: observed.append(1) or observe(self, *a)
+        )
+        monkeypatch.setattr(
+            Simulator, "_project_cameras", lambda self, *a: projected.append(1) or project(self, *a)
+        )
+        monkeypatch.setattr(Simulator, "step", lambda self, *a: stepped.append(1) or step(self, *a))
+        monkeypatch.setattr(
+            failsafe.sim, "quat_rotate", lambda q, v: rotated.append(v.ndim) or rotate(q, v)
+        )
+        argv = ["generate", "--task", "all", "--seeds", "0..7", "--jobs", "1", "--out"]
+        assert cli_main([*argv, str(tmp_path)]) == 0
+        counts = (len(observed), len(projected), rotated.count(2), len(stepped))
+        assert counts == (2096, 1830, 510, 24428)
 
 
 class TestEntryInvariants:

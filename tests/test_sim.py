@@ -509,9 +509,41 @@ class TestObservation:
     def test_keypoints_equal_per_corner_loop(self, sim, task_id):
         plan, world = plan_task(task_id, 0, Config())
         for w in rollout_plan(plan, world, sim).worlds:
-            got, want = sim._keypoints(w), loop_keypoints(w)
-            assert [k for k, _ in got] == [k for k, _ in want]
-            assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
+            (ids, points), want = sim._keypoints(w), loop_keypoints(w)
+            assert ids == [k for k, _ in want] and points.shape == (len(want), 3)
+            assert all(a.tobytes() == b.tobytes() for a, (_, b) in zip(points, want))
+            # The one array is the array the per-camera projection used to build.
+            assert points.tobytes() == np.array([b for _, b in want]).tobytes()
+
+    def test_moved_objects_get_fresh_keypoints(self, sim):
+        """Keypoints are kept per object state: a resting object keeps its state and its
+        keypoints; a pushed or carried one is a new state whose keypoints follow its pose."""
+
+        def assert_current(world):
+            ids, points = sim._keypoints(world)
+            want = loop_keypoints(world)
+            assert ids == [k for k, _ in want]
+            assert points.tobytes() == np.array([p for _, p in want]).tobytes()
+
+        tilted = Pose(np.array([0.2, 0.2, 0.02]), quat_about_axis(2, 0.3), 0.0)
+        world = make_world(
+            ee=pose(-0.03, 0.0, 0.02, grip=0.0),
+            objects={"cube": cube_at(0.0, 0.0), "far": replace(cube_at(0, 0), pose=tilted)},
+        )
+        assert_current(world)  # every state's keypoints are now computed
+        pushed = sim.step(world, pose(0.1, 0.0, 0.02, grip=0.0))
+        assert pushed.objects["cube"].pose.position[0] != world.objects["cube"].pose.position[0]
+        assert pushed.objects["far"] is world.objects["far"]
+        assert_current(pushed)
+
+        world = make_world(ee=pose(0.0, 0.0, 0.028, grip=0.4), objects={"cube": cube_at(0, 0)})
+        assert_current(world)
+        held = sim.step(world, pose(0.0, 0.0, 0.028, grip=0.2))
+        assert held.attached == "cube"
+        assert_current(held)
+        carried = sim.step(held, pose(0.0, 0.0, 0.1, grip=0.2))
+        assert carried.objects["cube"].pose.position[2] > held.objects["cube"].pose.position[2]
+        assert_current(carried)
 
     @pytest.mark.parametrize("task_id", sorted(TASKS))
     def test_lazy_cameras_equal_eager_projection(self, sim, task_id):
@@ -533,11 +565,11 @@ class TestObservation:
             assert pos.tobytes() == ee.position.tobytes()
             assert basis.tobytes() == old.tobytes() and basis.strides == old.strides
             world = make_world(ee=ee, objects=objects)
-            keypoints = sim._keypoints(world)
+            ids, points = sim._keypoints(world)
             want = {
-                "front": sim._project_all(sim._front, keypoints),
-                "side": sim._project_all(sim._side, keypoints),
-                "hand": sim._project_all((ee.position.copy(), old), keypoints),
+                "front": sim._project_all(sim._front, ids, points),
+                "side": sim._project_all(sim._side, ids, points),
+                "hand": sim._project_all((ee.position.copy(), old), ids, points),
             }
             assert sim._project_cameras(world) == want
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from failsafe.config import default_config
-from failsafe.dataset import build_entry, build_gt_entries
+from failsafe.dataset import build_entry, build_gt_entries, observer
 from failsafe.errors import ContractViolation, MetricsError
 from failsafe.failures import (
     generate_failure_case,
@@ -92,14 +92,15 @@ def entries(cfg, sim):
     """Labeled evaluation entries: verified failures plus ground truth."""
     out = []
     for seed in range(6):
+        frame = observer(sim)
         case = failure_case("pick_cube", seed, cfg, sim)
         if case is not None:
             cands = collect_candidates(case, cfg.dataset.candidates_per_case)
             out.extend(
-                build_entry(case, c, sim) for c in cands if verify_candidate(case, c, cfg, sim)
+                build_entry(case, c, frame) for c in cands if verify_candidate(case, c, cfg, sim)
             )
         correct = rollout_plan(*plan_task("pick_cube", seed, cfg), sim)
-        out.extend(build_gt_entries(correct, cfg, sim))
+        out.extend(build_gt_entries(correct, cfg, frame))
     assert any(e.is_failure for e in out) and any(not e.is_failure for e in out)
     return out
 

@@ -1,5 +1,7 @@
 """Replay-based verification behavior."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from failsafe.config import default_config
 from failsafe.errors import FailSafeError
 from failsafe.failures import generate_failure_case
 from failsafe.geometry import DeltaAction
+from failsafe.pipeline import generate_task_entries
 from failsafe.recovery import (
     CandidateRecovery,
     candidate_index_ranges,
@@ -16,7 +19,7 @@ from failsafe.recovery import (
 )
 from failsafe.sim import Simulator
 from failsafe.tasks import plan_task, rollout_plan
-from failsafe.verifier import step_budget, verify_candidate
+from failsafe.verifier import reverify_entries, step_budget, verify_candidate
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +136,27 @@ class TestVerifyCandidate:
         cands = collect_candidates(case, 5)
         results = verify_all(case, cands, cfg, sim)
         assert any(results)
+
+
+class TestReverifyEntries:
+    def test_holds_one_scene_at_a_time(self, cfg, monkeypatch):
+        # A file is written sorted, so each (task, seed) is one run of lines: its case is
+        # regenerated once and let go before the next scene's. Split runs still verify.
+        import failsafe.verifier
+
+        failures = [e for e in generate_task_entries("pick_cube", range(3, 7), cfg) if e.is_failure]
+        scenes = {e.seed for e in failures}
+        assert len(scenes) > 1
+        made, generate = [], failsafe.verifier.generate_failure_case
+
+        def tracked(*args):
+            gc.collect()
+            assert sum(ref() is not None for ref in made) <= 1
+            case = generate(*args)
+            made.append(weakref.ref(case))
+            return case
+
+        monkeypatch.setattr(failsafe.verifier, "generate_failure_case", tracked)
+        assert reverify_entries(failures, cfg) == 1.0
+        assert len(made) == len(scenes)
+        assert reverify_entries(failures[::2] + failures[1::2], cfg) == 1.0
