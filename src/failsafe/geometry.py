@@ -231,16 +231,14 @@ def interpolate_stage(start: Pose, end: Pose, steps: int) -> list:
     # Equal (or opposite) ends: every slerp is the lerp q0 + t * 0; Pose.trusted copies it.
     q0, q1 = start.orientation, end.orientation
     fixed = slerp(q0, q1, 0.5) if np.array_equal(q0, q1) or np.array_equal(q0, -q1) else None
-    poses = []
-    for i in range(1, steps):
-        t = i / steps
-        poses.append(
-            Pose.trusted(
-                (1.0 - t) * start.position + t * end.position,
-                slerp(q0, q1, t) if fixed is None else fixed,
-                (1.0 - t) * start.gripper + t * end.gripper,
-            )
-        )
+    # Waypoint i's t is i / steps; one broadcast per stage makes every (1 - t) * a + t * b.
+    t = np.arange(1, steps) / steps
+    positions = (1.0 - t)[:, None] * start.position + t[:, None] * end.position
+    grippers = (1.0 - t) * start.gripper + t * end.gripper
+    poses = [
+        Pose.trusted(position, slerp(q0, q1, ti) if fixed is None else fixed, gripper)
+        for ti, position, gripper in zip(t.tolist(), positions, grippers.tolist())
+    ]
     poses.append(end.copy())
     return poses
 

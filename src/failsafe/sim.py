@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import TASKS, Config
 from .errors import InvalidCommandError, SceneError
-from .geometry import Pose, angle_between, norm, quat_conjugate, quat_multiply, quat_rotate, slerp
+from .geometry import Pose, _qmul, angle_between, norm, quat_conjugate, quat_multiply, quat_rotate
+from .geometry import slerp
 
 DOWN = np.array([0.0, 0.0, -1.0])
 CAMERA_IDS = ("front", "side", "hand")
@@ -57,12 +58,22 @@ class GraspOffset:
 
 @dataclass(frozen=True)
 class WorldState:
+    """`placed` has the held object where it was grasped; `objects` has it where it is."""
+
     ee_pose: Pose
-    objects: dict  # object-id -> ObjectState
+    placed: dict  # object-id -> ObjectState
     attached: str | None = None
-    grasp_offset: GraspOffset | None = None
+    grasp_offset: GraspOffset | None = None  # set whenever attached is
     table_z: float = 0.0
     goal: tuple | None = None
+
+    @functools.cached_property
+    def objects(self) -> dict:
+        """object-id -> ObjectState; the held object is placed on first read."""
+        if self.attached is None:
+            return self.placed
+        pose = attached_object_pose(self.ee_pose, self.grasp_offset)
+        return {**self.placed, self.attached: _with_pose(self.placed[self.attached], pose)}
 
 
 def attached_object_pose(ee_pose: Pose, offset: GraspOffset) -> Pose:
@@ -91,6 +102,7 @@ class Simulator:
         self.config = cfg.sim
         self._workspace_min = np.asarray(self.config.workspace_min, dtype=float)
         self._workspace_max = np.asarray(self.config.workspace_max, dtype=float)
+        self._bounds = self._workspace_min.tolist(), self._workspace_max.tolist()
         # The fixed cameras never move: build their bases once.
         self._front = self._fixed_camera(self.config.front_camera)
         self._side = self._fixed_camera(self.config.side_camera)
@@ -126,35 +138,33 @@ class Simulator:
             new_grip = ee.gripper + math.copysign(cfg.max_gripper_rate, dg)
 
         new_ee = Pose.trusted(new_pos, new_quat, new_grip)
-        objects = dict(world.objects)
-        attached = world.attached
-        offset = world.grasp_offset
+        scene = world.table_z, world.goal  # no step moves these
+        if world.attached is not None:
+            if new_grip < cfg.release_threshold:  # carried: placed when read
+                return WorldState(new_ee, world.placed, world.attached, world.grasp_offset, *scene)
+            return WorldState(new_ee, world.objects, None, None, *scene)  # let go where it is
 
-        if attached is not None:
-            if new_grip >= cfg.release_threshold:
-                # Object is let go where it currently is.
-                attached = None
-                offset = None
-            else:
-                obj = objects[attached]
-                objects[attached] = _with_pose(obj, attached_object_pose(new_ee, offset))
-        else:
-            sweep_x, sweep_y, _ = (new_pos - ee.position).tolist()
-            if sweep_x != 0.0 or sweep_y != 0.0:
-                horizontal = np.array([sweep_x, sweep_y, 0.0])
-                for obj_id in sorted(objects):
-                    obj = objects[obj_id]
-                    if not obj.pushable:
-                        continue
-                    p = obj.pose
-                    gap = _segment_point_distance(ee.position, new_pos, p.position)
-                    if gap <= cfg.contact_radius:
-                        moved = Pose.trusted(p.position + horizontal, p.orientation, p.gripper)
-                        objects[obj_id] = _with_pose(obj, moved)
-            if new_grip <= cfg.grasp_threshold and self._tool_aligned(new_ee):
-                attached, offset = self._try_attach(new_ee, objects)
-
-        return WorldState(new_ee, objects, attached, offset, world.table_z, world.goal)
+        objects = world.placed
+        sweep_x, sweep_y, _ = (new_pos - ee.position).tolist()
+        if sweep_x != 0.0 or sweep_y != 0.0:
+            horizontal = np.array([sweep_x, sweep_y, 0.0])
+            # The sweep is at most min(dist, max_ee_speed) long, so an object this far from
+            # its start is out of contact; the margin dwarfs any rounding of either test.
+            reach = cfg.contact_radius + min(dist, cfg.max_ee_speed) + 1e-6
+            start = ee.position.tolist()
+            for obj_id in sorted(objects):
+                obj = objects[obj_id]
+                p = obj.pose
+                if not obj.pushable or math.dist(p.position.tolist(), start) > reach:
+                    continue
+                gap = _segment_point_distance(ee.position, new_pos, p.position)
+                if gap <= cfg.contact_radius:
+                    moved = Pose.trusted(p.position + horizontal, p.orientation, p.gripper)
+                    objects = {**objects, obj_id: _with_pose(obj, moved)}
+        attached, offset = None, None
+        if new_grip <= cfg.grasp_threshold and self._tool_aligned(new_ee):
+            attached, offset = self._try_attach(new_ee, objects)
+        return WorldState(new_ee, objects, attached, offset, *scene)
 
     def drive(self, world: WorldState, commands) -> list:
         """Step through a command stream in order; the world after each step."""
@@ -166,9 +176,9 @@ class Simulator:
 
     def drive_to(self, world: WorldState, target: Pose, max_steps: int) -> tuple:
         """Step toward target until the arm lands on it exactly, workspace
-        clamp included (the stepper copies targets it can reach), or until
-        max_steps run out. Arrival is tested before each step, so a world
-        already on target takes none. Returns (worlds after each step,
+        clamp included (the stepper lands exactly on targets it can reach),
+        or until max_steps run out. Arrival is tested before each step, so a
+        world already on target takes none. Returns (worlds after each step,
         arrived)."""
         goal = (
             self.clamp_position(target.position).tolist(),
@@ -183,21 +193,31 @@ class Simulator:
             worlds.append(world)
         return worlds, True
 
-    def clamp_position(self, position) -> np.ndarray:
-        """Where a commanded position actually lands: inside the workspace."""
+    def clamp_position(self, position: np.ndarray) -> np.ndarray:
+        """Where a commanded position actually lands: inside the workspace. Strictly
+        inside, that is the position itself; elsewhere numpy's clamp, signed zeros and all."""
+        (x0, y0, z0), (x1, y1, z1) = self._bounds
+        x, y, z = position.tolist()
+        if x0 < x < x1 and y0 < y < y1 and z0 < z < z1:
+            return position
         return np.minimum(np.maximum(position, self._workspace_min), self._workspace_max)
 
     def _tool_aligned(self, ee: Pose) -> bool:
-        axis = quat_rotate(ee.orientation, DOWN)
-        cos_angle = min(1.0, max(-1.0, float(np.dot(axis, DOWN))))
-        return math.acos(cos_angle) <= self.config.grasp_align_tol
+        # The tool axis is DOWN in the EE frame; its cosine with DOWN is minus its z, the
+        # one nonzero term of np.dot(axis, DOWN).
+        w, x, y, z = q = ee.orientation.tolist()
+        *_, axis_z = _qmul(_qmul(q, (0.0, 0.0, 0.0, -1.0)), (w, -x, -y, -z))
+        return math.acos(min(1.0, max(-1.0, -axis_z))) <= self.config.grasp_align_tol
 
     def _try_attach(self, ee: Pose, objects: dict):
+        """(id, grasp offset) of the nearest graspable object in reach, else (None, None)."""
         best_id = None
         best_dist = math.inf
+        reach = self.config.grasp_radius + 1e-6  # screens out misses, as in step
+        here = ee.position.tolist()
         for obj_id in sorted(objects):
             obj = objects[obj_id]
-            if not obj.graspable:
+            if not obj.graspable or math.dist(obj.pose.position.tolist(), here) > reach:
                 continue
             d = norm(obj.pose.position - ee.position)
             if d > self.config.grasp_radius:
@@ -209,12 +229,10 @@ class Simulator:
             return None, None
         obj = objects[best_id]
         inv = quat_conjugate(ee.orientation)
-        offset = GraspOffset(
+        return best_id, GraspOffset(
             position=quat_rotate(inv, obj.pose.position - ee.position),
             orientation=quat_multiply(inv, obj.pose.orientation),
         )
-        objects[best_id] = _with_pose(obj, attached_object_pose(ee, offset))
-        return best_id, offset
 
     # -- success predicates ------------------------------------------------
 

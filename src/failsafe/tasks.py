@@ -171,7 +171,7 @@ def _build_scene(spec: TaskSpec, rng, cfg: Config) -> WorldState:
 
     return WorldState(
         ee_pose=home_pose(cfg),
-        objects={
+        placed={
             obj_id: _scene_object(obj_id, xy, cfg.sim)
             for obj_id, xy in zip(spec.objects, xys)
         },

@@ -18,7 +18,7 @@ from .config import Config, task_spec
 from .errors import FailSafeError
 from .failures import generate_failure_case
 from .geometry import apply_delta
-from .recovery import CORRECTION_TAIL, CandidateRecovery, collect_candidates
+from .recovery import CORRECTION_TAIL, CandidateRecovery, candidate_index_ranges, collect_candidates
 from .sim import Simulator
 from .tasks import plan_task, rollout_plan
 
@@ -28,7 +28,11 @@ def step_budget(nominal_steps: int, cfg: Config) -> int:
 
 
 def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simulator) -> bool:
-    """Replay one candidate from the deviation point. Marks and returns success."""
+    """Replay one candidate from the deviation point. Marks and returns success.
+
+    A deviation index outside the case's window is refused without a replay."""
+    if candidate.d_index not in candidate_index_ranges(case)[0]:
+        return False
     budget = step_budget(len(case.correct.commands), cfg)
     idx = case.spec.stage_index
     failed_start, _ = case.failed.stage_bounds(idx)

@@ -1,5 +1,6 @@
 """Dataset construction, serialization, stats, and splits."""
 
+import collections
 import json
 import math
 import os
@@ -66,6 +67,31 @@ def corpus(cfg, sim):
         entries.extend(build_gt_entries(correct, cfg, frame))
     assert cases and any(e.is_failure for e in entries)
     return cases, entries
+
+
+@pytest.fixture(scope="module")
+def funnel_calls(tmp_path_factory):
+    """Calls made by `generate --task all --seeds 0..7 --jobs 1`, by function name."""
+    import failsafe.sim
+    from failsafe.cli import cli_main
+
+    calls = collections.Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        targets = [(Simulator, n) for n in ("observe", "_project_cameras", "step")]
+        targets += [(Simulator, "evaluate_success"), (failsafe.sim, "attached_object_pose")]
+        targets += [(failsafe.sim, "_segment_point_distance")]
+        for owner, name in targets:
+            fn = getattr(owner, name)
+            patch.setattr(owner, name, lambda *a, _n=name, _f=fn: calls.update([_n]) or _f(*a))
+        rotate = failsafe.sim.quat_rotate
+        patch.setattr(
+            failsafe.sim,
+            "quat_rotate",
+            lambda q, v: calls.update(["box_corner_rotations"] * (v.ndim == 2)) or rotate(q, v),
+        )
+        argv = ["generate", "--task", "all", "--seeds", "0..7", "--jobs", "1", "--out"]
+        assert cli_main([*argv, str(tmp_path_factory.mktemp("funnel"))]) == 0
+    return calls
 
 
 def correct_rollout(seed, cfg, sim):
@@ -187,30 +213,19 @@ class TestBuildSeedEntries:
                 build_seed_entries(task_id, seed, cfg)
         assert (len(judged), len(stepped)) == (306, 24428)
 
-    def test_observes_each_step_and_rotates_each_state_once(self, tmp_path, monkeypatch):
+    def test_observes_each_step_and_rotates_each_state_once(self, funnel_calls):
         # `generate --task all --seeds 0..7 --jobs 1`. When every frame rotated every
         # box's corners and every window observed its steps afresh, this read 2520
         # observe calls, 2230 frames projected and 2090 box-corner rotations.
-        import failsafe.sim
-        from failsafe.cli import cli_main
+        names = ("observe", "_project_cameras", "box_corner_rotations", "step")
+        assert tuple(funnel_calls[name] for name in names) == (2096, 1830, 510, 24428)
 
-        observed, projected, rotated, stepped = [], [], [], []
-        observe, project, step = Simulator.observe, Simulator._project_cameras, Simulator.step
-        rotate = failsafe.sim.quat_rotate
-        monkeypatch.setattr(
-            Simulator, "observe", lambda self, *a: observed.append(1) or observe(self, *a)
-        )
-        monkeypatch.setattr(
-            Simulator, "_project_cameras", lambda self, *a: projected.append(1) or project(self, *a)
-        )
-        monkeypatch.setattr(Simulator, "step", lambda self, *a: stepped.append(1) or step(self, *a))
-        monkeypatch.setattr(
-            failsafe.sim, "quat_rotate", lambda q, v: rotated.append(v.ndim) or rotate(q, v)
-        )
-        argv = ["generate", "--task", "all", "--seeds", "0..7", "--jobs", "1", "--out"]
-        assert cli_main([*argv, str(tmp_path)]) == 0
-        counts = (len(observed), len(projected), rotated.count(2), len(stepped))
-        assert counts == (2096, 1830, 510, 24428)
+    def test_places_carried_objects_on_read_and_screens_contacts(self, funnel_calls):
+        # The same run. When every carrying step placed its held object and every sweep
+        # measured its exact distance to every pushable object, this read 13 359
+        # placements and 7 597 segment distances.
+        names = ("attached_object_pose", "_segment_point_distance", "step", "evaluate_success")
+        assert tuple(funnel_calls[name] for name in names) == (900, 1053, 24428, 306)
 
 
 class TestEntryInvariants:

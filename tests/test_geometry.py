@@ -2,6 +2,7 @@
 independent oracle for the RPY conversions."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -148,6 +149,40 @@ class TestPinnedArithmetic:
                 assert a.position.tobytes() == b.position.tobytes()
                 assert a.orientation.tobytes() == b.orientation.tobytes()
                 assert a.gripper == b.gripper
+
+    @pytest.mark.parametrize("ends", ["equal", "opposite", "general"])
+    def test_interpolate_stage_equals_per_waypoint_loop(self, ends):
+        """One broadcast per stage gives each waypoint the bytes of its own lerp."""
+
+        def loop(start, end, steps):
+            q0, q1 = start.orientation, end.orientation
+            equal = np.array_equal(q0, q1) or np.array_equal(q0, -q1)
+            fixed = slerp(q0, q1, 0.5) if equal else None
+            poses = []
+            for i in range(1, steps):
+                t = i / steps
+                poses.append(
+                    Pose.trusted(
+                        (1.0 - t) * start.position + t * end.position,
+                        slerp(q0, q1, t) if fixed is None else fixed,
+                        (1.0 - t) * start.gripper + t * end.gripper,
+                    )
+                )
+            poses.append(end.copy())
+            return poses
+
+        rng = np.random.default_rng(19)
+        for steps in range(1, 41):
+            start, end = random_pose(rng), random_pose(rng)
+            if ends != "general":
+                end.orientation = (1.0 if ends == "equal" else -1.0) * start.orientation
+                assert np.array_equal(np.abs(end.orientation), np.abs(start.orientation))
+            got, want = interpolate_stage(start, end, steps), loop(start, end, steps)
+            assert len(got) == len(want) == steps
+            for a, b in zip(got, want):
+                assert a.position.tobytes() == b.position.tobytes()
+                assert a.orientation.tobytes() == b.orientation.tobytes()
+                assert struct.pack("<d", a.gripper) == struct.pack("<d", b.gripper)
 
     def test_copy_equals_checked_copy_in_fresh_arrays(self):
         rng = np.random.default_rng(11)

@@ -88,9 +88,9 @@ def line_trajectory(n, x_offset=0.0):
     )
     return Trajectory(
         plan=types.SimpleNamespace(task_id="pick_cube", seed=0),  # stands in for a Plan
-        start=WorldState(ee_pose=commands[0], objects={}),
+        start=WorldState(ee_pose=commands[0], placed={}),
         commands=commands,
-        worlds=tuple(WorldState(ee_pose=pose, objects={}) for pose in commands),
+        worlds=tuple(WorldState(ee_pose=pose, placed={}) for pose in commands),
         stage_boundaries=(n - 1,),
     )
 

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import pickle
+import struct
 import weakref
 from dataclasses import replace
 
@@ -15,17 +16,26 @@ from failsafe.errors import InvalidCommandError, SceneError
 from failsafe.geometry import (
     IDENTITY_QUAT,
     Pose,
+    angle_between,
+    norm,
     pose_distance,
     quat_about_axis,
+    quat_conjugate,
+    quat_multiply,
     quat_rotate,
+    slerp,
 )
 from failsafe.sim import (
     CAMERA_IDS,
+    DOWN,
     LOOK_AT,
+    GraspOffset,
     ObjectState,
     ObservationFrame,
     Simulator,
     WorldState,
+    _segment_point_distance,
+    _with_pose,
     attached_object_pose,
 )
 from failsafe.tasks import plan_task, rollout_plan
@@ -36,7 +46,18 @@ CUBE_HALF = (0.02, 0.02, 0.02)
 def make_world(ee=None, objects=None, goal=None):
     if ee is None:
         ee = Pose(np.array([0.0, 0.0, 0.2]), IDENTITY_QUAT, 1.0)
-    return WorldState(ee_pose=ee, objects=objects or {}, goal=goal)
+    return WorldState(ee_pose=ee, placed=objects or {}, goal=goal)
+
+
+def holding(world, obj_id):
+    """world with obj_id held where it is, grasped as the stepper grasps."""
+    ee, obj = world.ee_pose, world.placed[obj_id]
+    inv = quat_conjugate(ee.orientation)
+    offset = GraspOffset(
+        quat_rotate(inv, obj.pose.position - ee.position),
+        quat_multiply(inv, obj.pose.orientation),
+    )
+    return replace(world, attached=obj_id, grasp_offset=offset)
 
 
 def cube_at(x, y, z=0.02, **kw):
@@ -391,20 +412,10 @@ class TestPushing:
 class TestSuccessPredicates:
     def test_pick_requires_attachment_and_height(self, sim):
         lifted = cube_at(0.0, 0.0, 0.07)
-        attached = make_world(objects={"cube": lifted})
-        attached = WorldState(
-            ee_pose=attached.ee_pose,
-            objects=attached.objects,
-            attached="cube",
-            grasp_offset=None,
-            goal=None,
-        )
+        attached = holding(make_world(objects={"cube": lifted}), "cube")
+        assert attached.objects["cube"].pose.position[2] == pytest.approx(0.07)
         assert sim.evaluate_success(attached, "pick_cube")
-        low = WorldState(
-            ee_pose=attached.ee_pose,
-            objects={"cube": cube_at(0.0, 0.0, 0.05)},
-            attached="cube",
-        )
+        low = holding(make_world(objects={"cube": cube_at(0.0, 0.0, 0.05)}), "cube")
         assert not sim.evaluate_success(low, "pick_cube")
         dropped = make_world(objects={"cube": lifted})
         assert not sim.evaluate_success(dropped, "pick_cube")
@@ -422,14 +433,13 @@ class TestSuccessPredicates:
 
     def test_stack_tolerances(self, sim):
         def stacked(dx, dz, attached=None):
-            return WorldState(
-                ee_pose=pose(0.0, 0.0, 0.2),
+            world = make_world(
                 objects={
                     "cube_a": cube_at(0.1 + dx, 0.0, 0.06 + dz),
                     "cube_b": cube_at(0.1, 0.0, 0.02),
                 },
-                attached=attached,
             )
+            return world if attached is None else holding(world, attached)
 
         assert sim.evaluate_success(stacked(0.0, 0.0), "stack_cube")
         assert sim.evaluate_success(stacked(0.004, 0.004), "stack_cube")
@@ -606,3 +616,226 @@ class TestObservation:
         assert frame == ObservationFrame(frame.ee_pose, frame.object_poses, cameras, frame.step)
         assert frame != ObservationFrame(frame.ee_pose, frame.object_poses, moved, frame.step)
         assert frame == replace(frame, step=frame.step)
+
+
+class ReferenceSimulator(Simulator):
+    """The stepper before it skipped work whose result is already determined: every
+    carried object placed each step, every push and grasp distance computed exactly,
+    every command clamped and the tool axis dotted with DOWN. Copied verbatim; its
+    `placed` map is the whole scene, the held object placed."""
+
+    def step(self, world: WorldState, target: Pose) -> WorldState:
+        cfg = self.config
+        command = [*target.position.tolist(), *target.orientation.tolist(), target.gripper]
+        if not all(map(math.isfinite, command)):
+            raise InvalidCommandError("non-finite command target")
+
+        goal_pos = self.clamp_position(target.position)
+
+        ee = world.ee_pose
+        delta = goal_pos - ee.position
+        dist = norm(delta)
+        if dist <= cfg.max_ee_speed:
+            new_pos = goal_pos
+        else:
+            new_pos = ee.position + delta * (cfg.max_ee_speed / dist)
+
+        ang = angle_between(ee, target)
+        if ang <= cfg.max_ee_angular:
+            new_quat = target.orientation  # Pose.trusted's divide makes the copy
+        else:
+            new_quat = slerp(ee.orientation, target.orientation, cfg.max_ee_angular / ang)
+
+        dg = target.gripper - ee.gripper
+        if abs(dg) <= cfg.max_gripper_rate:
+            new_grip = target.gripper
+        else:
+            new_grip = ee.gripper + math.copysign(cfg.max_gripper_rate, dg)
+
+        new_ee = Pose.trusted(new_pos, new_quat, new_grip)
+        objects = dict(world.objects)
+        attached = world.attached
+        offset = world.grasp_offset
+
+        if attached is not None:
+            if new_grip >= cfg.release_threshold:
+                # Object is let go where it currently is.
+                attached = None
+                offset = None
+            else:
+                obj = objects[attached]
+                objects[attached] = _with_pose(obj, attached_object_pose(new_ee, offset))
+        else:
+            sweep_x, sweep_y, _ = (new_pos - ee.position).tolist()
+            if sweep_x != 0.0 or sweep_y != 0.0:
+                horizontal = np.array([sweep_x, sweep_y, 0.0])
+                for obj_id in sorted(objects):
+                    obj = objects[obj_id]
+                    if not obj.pushable:
+                        continue
+                    p = obj.pose
+                    gap = _segment_point_distance(ee.position, new_pos, p.position)
+                    if gap <= cfg.contact_radius:
+                        moved = Pose.trusted(p.position + horizontal, p.orientation, p.gripper)
+                        objects[obj_id] = _with_pose(obj, moved)
+            if new_grip <= cfg.grasp_threshold and self._tool_aligned(new_ee):
+                attached, offset = self._try_attach(new_ee, objects)
+
+        return WorldState(new_ee, objects, attached, offset, world.table_z, world.goal)
+
+    def clamp_position(self, position) -> np.ndarray:
+        """Where a commanded position actually lands: inside the workspace."""
+        return np.minimum(np.maximum(position, self._workspace_min), self._workspace_max)
+
+    def _tool_aligned(self, ee: Pose) -> bool:
+        axis = quat_rotate(ee.orientation, DOWN)
+        cos_angle = min(1.0, max(-1.0, float(np.dot(axis, DOWN))))
+        return math.acos(cos_angle) <= self.config.grasp_align_tol
+
+    def _try_attach(self, ee: Pose, objects: dict):
+        best_id = None
+        best_dist = math.inf
+        for obj_id in sorted(objects):
+            obj = objects[obj_id]
+            if not obj.graspable:
+                continue
+            d = norm(obj.pose.position - ee.position)
+            if d > self.config.grasp_radius:
+                continue
+            if d < best_dist:  # ties keep the first id in sorted order
+                best_id = obj_id
+                best_dist = d
+        if best_id is None:
+            return None, None
+        obj = objects[best_id]
+        inv = quat_conjugate(ee.orientation)
+        offset = GraspOffset(
+            position=quat_rotate(inv, obj.pose.position - ee.position),
+            orientation=quat_multiply(inv, obj.pose.orientation),
+        )
+        objects[best_id] = _with_pose(obj, attached_object_pose(ee, offset))
+        return best_id, offset
+
+
+def pose_bits(p: Pose) -> tuple:
+    return p.position.tobytes(), p.orientation.tobytes(), struct.pack("<d", p.gripper)
+
+
+def world_bits(world: WorldState, objects: dict) -> tuple:
+    """Every bit of a stepped world a reader sees: EE, attachment, offset, object poses."""
+    offset = world.grasp_offset
+    return (
+        pose_bits(world.ee_pose),
+        world.attached,
+        offset and (offset.position.tobytes(), offset.orientation.tobytes()),
+        {obj_id: pose_bits(obj.pose) for obj_id, obj in objects.items()},
+        world.table_z,
+        world.goal,
+    )
+
+
+def assert_steps_as_reference(sim, reference, world, command):
+    want = reference.step(world, command)
+    got = sim.step(world, command)
+    assert world_bits(got, got.objects) == world_bits(want, want.placed)
+    return got
+
+
+class TestReferenceStep:
+    """The stepper skips only work whose result is already determined: its next worlds
+    are the reference stepper's, bit for bit."""
+
+    @pytest.fixture
+    def reference(self):
+        return ReferenceSimulator(Config())
+
+    def test_every_step_of_the_generate_funnel(self, sim, reference, tmp_path, monkeypatch):
+        from failsafe.cli import cli_main
+
+        pairs, step = [], Simulator.step
+        monkeypatch.setattr(
+            Simulator, "step", lambda self, w, c: pairs.append((w, c)) or step(self, w, c)
+        )
+        argv = ["generate", "--task", "all", "--seeds", "0..2", "--jobs", "1", "--out"]
+        assert cli_main([*argv, str(tmp_path)]) == 0
+        monkeypatch.undo()
+        assert len(pairs) > 9000
+        for world, command in pairs:
+            assert_steps_as_reference(sim, reference, world, command)
+
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("bound", ["workspace_min", "workspace_max"])
+    def test_command_on_a_workspace_bound(self, sim, reference, axis, bound):
+        for ee_z in (0.05, 0.2):
+            position = np.array([0.01, -0.02, ee_z])
+            position[axis] = getattr(sim.config, bound)[axis]
+            world = make_world(ee=pose(*(position * 0.99).tolist()))
+            assert_steps_as_reference(sim, reference, world, Pose(position, IDENTITY_QUAT, 0.5))
+            world = make_world(ee=pose(*position.tolist()))
+            assert_steps_as_reference(sim, reference, world, Pose(position, IDENTITY_QUAT, 0.5))
+
+    @pytest.mark.parametrize("bound", ["workspace_min", "workspace_max"])
+    def test_signed_zero_on_a_zero_bound(self, bound):
+        cfg = Config()
+        limits = list(getattr(cfg.sim, bound))
+        limits[0] = 0.0
+        cfg = replace(cfg, sim=replace(cfg.sim, **{bound: tuple(limits)}))
+        sim, reference = Simulator(cfg), ReferenceSimulator(cfg)
+        for x in (0.0, -0.0):
+            for ee_x in (0.0, -0.0, 0.004):
+                world = make_world(ee=pose(ee_x, 0.0, 0.2))
+                command = Pose(np.array([x, -0.0, 0.2]), [1.0, -0.0, 0.0, -0.0], 0.5)
+                got = assert_steps_as_reference(sim, reference, world, command)
+                want = sim.clamp_position(command.position)
+                assert got.ee_pose.position.tobytes() == want.tobytes()
+
+    def test_negative_zero_components(self, sim, reference):
+        world = make_world(
+            ee=Pose(np.array([0.0, -0.0, 0.028]), [1.0, 0.0, -0.0, 0.0], 0.4),
+            objects={"cube": cube_at(-0.0, 0.0)},
+        )
+        command = Pose(np.array([-0.0, 0.0, 0.028]), [1.0, -0.0, 0.0, -0.0], 0.2)
+        for _ in range(3):
+            world = assert_steps_as_reference(sim, reference, world, command)
+        assert world.attached == "cube"
+
+    @pytest.mark.parametrize("direction", [(0.0, 1.0), (-1.0, 0.0), (1.0, 0.0), (0.6, -0.8)])
+    @pytest.mark.parametrize("move", [0.005, 0.05])
+    def test_objects_at_the_contact_prescreen_margin(self, sim, reference, direction, move):
+        """Objects at, just inside and just outside the screen's distance from the
+        sweep's start, for a sweep that lands and one that is speed capped."""
+        cfg = sim.config
+        start = np.array([0.0, 0.0, 0.02])
+        reach = cfg.contact_radius + min(move, cfg.max_ee_speed) + 1e-6
+        world = make_world(ee=pose(*start.tolist(), grip=0.0))
+        command = pose(move, 0.0, 0.02, grip=0.0)
+        for scale in (1.0 - 1e-9, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.0 + 1e-9):
+            dx, dy = direction
+            at = start + scale * reach * np.array([dx, dy, 0.0])
+            scene = replace(world, placed={"cube": cube_at(*at.tolist())})
+            assert math.dist(at.tolist(), start.tolist()) == pytest.approx(reach, rel=1e-8)
+            assert_steps_as_reference(sim, reference, scene, command)
+        # Just inside the contact radius of the sweep's start or end, both push the cube.
+        ahead = min(move, cfg.max_ee_speed) + 0.999 * cfg.contact_radius
+        for at in ((0.0, 0.999 * cfg.contact_radius), (ahead, 0.0)):
+            scene = replace(world, placed={"cube": cube_at(*at)})
+            pushed = assert_steps_as_reference(sim, reference, scene, command)
+            assert pushed.objects["cube"].pose.position[0] > at[0]
+
+    def test_attach_carry_and_release(self, sim, reference):
+        world = make_world(
+            ee=pose(0.0, 0.0, 0.028, grip=0.4),
+            objects={"cube": cube_at(0.0, 0.0), "bystander": cube_at(0.03, 0.0)},
+        )
+        commands = [
+            pose(0.0, 0.0, 0.028, grip=0.2),  # attach
+            *(pose(0.004 * i, 0.0, 0.028 + 0.01 * i, quat_about_axis(2, 0.05 * i), 0.2)
+              for i in range(1, 6)),  # carry, turning
+            *(pose(0.02, 0.0, 0.08, grip=1.0) for _ in range(3)),  # release on the third
+            pose(0.02, 0.0, 0.2, grip=1.0),  # away, the cube left where it was let go
+        ]
+        attached = []
+        for command in commands:
+            world = assert_steps_as_reference(sim, reference, world, command)
+            attached.append(world.attached)
+        assert attached == ["cube"] * 8 + [None] * 2

@@ -137,6 +137,33 @@ class TestVerifyCandidate:
         results = verify_all(case, cands, cfg, sim)
         assert any(results)
 
+    @pytest.mark.parametrize(
+        "outside",
+        [lambda d: d.start - 1, lambda d: d.stop, lambda d: 5000, lambda d: -1, lambda d: -10**6],
+        ids=["before", "past", "far_past", "minus_one", "empties_prefix"],
+    )
+    def test_deviation_index_outside_its_window_is_refused_unreplayed(
+        self, cfg, sim, outside, monkeypatch
+    ):
+        # Candidates that verify in scene 0's pick_cube window. Moved past the window,
+        # one replayed from the failed rollout's last world and verified; at -10**6 the
+        # empty prefix raised IndexError.
+        case = failure_case("pick_cube", 0, cfg, sim)
+        drawn = [c for c in collect_candidates(case, 5) if verify_candidate(case, c, cfg, sim)]
+        assert drawn
+        d_range, _ = candidate_index_ranges(case)
+
+        def no_replay(*args):
+            raise AssertionError("replayed a refused candidate")
+
+        monkeypatch.setattr(sim, "drive_to", no_replay)
+        monkeypatch.setattr(sim, "drive", no_replay)
+        for cand in drawn:
+            moved = replace(cand, d_index=outside(d_range), verified=False)
+            assert moved.d_index not in d_range
+            assert verify_candidate(case, moved, cfg, sim) is False
+            assert moved.verified is False
+
 
 class TestReverifyEntries:
     def test_holds_one_scene_at_a_time(self, cfg, monkeypatch):
