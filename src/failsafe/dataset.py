@@ -200,14 +200,11 @@ def build_gt_entries(trajectory, cfg, frame):
     spec = task_spec(task_id)
     entries = []
     for end in ends:
-        stage = next(
-            i for i, last in enumerate(trajectory.stage_boundaries) if end <= last
-        )
         entries.append(
             DatasetEntry(
                 task_id=task_id,
                 instruction=spec.instruction,
-                sub_task=spec.stage_names[stage],
+                sub_task=spec.stage_names[trajectory.stage_at(end)],
                 frames=_window(trajectory, end, frame),
                 is_failure=False,
                 failure_type=None,
@@ -446,7 +443,7 @@ def _frame_from_record(record, what) -> ObservationFrame:
         cameras[cam] = parsed
     if record["image_path"] is not None and not isinstance(record["image_path"], str):
         raise DatasetFormatError(f"{what}.image_path must be a string or null")
-    return ObservationFrame(ee_pose=ee, object_poses=objects, _cameras=cameras, step=step)
+    return ObservationFrame(step, ee_pose=ee, object_poses=objects, cameras=cameras)
 
 
 def entry_from_record(record) -> DatasetEntry:

@@ -279,13 +279,8 @@ class Simulator:
     # -- observation -------------------------------------------------------
 
     def observe(self, world: WorldState, step: int) -> "ObservationFrame":
-        """The frame of world at a step: poses copied now, cameras projected on first read."""
-        return ObservationFrame(
-            ee_pose=world.ee_pose.copy(),
-            object_poses={obj_id: obj.pose.copy() for obj_id, obj in sorted(world.objects.items())},
-            _cameras=lambda: self._project_cameras(world),
-            step=step,
-        )
+        """The frame of world at a step: a view of it, each part made on first read."""
+        return ObservationFrame(step, (self, world))
 
     def _project_cameras(self, world: WorldState) -> dict:
         ids, points = self._keypoints(world)
@@ -338,23 +333,41 @@ class Simulator:
         return out
 
 
-@dataclass(frozen=True, eq=False)
 class ObservationFrame:
-    """Numeric observation: poses plus per-camera pixel keypoints, projected on first read."""
+    """Numeric observation: poses plus per-camera pixel keypoints. Observed, it views its
+    (simulator, world) and makes each part on first read, letting go of the world once all
+    three are made; read back from a file, it is given its parts."""
 
-    ee_pose: Pose
-    object_poses: dict
-    _cameras: object  # camera-id -> list of (keypoint-id, u, v), or a callable making it
-    step: int
+    def __init__(self, step: int, view: tuple = (), **parts):
+        self.step = step
+        if view:
+            self._sim, self._world = view
+        vars(self).update(parts)
 
-    @property
-    def cameras(self) -> dict:
-        if callable(self._cameras):  # project once, and let go of the world
-            object.__setattr__(self, "_cameras", self._cameras())
-        return self._cameras
+    @functools.cached_property
+    def ee_pose(self) -> Pose:
+        return self._made(self._world.ee_pose.copy())
 
-    def __eq__(self, other):  # every field, with the cameras projected
-        return isinstance(other, ObservationFrame) and self.__getstate__() == other.__getstate__()
+    @functools.cached_property
+    def object_poses(self) -> dict:  # object-id -> Pose, in id order
+        return self._made({i: obj.pose.copy() for i, obj in sorted(self._world.objects.items())})
 
-    def __getstate__(self):  # a pickle carries the cameras, not the world
-        return {**vars(self), "_cameras": self.cameras}
+    @functools.cached_property
+    def cameras(self) -> dict:  # camera-id -> list of (keypoint-id, u, v)
+        return self._made(self._sim._project_cameras(self._world))
+
+    def _made(self, part):  # the last part made lets go of the world
+        if len(vars(self).keys() & {"ee_pose", "object_poses", "cameras"}) == 2:
+            del self._sim, self._world
+        return part
+
+    def __eq__(self, other):  # every value, each pose by its floats
+        return isinstance(other, ObservationFrame) and self._key() == other._key()
+
+    def _key(self) -> tuple:
+        poses = {obj_id: pose.key() for obj_id, pose in self.object_poses.items()}
+        return self.step, self.ee_pose.key(), poses, self.cameras
+
+    def __getstate__(self):  # a pickle carries the parts, not the world
+        names = "step", "ee_pose", "object_poses", "cameras"
+        return {name: getattr(self, name) for name in names}

@@ -2,16 +2,15 @@
 
 One episode loop runs the command stream of its unassisted rollout (the scene's correct
 rollout, perturbed by an optional online fault), taking that rollout's worlds until the
-assistant first steps in. Every `cfg.supervisor.cadence` steps an assistant reads the last
-ten frames (each built when read) and may inject a corrective end-effector command; the
-loop drives it to arrival, resyncs its cursor, and hands control back. evaluate_assistant
-scores assistants offline.
+assistant first steps in. Every `cfg.supervisor.cadence` steps an assistant reads a tuple
+of the last ten frames (each part made when read) and may inject a corrective end-effector
+command; the loop drives it to arrival, resyncs its cursor, and hands control back.
+evaluate_assistant scores assistants offline.
 """
 
 import functools
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,16 +133,6 @@ class EpisodeContext:
         self._positions = np.stack([p.position for p in poses])
         self._orientations = np.stack([p.orientation for p in poses])
 
-    def stage_at(self, step: int) -> tuple:
-        """(stage index, steps elapsed inside it) for a global step count,
-        judged against the nominal schedule and clamped to the last stage."""
-        index = min(step, len(self.correct.worlds) - 1)
-        for stage, last in enumerate(self.correct.stage_boundaries):
-            if index <= last:
-                first, _ = self.correct.stage_bounds(stage)
-                return stage, step - first
-        raise ContractViolation("unreachable: boundaries always cover the plan")
-
     def off_path(self, ee: Pose) -> bool:
         """True when no nominal frame sits near the pose (gripper ignored)."""
         sup = self.cfg.supervisor
@@ -179,9 +168,9 @@ def oracle_assistant_decide(frames, ground_truth) -> AssistantDecision:
             failure_type=entry.failure_type,
             recovery=entry.recovery,
         )
-    context = ground_truth
-    step = frames[-1].step
-    stage, elapsed = context.stage_at(step)
+    context, step = ground_truth, frames[-1].step
+    stage = context.correct.stage_at(step)
+    first, _ = context.correct.stage_bounds(stage)
     name = context.correct.plan.stages[stage].name
     quiet = AssistantDecision(sub_task=name, is_failure=False)
     if context.fault is None or step < onset_step(context.fault, context.correct):
@@ -199,9 +188,8 @@ def oracle_assistant_decide(frames, ground_truth) -> AssistantDecision:
     elif not context.off_path(ee):
         return quiet
     lead = context.cfg.supervisor.recovery_lead
-    first, _ = context.correct.stage_bounds(stage)
     length = context.correct.stage_length(stage)
-    c_star = max(DEVIATION_MARGIN, min(elapsed + lead, length - CORRECTION_TAIL))
+    c_star = max(DEVIATION_MARGIN, min(step - first + lead, length - CORRECTION_TAIL))
     target = context.correct.worlds[first + c_star].ee_pose
     return AssistantDecision(
         sub_task=name,
@@ -223,21 +211,7 @@ def _window_frozen(frames) -> bool:
 def _context_stage(frames, context) -> str:
     if isinstance(context, DatasetEntry):
         return context.sub_task
-    stage, _ = context.stage_at(frames[-1].step)
-    return context.correct.plan.stages[stage].name
-
-
-class _Window(Sequence):
-    """Read-only frames of a span of worlds; `frame(i)` builds world i's when it is read."""
-
-    def __init__(self, span: range, frame):
-        self.span, self.frame = span, frame
-
-    def __len__(self):
-        return len(self.span)
-
-    def __getitem__(self, i):
-        return [*map(self.frame, self.span[i])] if type(i) is slice else self.frame(self.span[i])
+    return context.correct.plan.stages[context.correct.stage_at(frames[-1].step)].name
 
 
 def run_supervised_episode(
@@ -256,9 +230,10 @@ def run_supervised_episode(
     returns it: the episode runs its commands and takes its worlds until the assistant
     first steps in.
     The assistant is any callable(frames, context) -> AssistantDecision; an exception
-    from it is logged and treated as "no failure" (fail-open). Its frames are observed
-    when first read, each world once, cameras projected only if read. An intervention's
-    transit pauses the stream and consultations until the arm lands and the cursor re-syncs.
+    from it is logged and treated as "no failure" (fail-open). Its window is a tuple of
+    frames, each world observed at most once and each frame part made only if read. An
+    intervention's transit pauses the stream and consultations until the arm lands and
+    the cursor re-syncs.
     """
     cadence = cfg.supervisor.cadence
     if cadence < 1:
@@ -284,7 +259,7 @@ def run_supervised_episode(
         total = len(worlds) - 1
         if total > 0 and total % cadence == 0:
             try:
-                decision = assistant(_Window(range(len(worlds))[-WINDOW_FRAMES:], frame), context)
+                decision = assistant(tuple(map(frame, range(total + 1)[-WINDOW_FRAMES:])), context)
             except Exception as exc:  # fail-open: the baseline is the floor
                 print(
                     f"assistant error at step {total} ({plan.task_id} seed {plan.seed}): {exc}",

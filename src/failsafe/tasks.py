@@ -11,6 +11,7 @@ an onset index takes that one's commands and worlds up to there. A rollout does 
 itself: its caller evaluates its last world.
 """
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -98,6 +99,10 @@ class Trajectory:
             raise IndexError(f"stage {stage_index} not in trajectory")
         first = 0 if stage_index == 0 else self.stage_boundaries[stage_index - 1] + 1
         return first, self.stage_boundaries[stage_index]
+
+    def stage_at(self, index: int) -> int:
+        """The stage whose bounds hold step index, clamped to the last world."""
+        return bisect.bisect_left(self.stage_boundaries, min(index, len(self.worlds) - 1))
 
     def stage_length(self, stage_index: int) -> int:
         first, last = self.stage_bounds(stage_index)

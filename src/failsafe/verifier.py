@@ -42,11 +42,10 @@ def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simul
     resume_local = case.correct.stage_length(idx) - CORRECTION_TAIL + 1
 
     # The failure, exactly as recorded, up to the deviation point.
-    prefix = case.failed.worlds[: global_d + 1]
-    steps = len(prefix)
+    steps = global_d + 1
     if steps > budget:
         return False
-    world = prefix[-1]
+    world = case.failed.worlds[global_d]
     try:
         # The candidate's correction, driven until the arm arrives.
         target = apply_delta(world.ee_pose, candidate.action)

@@ -35,7 +35,7 @@ from failsafe.failures import generate_failure_case
 from failsafe.pipeline import build_seed_entries
 from failsafe.recovery import collect_candidates
 from failsafe.sim import Simulator
-from failsafe.tasks import TASKS, plan_task, rollout_plan, task_spec
+from failsafe.tasks import plan_task, rollout_plan, task_spec
 from failsafe.verifier import verify_candidate
 
 
@@ -198,21 +198,6 @@ class TestBuildSeedEntries:
             correct_rollout(4, cfg, sim), cfg, observer(sim)
         )
 
-    def test_judges_each_correct_rollout_once(self, cfg, monkeypatch):
-        # The funnel of `generate --task all --seeds 0..7`: one evaluate_success per
-        # correct rollout (in generate_failure_case), failure draw and replayed
-        # candidate. build_gt_entries judged each correct rollout again: 354 calls.
-        judged, stepped = [], []
-        evaluate, step = Simulator.evaluate_success, Simulator.step
-        monkeypatch.setattr(
-            Simulator, "evaluate_success", lambda self, *a: judged.append(1) or evaluate(self, *a)
-        )
-        monkeypatch.setattr(Simulator, "step", lambda self, *a: stepped.append(1) or step(self, *a))
-        for task_id in sorted(TASKS):
-            for seed in range(8):
-                build_seed_entries(task_id, seed, cfg)
-        assert (len(judged), len(stepped)) == (306, 24428)
-
     def test_observes_each_step_and_rotates_each_state_once(self, funnel_calls):
         # `generate --task all --seeds 0..7 --jobs 1`. When every frame rotated every
         # box's corners and every window observed its steps afresh, this read 2520
@@ -223,9 +208,13 @@ class TestBuildSeedEntries:
     def test_places_carried_objects_on_read_and_screens_contacts(self, funnel_calls):
         # The same run. When every carrying step placed its held object and every sweep
         # measured its exact distance to every pushable object, this read 13 359
-        # placements and 7 597 segment distances.
+        # placements and 7 597 segment distances; while every observed frame copied its
+        # object poses, 900 placements (the dropped success windows' frames now read none).
+        # One evaluate_success per correct rollout (in generate_failure_case), failure draw
+        # and replayed candidate: when build_gt_entries judged each correct rollout again,
+        # this read 354 calls.
         names = ("attached_object_pose", "_segment_point_distance", "step", "evaluate_success")
-        assert tuple(funnel_calls[name] for name in names) == (900, 1053, 24428, 306)
+        assert tuple(funnel_calls[name] for name in names) == (803, 1053, 24428, 306)
 
 
 class TestEntryInvariants:

@@ -1,7 +1,10 @@
 """Simulator stepping rules, grasping, pushing, and the camera model."""
 
+import collections
+import functools
 import gc
 import itertools
+import json
 import math
 import pickle
 import struct
@@ -11,7 +14,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import failsafe.sim
 from failsafe.config import TASKS, Config, default_config
+from failsafe.dataset import _frame_from_record, _frame_record
 from failsafe.errors import InvalidCommandError, SceneError
 from failsafe.geometry import (
     IDENTITY_QUAT,
@@ -139,6 +144,27 @@ def count_projections(monkeypatch):
         Simulator, "_project_all", lambda self, *a: projected.append(1) or project(self, *a)
     )
     return projected
+
+
+def count_parts(monkeypatch):
+    """A Counter of the frame parts made, by part name."""
+    made = collections.Counter()
+    for name in ("ee_pose", "object_poses", "cameras"):
+        make = vars(ObservationFrame)[name].func
+        part = functools.cached_property(lambda self, n=name, f=make: made.update([n]) or f(self))
+        part.__set_name__(ObservationFrame, name)
+        monkeypatch.setattr(ObservationFrame, name, part)
+    return made
+
+
+def count_placements(monkeypatch):
+    """A list that grows by one per held object placed."""
+    placed = []
+    place = failsafe.sim.attached_object_pose
+    monkeypatch.setattr(
+        failsafe.sim, "attached_object_pose", lambda *a: placed.append(1) or place(*a)
+    )
+    return placed
 
 
 class TestStepping:
@@ -592,20 +618,60 @@ class TestObservation:
         assert len(projected) == len(CAMERA_IDS)
         assert copy.cameras is copy.cameras and len(projected) == len(CAMERA_IDS)
 
+    def test_observe_makes_no_part(self, sim, monkeypatch):
+        made = count_parts(monkeypatch)
+        placed = count_placements(monkeypatch)
+        scene = make_world(ee=pose(0.0, 0.0, 0.028), objects={"cube": cube_at(0, 0)})
+        world = holding(scene, "cube")
+        frame = sim.observe(world, 5)
+        assert frame.step == 5
+        assert made == {} and placed == []  # no pose copied, no projection, nothing placed
+
+    def test_each_part_made_once_on_first_read(self, sim, monkeypatch):
+        made = count_parts(monkeypatch)
+        placed = count_placements(monkeypatch)
+        scene = make_world(ee=pose(0.0, 0.0, 0.028), objects={"cube": cube_at(0, 0)})
+        world = holding(scene, "cube")
+        frame = sim.observe(world, 0)
+        assert frame.ee_pose.key() == world.ee_pose.key() and frame.ee_pose is not world.ee_pose
+        assert made == {"ee_pose": 1} and placed == []  # the held object is placed only if read
+        poses = frame.object_poses
+        assert {k: p.key() for k, p in poses.items()} == {"cube": world.objects["cube"].pose.key()}
+        assert made == {"ee_pose": 1, "object_poses": 1} and len(placed) == 1
+        assert frame.cameras == eager_cameras(sim, world)
+        for _ in range(2):
+            assert frame.object_poses is poses and frame.cameras is frame.cameras
+            frame.ee_pose
+        assert made == {"ee_pose": 1, "object_poses": 1, "cameras": 1} and len(placed) == 1
+
     def test_projected_frame_lets_go_of_its_world(self, sim):
         world = make_world(objects={"cube": cube_at(0.05, 0.0)})
         frame, alive = sim.observe(world, 0), weakref.ref(world)
         del world
-        gc.collect()
-        assert alive() is not None  # the unread cameras still need it
-        assert frame.cameras
+        for read in ("cameras", "ee_pose", "object_poses"):
+            gc.collect()
+            assert alive() is not None  # an unmade part still needs it
+            getattr(frame, read)
         gc.collect()
         assert alive() is None
 
     def test_pickle_carries_projected_cameras(self, sim):
         world = make_world(objects={"cube": cube_at(0.05, 0.0)})
-        copy = pickle.loads(pickle.dumps(sim.observe(world, 0)))
-        assert copy.step == 0 and copy.cameras == eager_cameras(sim, world)
+        frame = sim.observe(world, 3)
+        data = pickle.dumps(frame)
+        assert b"WorldState" not in data and b"Simulator" not in data  # the parts, no world
+        copy = pickle.loads(data)
+        assert sorted(vars(copy)) == ["cameras", "ee_pose", "object_poses", "step"]
+        assert copy == frame and copy.step == 3 and copy.cameras == eager_cameras(sim, world)
+
+    def test_read_back_frame_equals_the_observed_one(self, sim):
+        world = make_world(objects={"cube": cube_at(0.05, 0.0), "block": cube_at(-0.1, 0.1)})
+        frame = sim.observe(world, 4)
+        record = json.loads(json.dumps(_frame_record(frame)))
+        read = _frame_from_record(record, "frame")
+        assert read == frame and frame == read
+        assert read != sim.observe(world, 5)
+        assert read != sim.observe(make_world(objects={"cube": cube_at(0.05, 0.0)}), 4)
 
     def test_frames_differing_in_one_camera_value_are_unequal(self, sim):
         world = make_world(objects={"cube": cube_at(0.05, 0.0)})
@@ -613,9 +679,13 @@ class TestObservation:
         cameras = eager_cameras(sim, world)
         kp, u, v = cameras["side"][1]
         moved = dict(cameras, side=[cameras["side"][0], (kp, u + 1e-6, v), *cameras["side"][2:]])
-        assert frame == ObservationFrame(frame.ee_pose, frame.object_poses, cameras, frame.step)
-        assert frame != ObservationFrame(frame.ee_pose, frame.object_poses, moved, frame.step)
-        assert frame == replace(frame, step=frame.step)
+        parts = {"ee_pose": frame.ee_pose, "object_poses": frame.object_poses}
+        assert frame == ObservationFrame(frame.step, **parts, cameras=cameras)
+        assert frame != ObservationFrame(frame.step, **parts, cameras=moved)
+        assert frame != ObservationFrame(frame.step + 1, **parts, cameras=cameras)
+        poses = {obj_id: p.copy() for obj_id, p in frame.object_poses.items()}
+        copied = {"ee_pose": frame.ee_pose.copy(), "object_poses": poses}
+        assert frame == ObservationFrame(frame.step, **copied, cameras=cameras)
 
 
 class ReferenceSimulator(Simulator):

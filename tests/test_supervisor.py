@@ -1,5 +1,6 @@
 """Supervised-episode harness, assistants, and assistant scoring."""
 
+import functools
 import inspect
 import math
 import sys
@@ -22,7 +23,7 @@ from failsafe.dataset import WINDOW_FRAMES
 from failsafe.geometry import DeltaAction, Pose, apply_delta
 from failsafe.recovery import collect_candidates
 from failsafe.seeding import seed_stream
-from failsafe.sim import Simulator
+from failsafe.sim import ObservationFrame, Simulator
 from failsafe.supervisor import (
     AssistantDecision,
     EpisodeContext,
@@ -473,7 +474,7 @@ class TestUnsupervisedEpisode:
 
 def stepping_episode(correct, fault, assistant, cfg, sim):
     """The reference episode loop: every world stepped from step 0, and every
-    consulted window observed in full into a list."""
+    consulted window observed in full into a tuple."""
     plan, world = correct.plan, correct.start
     cadence = cfg.supervisor.cadence
     context = EpisodeContext(fault, correct, cfg)
@@ -489,7 +490,7 @@ def stepping_episode(correct, fault, assistant, cfg, sim):
         span = range(max(0, len(worlds) - WINDOW_FRAMES), len(worlds))
         for i in set(span) - observed.keys():
             observed[i] = sim.observe(worlds[i], i)
-        return [observed[i] for i in span]
+        return tuple(observed[i] for i in span)
 
     def record(start, stepped, transit):
         worlds.extend(stepped)
@@ -588,12 +589,13 @@ class TestResumedEpisode:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "assistant, steps, observes", (("oracle", 1849, 2095), ("null", 100, 428))
+        "assistant, steps, observes, ee_parts, object_maps, projections",
+        (("oracle", 1849, 3670, 1921, 0, 0), ("null", 100, 4280, 0, 0, 0)),
     )
     def test_steps_and_observes_only_past_the_unassisted_run(
-        self, assistant, steps, observes, cfg, monkeypatch
+        self, assistant, steps, observes, ee_parts, object_maps, projections, cfg, monkeypatch
     ):
-        counts = {"step": 0, "observe": 0}
+        counts = dict.fromkeys(("step", "observe", "ee_pose", "object_poses", "cameras"), 0)
         inside = []
         step, observe, episode = Simulator.step, Simulator.observe, pipeline.run_supervised_episode
 
@@ -613,14 +615,22 @@ class TestResumedEpisode:
 
         monkeypatch.setattr(Simulator, "step", counted("step", step))
         monkeypatch.setattr(Simulator, "observe", counted("observe", observe))
+        for name in ("ee_pose", "object_poses", "cameras"):
+            part = functools.cached_property(counted(name, vars(ObservationFrame)[name].func))
+            part.__set_name__(ObservationFrame, name)
+            monkeypatch.setattr(ObservationFrame, name, part)
         monkeypatch.setattr(pipeline, "run_supervised_episode", in_episode)
         for task in ("pick_cube", "push_cube", "stack_cube"):
             for seed in range(8):
                 run_episode_pair(task, seed, cfg, assistant)
-        # Stepping every episode from step 0 and observing every consulted
-        # window in full took 4039 steps and 3670 observes with the oracle,
-        # 4620 and 4280 with the null assistant.
-        assert counts == {"step": steps, "observe": observes}
+        # Stepping every episode from step 0 took 4039 steps with the oracle and 4620 with
+        # the null assistant. Each consulted window now observes all its frames, a view
+        # each; when the window observed a frame only as the assistant read it, this read
+        # 2095 observes with the oracle (428 null), each copying every pose.
+        assert counts == {
+            "step": steps, "observe": observes,
+            "ee_pose": ee_parts, "object_poses": object_maps, "cameras": projections,
+        }
 
     def test_episode_builds_no_command_stream(self, cfg, monkeypatch):
         # The episode runs its unassisted rollout's commands: it plans and perturbs

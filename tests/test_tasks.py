@@ -189,6 +189,16 @@ class TestRollout:
             first = hi + 1
         assert traj.stage_boundaries[-1] == len(traj.worlds) - 1
 
+    @pytest.mark.parametrize("max_steps", (None, 50))
+    def test_stage_at_finds_the_stage_holding_a_step(self, max_steps, cfg, sim):
+        plan, world = plan_task("stack_cube", 4, cfg)
+        traj = rollout_plan(plan, world, sim, max_steps=max_steps)
+        last = len(traj.worlds) - 1
+        for step in range(-2, last + 40):
+            stage = traj.stage_at(step)
+            lo, hi = traj.stage_bounds(stage)
+            assert lo <= min(max(step, 0), last) <= hi, step
+
     def test_nominal_attach_waypoint_is_pinned(self, cfg, sim):
         plan, world = plan_task("pick_cube", 0, cfg)
         traj = rollout_plan(plan, world, sim)
