@@ -125,8 +125,9 @@ class DatasetEntry:
     def end_step(self) -> int:
         return self.frames[-1].step
 
-    def to_record(self) -> dict:
-        """Plain-JSON form; key order here is the on-disk key order."""
+    def labels(self) -> dict:
+        """The on-disk record with each frame cut to its step; key order here is the
+        on-disk key order. Reading it makes no frame part."""
         if self.failure_type is None:
             failure_type = None
         else:
@@ -140,12 +141,16 @@ class DatasetEntry:
             "task": self.task_id,
             "instruction": self.instruction,
             "sub_task": self.sub_task,
-            "frames": [_frame_record(f) for f in self.frames],
+            "frames": [f.step for f in self.frames],
             "is_failure": self.is_failure,
             "failure_type": failure_type,
             "recovery": recovery,
             "provenance": {k: self.provenance[k] for k in _PROVENANCE_KEYS},
         }
+
+    def to_record(self) -> dict:
+        """Plain-JSON form: the labels with each frame's full record."""
+        return {**self.labels(), "frames": [_frame_record(f) for f in self.frames]}
 
     def __eq__(self, other):
         if not isinstance(other, DatasetEntry):

@@ -9,11 +9,11 @@ Three perturbation families:
   no_ops      - duration hold frames are inserted at a step inside the
                 stage, stretching it without moving the target
 
-A fault is confirmed in one place, runs_unassisted: it rolls the perturbed
-plan under a step budget (the unperturbed plan's for a failure case, the
-episode's for an online fault), holds still for any settle steps, and
-judges the last world once. A stretched plan that runs out of time fails
-the same way a geometrically broken one does. Perturbations whose rollout
+A fault is drawn and confirmed in one place, first_failure; runs_unassisted
+rolls each draw's plan under a step budget (the unperturbed plan's for a
+failure case, the episode's for an online fault), holds still for any settle
+steps, and judges the last world once. A stretched plan that runs out of time
+fails the same way a geometrically broken one does. Perturbations whose rollout
 still succeeds are discarded; those seeds only contribute ground-truth windows.
 
 The caller rolls the scene's correct plan once; the failure case and the
@@ -140,6 +140,20 @@ def runs_unassisted(
     return sim.evaluate_success([last, *sim.drive(last, holds)][-1], faulted.task_id), run
 
 
+def first_failure(correct: Trajectory, entries, stream, draws, max_steps, settle_steps, sim):
+    """The first of up to `draws` perturbations, drawn from the named seed stream of
+    `correct`'s scene, whose runs_unassisted fails, as a FailureCase; None when none does
+    or `entries` is empty."""
+    plan = correct.plan
+    rng = seed_stream(stream, plan.task_id, plan.seed)
+    for _ in range(draws if entries else 0):
+        spec = sample_failure_spec(plan, entries, rng)
+        ok, failed = runs_unassisted(correct, spec, max_steps, settle_steps, sim)
+        if not ok:
+            return FailureCase(spec=spec, correct=correct, failed=failed)
+    return None
+
+
 def generate_failure_case(correct: Trajectory, cfg: Config, sim: Simulator):
     """Sample, inject, and confirm one failure for a scene's correct rollout.
 
@@ -154,15 +168,4 @@ def generate_failure_case(correct: Trajectory, cfg: Config, sim: Simulator):
             f"nominal rollout failed for {plan.task_id} seed {plan.seed}"
         )
     entries = cfg.tasks.get(plan.task_id, [])
-    if not entries:
-        return None
-
-    spec = sample_failure_spec(plan, entries, seed_stream("failure", plan.task_id, plan.seed))
-    ok, failed = runs_unassisted(correct, spec, plan.total_steps(), 0, sim)
-    if ok:
-        return None
-    return FailureCase(
-        spec=spec,
-        correct=correct,
-        failed=failed,
-    )
+    return first_failure(correct, entries, "failure", 1, plan.total_steps(), 0, sim)

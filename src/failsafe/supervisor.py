@@ -18,12 +18,11 @@ import numpy as np
 from .config import Config
 from .dataset import WINDOW_FRAMES, DatasetEntry
 from .errors import ContractViolation, MetricsError
-from .failures import FailureSpec, onset_step, runs_unassisted, sample_failure_spec
+from .failures import FailureSpec, first_failure, onset_step, runs_unassisted
 from .geometry import (
     DeltaAction, Pose, apply_delta, delta_action, norm, pose_distance, position_distance,
 )
 from .recovery import CORRECTION_TAIL, DEVIATION_MARGIN
-from .seeding import seed_stream
 from .sim import Simulator
 from .tasks import Plan, Trajectory
 
@@ -102,21 +101,17 @@ def sample_harness_fault(correct: Trajectory, cfg: Config, sim: Simulator) -> tu
     """(fault, success, rollout): the episode's confirmed online fault and the unassisted
     run of its stream, the rollout the episode resumes.
 
-    Draws are re-rolled until one actually breaks the unassisted episode, so a
-    "perturbed policy" seed really is a failing seed; each draw is confirmed by
-    failures.runs_unassisted under the episode's budget and settle holds, lent the worlds
-    of `correct`, the scene's correct rollout. When the task has no configured faults or
-    no draw broke anything, the fault is None and the run is the bare plan's.
+    Up to MAX_FAULT_DRAWS draws are confirmed by failures.first_failure under the episode's
+    budget and settle holds, lent the worlds of `correct`, the scene's correct rollout, so
+    a "perturbed policy" seed really is a failing seed. When the task has no configured
+    faults or no draw broke anything, the fault is None and the run is the bare plan's.
     """
     sup, plan = cfg.supervisor, correct.plan
     budget = episode_budget(plan, cfg)
-    entries = sup.faults.get(plan.task_id, ())
-    rng = seed_stream("harness", plan.task_id, plan.seed)
-    for _ in range(MAX_FAULT_DRAWS if entries else 0):
-        spec = sample_failure_spec(plan, entries, rng)
-        ok, run = runs_unassisted(correct, spec, budget, sup.settle_steps, sim)
-        if not ok:
-            return spec, False, run
+    faults = sup.faults.get(plan.task_id, ())
+    case = first_failure(correct, faults, "harness", MAX_FAULT_DRAWS, budget, sup.settle_steps, sim)
+    if case is not None:
+        return case.spec, False, case.failed
     return (None, *runs_unassisted(correct, None, budget, sup.settle_steps, sim))
 
 
@@ -183,9 +178,7 @@ def oracle_assistant_decide(frames, ground_truth) -> AssistantDecision:
     translational, angular = pose_distance(ee, done)
     if translational <= 0.004 and angular <= 0.05 and abs(ee.gripper - done.gripper) <= 0.05:
         return quiet
-    if _window_frozen(frames):
-        pass  # stalled in place
-    elif not context.off_path(ee):
+    if not context.off_path(ee) and not _window_frozen(frames):  # path: one frame; stall: ten
         return quiet
     lead = context.cfg.supervisor.recovery_lead
     length = context.correct.stage_length(stage)

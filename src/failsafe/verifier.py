@@ -14,7 +14,8 @@ Replay is deterministic, so verifying twice always agrees.
 
 import math
 
-from .config import Config, task_spec
+from .config import Config
+from .dataset import build_entry, observer
 from .errors import FailSafeError
 from .failures import generate_failure_case
 from .geometry import apply_delta
@@ -74,16 +75,11 @@ def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simul
 def reverify_entries(entries, cfg: Config) -> float:
     """Re-replay every exported failure recovery; returns the passing fraction.
 
-    A failure entry pins its scene seed and window indices in provenance;
-    the failure case itself is regenerated from config + seed (the scene
-    planned and its correct plan rolled once per run of lines with one
-    (task, seed), and only that case held: files are written sorted, so
-    once per (task, seed)), which is deterministic, so anything exported as
-    verified must verify again. An
-    entry whose regenerated case no longer matches its provenance (window
-    indices included: they must be a candidate the case draws) or its labels
-    (failure type, sub-task, instruction) counts as failed rather than
-    raising: the point is to distrust the file.
+    Each failure line's case is regenerated from config + its (task, seed): planned and
+    rolled once per run of lines with one (task, seed), only that case held (files are
+    written sorted). A line passes only when its window indices are a candidate the case
+    draws, that drawn candidate verifies again, and build_entry gives it the line's labels.
+    Anything else counts as failed rather than raising: the point is to distrust the file.
     """
     failures = [e for e in entries if e.is_failure]
     if not failures:
@@ -94,22 +90,15 @@ def reverify_entries(entries, cfg: Config) -> float:
     for entry in failures:
         if (entry.task_id, entry.seed) != key:
             key = entry.task_id, entry.seed
+            frame = observer(sim)
             case = generate_failure_case(rollout_plan(*plan_task(*key, cfg), sim), cfg, sim)
             candidates = collect_candidates(case, cfg.dataset.candidates_per_case) if case else []
-            drawn = {(c.d_index, c.c_index) for c in candidates}
-        prov = entry.provenance
+            drawn = {(c.d_index, c.c_index): c for c in candidates}
+        candidate = drawn.get((entry.provenance["d_index"], entry.provenance["c_index"]))
         if (
-            (prov["d_index"], prov["c_index"]) not in drawn  # a missing case draws none
-            or case.spec.stage_index != prov["stage"]
-            or float(case.spec.magnitude) != prov["magnitude"]
-            or entry.failure_type != (case.spec.mode, case.spec.axis)
-            or entry.sub_task != case.spec.stage_name
-            or entry.instruction != task_spec(entry.task_id).instruction
+            candidate is not None  # a missing case draws none
+            and verify_candidate(case, candidate, cfg, sim)
+            and build_entry(case, candidate, frame).labels() == entry.labels()
         ):
-            continue
-        candidate = CandidateRecovery(
-            d_index=prov["d_index"], c_index=prov["c_index"], action=entry.recovery
-        )
-        if verify_candidate(case, candidate, cfg, sim):
             passed += 1
     return passed / len(failures)

@@ -400,11 +400,16 @@ class TestVerify:
         assert payload["verified_fraction"] == 1.0
         assert "manifest" in err
 
-    @pytest.mark.parametrize("field", ["failure_type", "sub_task", "instruction"])
+    @pytest.mark.parametrize(
+        "field",
+        ["failure_type", "sub_task", "instruction", "magnitude", "stage", "recovery", "frames"],
+    )
     def test_edited_failure_label_exits_three_without_manifest(
         self, dataset, tmp_path, capsys, field
     ):
-        # The replay regenerates each case, so its labels are checked against it too.
+        # The replay regenerates each case, so a line must carry the labels build_entry
+        # gives its drawn candidate: a recovery nudged by 1e-6 that still succeeds and a
+        # window moved by one step are rejected too.
         lines = open(dataset).read().splitlines(keepends=True)
         index = next(i for i, line in enumerate(lines) if json.loads(line)["is_failure"])
         record = json.loads(lines[index])
@@ -413,6 +418,13 @@ class TestVerify:
             record[field] = {"mode": "rotation", "axis": "yaw"} if record[field] == swap else swap
         elif field == "sub_task":
             record[field] = next(n for n in TASKS[TASK].stage_names if n != record[field])
+        elif field in ("magnitude", "stage"):
+            record["provenance"][field] += 1
+        elif field == "recovery":
+            record[field][0] += 1e-6
+        elif field == "frames":
+            for frame in record[field]:
+                frame["step"] += 1
         else:
             record[field] += " now"
         lines[index] = json.dumps(record, separators=(",", ":")) + "\n"

@@ -252,6 +252,23 @@ class TestSerialization:
 
         assert back == sorted(entries, key=_sort_key)
 
+    def test_record_is_labels_with_frame_records(self, cfg, sim, corpus):
+        cases, _ = corpus
+        case, good = next(iter(cases.values()))
+        fresh = build_entry(case, good[0], observer(sim)), build_gt_entries(
+            case.correct, cfg, observer(sim)
+        )[0]
+        for entry in fresh:
+            labels = entry.labels()
+            # Labels read only each frame's step: no frame part is made for them.
+            assert not any(
+                vars(f).keys() & {"ee_pose", "object_poses", "cameras"} for f in entry.frames
+            )
+            record = entry.to_record()
+            assert list(labels) == list(record)
+            assert labels["frames"] == [f["step"] for f in record["frames"]]
+            assert {**labels, "frames": record["frames"]} == record
+
     def test_written_file_mode_follows_umask(self, corpus, tmp_path):
         _, entries = corpus
         path = tmp_path / "moded.jsonl"
