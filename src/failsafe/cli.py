@@ -38,6 +38,7 @@ from .pipeline import (
     supervise_task,
     write_manifest,
 )
+from .seeding import SEED_LIMIT
 from .supervisor import evaluate_assistant
 from .verifier import reverify_entries
 
@@ -46,7 +47,6 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
-SEED_LIMIT = 2**32
 SEED_COUNT_LIMIT = 100_000  # seeds one command may list
 
 
@@ -70,10 +70,9 @@ def _emit(payload):
 
 
 def _parse_seeds(text) -> list:
-    """'4..12' (inclusive) or a single integer. Commas pick out several
-    of either form. Seeds lie in [0, 2**32): scene streams key on a 32-bit
-    word, so larger seeds would alias, and negative ones would not read
-    back from the dataset they produced. A repeated seed would count twice."""
+    """'4..12' (inclusive) or a single integer. Commas pick out several of
+    either form. Seeds lie in [0, SEED_LIMIT): larger ones would alias, and
+    negative ones would not read back. A repeated seed would count twice."""
     spans = []
     for part in text.split(","):
         part = part.strip()
@@ -187,7 +186,7 @@ def _cmd_verify(args) -> int:
 
     entries = read_dataset(args.data)
     failures = sum(1 for e in entries if e.is_failure)
-    _progress(f"re-verifying {failures} recovery entries of {len(entries)} total")
+    _progress(f"re-verifying every line: {len(entries)} entries, {failures} of them recoveries")
     fraction = reverify_entries(entries, cfg)
     _emit(
         {
@@ -334,7 +333,7 @@ def _build_parser() -> _Parser:
     stats.add_argument("--data", required=True, help="dataset .jsonl path")
     stats.set_defaults(handler=_cmd_stats)
 
-    ver = sub.add_parser("verify", help="re-replay every exported recovery")
+    ver = sub.add_parser("verify", help="check every line against the seed funnel run again")
     ver.add_argument("--data", required=True, help="dataset .jsonl path")
     ver.add_argument("--config", help="YAML config path (omit for built-in defaults)")
     ver.set_defaults(handler=_cmd_verify)

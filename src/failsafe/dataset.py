@@ -27,7 +27,7 @@ from .errors import (
 )
 from .geometry import DeltaAction, Pose
 from .recovery import even_subsample
-from .seeding import seed_stream
+from .seeding import SEED_LIMIT, seed_stream
 from .sim import CAMERA_IDS, ObservationFrame
 
 SCHEMA_VERSION = 1
@@ -380,13 +380,13 @@ def _number(value, what, allow_none=False):
     return float(value)
 
 
-def _integer(value, what, allow_none=False, minimum=None):
+def _integer(value, what, allow_none=False, limit=math.inf):
     if value is None and allow_none:
         return None
     if isinstance(value, bool) or not isinstance(value, int):
         raise DatasetFormatError(f"{what} must be an integer")
-    if minimum is not None and value < minimum:
-        raise DatasetFormatError(f"{what} must be >= {minimum}")
+    if not 0 <= value < limit:
+        raise DatasetFormatError(f"{what} must lie in [0, {limit})")
     return value
 
 
@@ -416,7 +416,7 @@ def _pose_from_record(record, what) -> Pose:
 
 def _frame_from_record(record, what) -> ObservationFrame:
     _require_keys(record, ("step", "ee", "objects", "cameras", "image_path"), what)
-    step = _integer(record["step"], f"{what}.step", minimum=0)
+    step = _integer(record["step"], f"{what}.step")
     ee = _pose_from_record(record["ee"], f"{what}.ee")
     objects_rec = record["objects"]
     if not isinstance(objects_rec, dict):
@@ -505,10 +505,10 @@ def entry_from_record(record) -> DatasetEntry:
     prov_rec = record["provenance"]
     _require_keys(prov_rec, _PROVENANCE_KEYS, "provenance")
     provenance = {
-        "seed": _integer(prov_rec["seed"], "provenance.seed", minimum=0),
-        "stage": _integer(prov_rec["stage"], "provenance.stage", allow_none=True, minimum=0),
-        "d_index": _integer(prov_rec["d_index"], "provenance.d_index", allow_none=True, minimum=0),
-        "c_index": _integer(prov_rec["c_index"], "provenance.c_index", allow_none=True, minimum=0),
+        "seed": _integer(prov_rec["seed"], "provenance.seed", limit=SEED_LIMIT),
+        "stage": _integer(prov_rec["stage"], "provenance.stage", allow_none=True),
+        "d_index": _integer(prov_rec["d_index"], "provenance.d_index", allow_none=True),
+        "c_index": _integer(prov_rec["c_index"], "provenance.c_index", allow_none=True),
         "magnitude": _number(prov_rec["magnitude"], "provenance.magnitude", allow_none=True),
     }
 

@@ -9,10 +9,12 @@ import zlib
 
 import numpy as np
 
+SEED_LIMIT = 2**32  # streams key on a 32-bit word: seeds at or past it alias smaller ones
+
 
 def _key_word(part) -> int:
     if isinstance(part, (int, np.integer)):
-        return int(part) % (2**32)
+        return int(part) % SEED_LIMIT
     return zlib.crc32(str(part).encode("utf-8"))
 
 

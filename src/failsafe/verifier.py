@@ -9,19 +9,19 @@ post-window waypoint of the deviated stage onward.
 The candidate passes only if the task's success check holds at the end and
 the whole replay, failed prefix included, fits the step budget.
 
-Replay is deterministic, so verifying twice always agrees.
+Replay is deterministic, so verifying twice always agrees. Re-verifying a
+file is the seed funnel run again: a line passes only when `generate` would
+write it again from config and the line's (task, seed).
 """
 
 import math
+from itertools import groupby
 
 from .config import Config
-from .dataset import build_entry, observer
 from .errors import FailSafeError
-from .failures import generate_failure_case
 from .geometry import apply_delta
-from .recovery import CORRECTION_TAIL, CandidateRecovery, candidate_index_ranges, collect_candidates
+from .recovery import CORRECTION_TAIL, CandidateRecovery, candidate_index_ranges
 from .sim import Simulator
-from .tasks import plan_task, rollout_plan
 
 
 def step_budget(nominal_steps: int, cfg: Config) -> int:
@@ -73,32 +73,17 @@ def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simul
 
 
 def reverify_entries(entries, cfg: Config) -> float:
-    """Re-replay every exported failure recovery; returns the passing fraction.
+    """Re-run the seed funnel for every line; returns the passing fraction.
 
-    Each failure line's case is regenerated from config + its (task, seed): planned and
-    rolled once per run of lines with one (task, seed), only that case held (files are
-    written sorted). A line passes only when its window indices are a candidate the case
-    draws, that drawn candidate verifies again, and build_entry gives it the line's labels.
-    Anything else counts as failed rather than raising: the point is to distrust the file.
+    Each run of lines with one (task, seed) (files are written sorted) is checked against
+    the entries `generate` builds for that scene, holding only their labels. A line,
+    failure or success, passes only when its labels are among them. Anything else
+    counts as failed rather than raising: the point is to distrust the file.
     """
-    failures = [e for e in entries if e.is_failure]
-    if not failures:
-        return 1.0
-    sim = Simulator(cfg)
-    key = None
+    from .pipeline import build_seed_entries  # pipeline imports this module
+
     passed = 0
-    for entry in failures:
-        if (entry.task_id, entry.seed) != key:
-            key = entry.task_id, entry.seed
-            frame = observer(sim)
-            case = generate_failure_case(rollout_plan(*plan_task(*key, cfg), sim), cfg, sim)
-            candidates = collect_candidates(case, cfg.dataset.candidates_per_case) if case else []
-            drawn = {(c.d_index, c.c_index): c for c in candidates}
-        candidate = drawn.get((entry.provenance["d_index"], entry.provenance["c_index"]))
-        if (
-            candidate is not None  # a missing case draws none
-            and verify_candidate(case, candidate, cfg, sim)
-            and build_entry(case, candidate, frame).labels() == entry.labels()
-        ):
-            passed += 1
-    return passed / len(failures)
+    for key, lines in groupby(entries, key=lambda e: (e.task_id, e.seed)):
+        written = [e.labels() for e in build_seed_entries(*key, cfg)]
+        passed += sum(e.labels() in written for e in lines)
+    return passed / len(entries) if entries else 1.0

@@ -401,17 +401,28 @@ class TestVerify:
         assert "manifest" in err
 
     @pytest.mark.parametrize(
-        "field",
-        ["failure_type", "sub_task", "instruction", "magnitude", "stage", "recovery", "frames"],
+        "kind, field",
+        [
+            pytest.param("failure", field, id=field)
+            for field in (
+                "failure_type", "sub_task", "instruction", "magnitude", "stage", "recovery",
+                "frames",
+            )
+        ]
+        + [
+            pytest.param("gt", field, id=f"gt-{field}")
+            for field in ("frames", "sub_task", "instruction")
+        ],
     )
     def test_edited_failure_label_exits_three_without_manifest(
-        self, dataset, tmp_path, capsys, field
+        self, dataset, tmp_path, capsys, kind, field
     ):
-        # The replay regenerates each case, so a line must carry the labels build_entry
-        # gives its drawn candidate: a recovery nudged by 1e-6 that still succeeds and a
-        # window moved by one step are rejected too.
+        # The funnel runs again for every line, so each must carry the labels generate
+        # gives it: a recovery nudged by 1e-6 that still succeeds, and a failure or
+        # success window moved by one step, are rejected too. Only the edited line fails.
         lines = open(dataset).read().splitlines(keepends=True)
-        index = next(i for i, line in enumerate(lines) if json.loads(line)["is_failure"])
+        failure = kind == "failure"
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["is_failure"] == failure)
         record = json.loads(lines[index])
         if field == "failure_type":
             swap = {"mode": "translation", "axis": "x"}
@@ -432,7 +443,7 @@ class TestVerify:
         lone.write_text("".join(lines))
         code, payload, _ = run_cli(["verify", "--data", str(lone)], capsys)
         assert code == EXIT_VERIFY
-        assert payload["verified_fraction"] == (payload["failures"] - 1) / payload["failures"]
+        assert payload["verified_fraction"] == (payload["entries"] - 1) / payload["entries"]
 
     @pytest.mark.parametrize("index, value", [("d_index", 5000), ("c_index", 10**6)])
     def test_undrawn_window_index_exits_three_without_manifest(
@@ -440,7 +451,7 @@ class TestVerify:
     ):
         # A failure line's window indices must be a candidate its regenerated case draws:
         # a d_index past the failed rollout once replayed from its last world, and a
-        # c_index was never read at all.
+        # c_index was never read at all. The untouched success lines still pass.
         lines = (all_outdir / "dataset.jsonl").read_text().splitlines(keepends=True)
         for i, line in enumerate(lines):
             record = json.loads(line)
@@ -451,7 +462,8 @@ class TestVerify:
         lone.write_text("".join(lines))
         code, payload, _ = run_cli(["verify", "--data", str(lone)], capsys)
         assert code == EXIT_VERIFY
-        assert payload["failures"] > 0 and payload["verified_fraction"] == 0.0
+        entries, failures = payload["entries"], payload["failures"]
+        assert failures > 0 and payload["verified_fraction"] == (entries - failures) / entries
 
 
 def default_config_yaml() -> str:

@@ -167,14 +167,14 @@ class TestVerifyCandidate:
 
 class TestReverifyEntries:
     def test_holds_one_scene_at_a_time(self, cfg, monkeypatch):
-        # A file is written sorted, so each (task, seed) is one run of lines: its case is
-        # regenerated once and let go before the next scene's. Split runs still verify.
-        import failsafe.verifier
+        # A file is written sorted, so each (task, seed) is one run of lines: its funnel
+        # runs once and its case is let go before the next scene's. Split runs still verify.
+        import failsafe.pipeline
 
         failures = [e for e in generate_task_entries("pick_cube", range(3, 7), cfg) if e.is_failure]
         scenes = {e.seed for e in failures}
         assert len(scenes) > 1
-        made, generate = [], failsafe.verifier.generate_failure_case
+        made, generate = [], failsafe.pipeline.generate_failure_case
 
         def tracked(*args):
             gc.collect()
@@ -183,7 +183,7 @@ class TestReverifyEntries:
             made.append(weakref.ref(case))
             return case
 
-        monkeypatch.setattr(failsafe.verifier, "generate_failure_case", tracked)
+        monkeypatch.setattr(failsafe.pipeline, "generate_failure_case", tracked)
         assert reverify_entries(failures, cfg) == 1.0
         assert len(made) == len(scenes)
         assert reverify_entries(failures[::2] + failures[1::2], cfg) == 1.0
