@@ -10,11 +10,13 @@ pipeline.config_fingerprint.
 TASKS is the one table that says what each task is: its family (which
 stage plan and success test it runs) and the ids of the objects its scene
 places. The planner and the simulator read it, and config validation
-checks task ids and stage names against it.
+checks task ids and stage names against it. `tasks`, `supervisor.faults`
+and `planner.task_steps` are all maps keyed by task ids, read by one parser.
 
-Units in YAML: translation ranges in meters (`unit: m`), rotation ranges in
-degrees or radians (`unit: deg|rad`), stall durations in steps
-(`unit: steps`). Everything is stored internally in meters/radians/steps.
+FAILURE_MODES is the one table of what a failure entry may say: each mode's
+axes (no_ops takes none) and units, the first unit its default. Ranges are
+in meters (`unit: m`), degrees or radians (`unit: deg|rad`) or steps
+(`unit: steps`), and are stored in meters/radians/steps.
 """
 
 import math
@@ -26,7 +28,12 @@ import yaml
 from .errors import ConfigError
 from .geometry import ROTATION_AXES, TRANSLATION_AXES
 
-FAILURE_MODES = ("translation", "rotation", "no_ops")
+# Each failure mode's axes and units; a mode's first unit is its default.
+FAILURE_MODES = {
+    "translation": (TRANSLATION_AXES, ("m",)),
+    "rotation": (ROTATION_AXES, ("rad", "deg")),
+    "no_ops": ((None,), ("steps",)),
+}
 
 # Each task family's stage names, in plan order.
 FAMILY_STAGES = {
@@ -130,6 +137,16 @@ def _vector3(value, path: str) -> tuple:
     return tuple(_number(v, path) for v in value)
 
 
+def _range(value, path: str, number) -> tuple:
+    """A [lo, hi] pair, each end read by number(v, path)."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"'{path}' must be [lo, hi]")
+    lo, hi = (number(v, path) for v in value)
+    if lo > hi:
+        raise ConfigError(f"'{path}' inverted range [{lo}, {hi}]")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class FailureEntry:
     """One configured perturbation: mode, optional axis, magnitude range,
@@ -147,41 +164,17 @@ def parse_failure_entry(raw, path: str) -> FailureEntry:
         raise ConfigError(f"'{path}' must be a mapping")
     _reject_unknown(raw, ("mode", "axis", "range", "unit", "stages"), path + ".")
     mode = raw.get("mode")
-    if mode not in FAILURE_MODES:
-        raise ConfigError(f"'{path}.mode' must be one of {FAILURE_MODES}, got {mode!r}")
-
-    axis = raw.get("axis")
-    if mode == "no_ops":
-        if axis is not None:
-            raise ConfigError(f"'{path}.axis' must be absent for no_ops")
-    elif mode == "translation":
-        if axis not in TRANSLATION_AXES:
-            raise ConfigError(f"'{path}.axis' must be one of {TRANSLATION_AXES}")
-    else:
-        if axis not in ROTATION_AXES:
-            raise ConfigError(f"'{path}.axis' must be one of {ROTATION_AXES}")
-
-    default_unit = {"translation": "m", "rotation": "rad", "no_ops": "steps"}[mode]
-    unit = raw.get("unit", default_unit)
-    allowed_units = {
-        "translation": ("m",),
-        "rotation": ("rad", "deg"),
-        "no_ops": ("steps",),
-    }[mode]
-    if unit not in allowed_units:
-        raise ConfigError(f"'{path}.unit' must be one of {allowed_units} for {mode}")
-
-    rng = raw.get("range")
-    if not isinstance(rng, (list, tuple)) or len(rng) != 2:
-        raise ConfigError(f"'{path}.range' must be [lo, hi]")
-    if mode == "no_ops":
-        lo, hi = (_integer(v, f"{path}.range") for v in rng)
-    else:
-        lo, hi = (_number(v, f"{path}.range") for v in rng)
+    if not isinstance(mode, str) or mode not in FAILURE_MODES:  # a YAML list is unhashable
+        raise ConfigError(f"'{path}.mode' must be one of {tuple(FAILURE_MODES)}, got {mode!r}")
+    axes, units = FAILURE_MODES[mode]
+    axis, unit = raw.get("axis"), raw.get("unit", units[0])
+    if axis not in axes:
+        raise ConfigError(f"'{path}.axis' must be one of {axes} for {mode}")
+    if unit not in units:
+        raise ConfigError(f"'{path}.unit' must be one of {units} for {mode}")
+    lo, hi = _range(raw.get("range"), f"{path}.range", _integer if unit == "steps" else _number)
     if lo <= 0:
         raise ConfigError(f"'{path}.range' has non-positive magnitude {lo}")
-    if lo > hi:
-        raise ConfigError(f"'{path}.range' inverted range [{lo}, {hi}]")
     if unit == "deg":
         lo, hi = math.radians(lo), math.radians(hi)
 
@@ -294,18 +287,13 @@ def _parse_section(cls, raw, prefix: str):
         path = prefix + name
         default = getattr(cls, name, None)  # None: a default_factory field
         if name == "faults":
-            values[name] = _parse_fault_map(value, path)
+            values[name] = _task_map(value, path, _parse_entries)
         elif name == "task_steps":
-            values[name] = _parse_task_steps(value, path)
+            values[name] = _task_map(value, path, lambda _, steps, at: _integer(steps, at))
         elif isinstance(default, tuple) and len(default) == 3:
             values[name] = _vector3(value, path)
         elif isinstance(default, tuple) and len(default) == 2:
-            if not isinstance(value, (list, tuple)) or len(value) != 2:
-                raise ConfigError(f"'{path}' must be [lo, hi]")
-            lo, hi = (_number(v, path) for v in value)
-            if lo > hi:
-                raise ConfigError(f"'{path}' inverted range [{lo}, {hi}]")
-            values[name] = (lo, hi)
+            values[name] = _range(value, path, _number)
         elif isinstance(default, int):
             values[name] = _integer(value, path)
         elif isinstance(default, float):
@@ -315,9 +303,18 @@ def _parse_section(cls, raw, prefix: str):
     return cls(**values)
 
 
-def _check_task(task_id, path: str):
-    if task_id not in TASKS:
-        raise ConfigError(f"unknown task '{path}.{task_id}'")
+def _task_map(raw, path: str, parse) -> dict:
+    """A mapping keyed by task ids, each value read by parse(task_id, value, its path)."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"'{path}' must be a mapping of task ids")
+    out = {}
+    for task_id, value in raw.items():
+        if task_id not in TASKS:
+            raise ConfigError(f"unknown task '{path}.{task_id}'")
+        out[task_id] = parse(task_id, value, f"{path}.{task_id}")
+    return out
 
 
 def _parse_entries(task_id, raw, path: str) -> list:
@@ -333,47 +330,14 @@ def _parse_entries(task_id, raw, path: str) -> list:
     return entries
 
 
-def _parse_task_steps(raw, path: str) -> dict:
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"'{path}' must map task ids to step counts")
-    out = {}
-    for task_id, steps in raw.items():
-        _check_task(task_id, path)
-        out[task_id] = _integer(steps, f"{path}.{task_id}")
-    return out
-
-
-def _parse_fault_map(raw, path: str) -> dict:
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"'{path}' must map task ids to fault lists")
-    out = {}
-    for task_id, entries in raw.items():
-        _check_task(task_id, path)
-        out[task_id] = _parse_entries(task_id, entries, f"{path}.{task_id}")
-    return out
-
-
-def _parse_tasks(raw, prefix: str) -> dict:
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"'{prefix}' must be a mapping of task ids")
-    out = {}
-    for task_id, body in raw.items():
-        _check_task(task_id, prefix)
-        if body is None:
-            out[task_id] = []
-            continue
-        if not isinstance(body, dict):
-            raise ConfigError(f"'{prefix}.{task_id}' must be a mapping")
-        _reject_unknown(body, ("failures",), f"{prefix}.{task_id}.")
-        entries = body.get("failures") or []
-        out[task_id] = _parse_entries(task_id, entries, f"{prefix}.{task_id}.failures")
-    return out
+def _task_body(task_id, body, path: str) -> list:
+    """One task under `tasks`: `{failures: [...]}` or null."""
+    if body is None:
+        return []
+    if not isinstance(body, dict):
+        raise ConfigError(f"'{path}' must be a mapping")
+    _reject_unknown(body, ("failures",), path + ".")
+    return _parse_entries(task_id, body.get("failures") or [], path + ".failures")
 
 
 def config_from_mapping(data) -> Config:
@@ -392,7 +356,7 @@ def config_from_mapping(data) -> Config:
         supervisor=_parse_section(
             SupervisorConfig, data.get("supervisor"), "supervisor."
         ),
-        tasks=_parse_tasks(data.get("tasks"), "tasks"),
+        tasks=_task_map(data.get("tasks"), "tasks", _task_body),
     )
     _check_ranges(cfg)
     return cfg

@@ -498,9 +498,11 @@ def entry_from_record(record) -> DatasetEntry:
             )
         if not (-1.0 <= values[6] <= 1.0):
             raise DatasetFormatError("recovery gripper delta must lie in [-1, 1]")
-        recovery = DeltaAction(
-            np.array(values[:3]), np.array(values[3:6]), values[6]
-        )
+        # Every value is checked above. Keep the written angles rather than wrapping
+        # them again, so reading inverts writing.
+        recovery = DeltaAction.__new__(DeltaAction)
+        recovery.d_position, recovery.d_rotation = np.array(values[:3]), np.array(values[3:6])
+        recovery.d_gripper = values[6]
 
     prov_rec = record["provenance"]
     _require_keys(prov_rec, _PROVENANCE_KEYS, "provenance")

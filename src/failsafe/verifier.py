@@ -11,13 +11,13 @@ the whole replay, failed prefix included, fits the step budget.
 
 Replay is deterministic, so verifying twice always agrees. Re-verifying a
 file is the seed funnel run again: a line passes only when `generate` would
-write it again from config and the line's (task, seed).
+write it again, in that place, from config and the line's (task, seed).
 """
 
 import math
-from itertools import groupby
 
 from .config import Config
+from .dataset import _sort_key
 from .errors import FailSafeError
 from .geometry import apply_delta
 from .recovery import CORRECTION_TAIL, CandidateRecovery, candidate_index_ranges
@@ -75,15 +75,20 @@ def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simul
 def reverify_entries(entries, cfg: Config) -> float:
     """Re-run the seed funnel for every line; returns the passing fraction.
 
-    Each run of lines with one (task, seed) (files are written sorted) is checked against
-    the entries `generate` builds for that scene, holding only their labels. A line,
-    failure or success, passes only when its labels are among them. Anything else
-    counts as failed rather than raising: the point is to distrust the file.
+    Files are written in canonical order, so a line passes only when its sort key is
+    above the last passing line's and its labels equal those `generate` gives the entry
+    with that key: a repeated, moved or edited line fails, and costs only itself. A
+    scene is rebuilt, holding only labels, when the (task, seed) prefix changes.
+    Anything else counts as failed rather than raising: the point is to distrust the file.
     """
     from .pipeline import build_seed_entries  # pipeline imports this module
 
-    passed = 0
-    for key, lines in groupby(entries, key=lambda e: (e.task_id, e.seed)):
-        written = [e.labels() for e in build_seed_entries(*key, cfg)]
-        passed += sum(e.labels() in written for e in lines)
+    passed, last, scene, written = 0, (), None, {}
+    for entry in entries:
+        key = _sort_key(entry)
+        if key[:2] != scene:
+            scene = key[:2]
+            written = {_sort_key(e): e.labels() for e in build_seed_entries(*scene, cfg)}
+        if key > last and written.get(key) == entry.labels():
+            passed, last = passed + 1, key
     return passed / len(entries) if entries else 1.0

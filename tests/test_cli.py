@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, determinism, manifest handling."""
 
 import json
+import math
 import os
 from concurrent.futures.process import BrokenProcessPool
 
@@ -406,7 +407,7 @@ class TestVerify:
             pytest.param("failure", field, id=field)
             for field in (
                 "failure_type", "sub_task", "instruction", "magnitude", "stage", "recovery",
-                "frames",
+                "frames", "recovery_ulp",
             )
         ]
         + [
@@ -419,7 +420,8 @@ class TestVerify:
     ):
         # The funnel runs again for every line, so each must carry the labels generate
         # gives it: a recovery nudged by 1e-6 that still succeeds, and a failure or
-        # success window moved by one step, are rejected too. Only the edited line fails.
+        # success window moved by one step, are rejected too, as is a rotation moved by
+        # one ulp, which the reader keeps as written. Only the edited line fails.
         lines = open(dataset).read().splitlines(keepends=True)
         failure = kind == "failure"
         index = next(i for i, line in enumerate(lines) if json.loads(line)["is_failure"] == failure)
@@ -433,6 +435,8 @@ class TestVerify:
             record["provenance"][field] += 1
         elif field == "recovery":
             record[field][0] += 1e-6
+        elif field == "recovery_ulp":
+            record["recovery"][3] = math.nextafter(record["recovery"][3], math.inf)
         elif field == "frames":
             for frame in record[field]:
                 frame["step"] += 1
@@ -444,6 +448,26 @@ class TestVerify:
         code, payload, _ = run_cli(["verify", "--data", str(lone)], capsys)
         assert code == EXIT_VERIFY
         assert payload["verified_fraction"] == (payload["entries"] - 1) / payload["entries"]
+
+    @pytest.mark.parametrize("tamper", ["repeat_first", "append_sixth", "swap_11_12"])
+    def test_repeated_or_moved_line_exits_three_without_manifest(
+        self, dataset, tmp_path, capsys, tamper
+    ):
+        # Every line keeps labels generate gives, but a file is written in canonical order
+        # with each line once: a copy of a line, or two lines swapped, fails one line.
+        lines = open(dataset).read().splitlines(keepends=True)
+        if tamper == "repeat_first":
+            lines.insert(0, lines[0])
+        elif tamper == "append_sixth":
+            lines.append(lines[5])
+        else:
+            lines[10], lines[11] = lines[11], lines[10]
+        lone = tmp_path / "lone.jsonl"
+        lone.write_text("".join(lines))
+        code, payload, _ = run_cli(["verify", "--data", str(lone)], capsys)
+        assert code == EXIT_VERIFY
+        assert payload["entries"] == len(lines)
+        assert payload["verified_fraction"] == (len(lines) - 1) / len(lines)
 
     @pytest.mark.parametrize("index, value", [("d_index", 5000), ("c_index", 10**6)])
     def test_undrawn_window_index_exits_three_without_manifest(

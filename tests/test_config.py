@@ -1,6 +1,7 @@
 """Config parsing, validation, and the config hash."""
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -170,8 +171,45 @@ class TestMappingValidation:
         assert cfg.sim == SimConfig()
         assert cfg.tasks == {}
 
+    @pytest.mark.parametrize("data, path", [
+        pytest.param({"tasks": ["pick_cube"]}, "tasks", id="tasks-list"),
+        pytest.param({"tasks": {"pick_cube": []}}, "tasks.pick_cube", id="task-list"),
+        pytest.param({"tasks": {"pick_cube": {"fails": []}}}, "tasks.pick_cube.fails",
+                     id="task-unknown-key"),
+        pytest.param({"supervisor": {"faults": 3}}, "supervisor.faults", id="faults-number"),
+        pytest.param({"supervisor": {"faults": {"juggle_cube": []}}},
+                     "supervisor.faults.juggle_cube", id="faults-unknown-task"),
+        pytest.param({"planner": {"task_steps": {"pick_cube": 1.5}}},
+                     "planner.task_steps.pick_cube", id="task-steps-float"),
+        pytest.param({"tasks": {"pick_cube": {"failures": [
+            {"mode": "spin", "range": [1, 2], "stages": ["grasp"]}]}}},
+            "tasks.pick_cube.failures[0].mode", id="mode-spin"),
+        pytest.param({"tasks": {"pick_cube": {"failures": [
+            {"mode": ["rotation"], "range": [1, 2], "stages": ["grasp"]}]}}},
+            "tasks.pick_cube.failures[0].mode", id="mode-list"),
+        pytest.param({"tasks": {"pick_cube": {"failures": [
+            {"mode": "translation", "axis": "x", "range": [1, 2], "unit": "deg",
+             "stages": ["grasp"]}]}}},
+            "tasks.pick_cube.failures[0].unit", id="translation-in-deg"),
+        pytest.param({"tasks": {"pick_cube": {"failures": [
+            {"mode": "no_ops", "range": [10, 20], "unit": "m", "stages": ["lift"]}]}}},
+            "tasks.pick_cube.failures[0].unit", id="no-ops-in-m"),
+        pytest.param({"supervisor": {"faults": {"push_cube": [
+            {"mode": "translation", "axis": "x", "range": [0.03, 0.1], "stages": ["grasp"]}]}}},
+            "supervisor.faults.push_cube", id="fault-stage-not-in-task"),
+    ])
+    def test_task_maps_and_failure_entries_name_their_path(self, data, path):
+        with pytest.raises(ConfigError, match=re.escape(f"'{path}'")):
+            config_from_mapping(data)
+
 
 class TestHashing:
+    def test_packaged_config_hash_is_pinned(self):
+        # The hash is of parsed values, not of arithmetic, so it is the same on any CPU.
+        assert config_fingerprint(default_config()) == (
+            "1e44f3cee587f93cf0f00b7b2a4a730ed1fca38200da883c2560c07e06a2259d"
+        )
+
     def test_hash_is_stable(self):
         assert config_fingerprint(default_config()) == config_fingerprint(default_config())
 

@@ -252,6 +252,14 @@ class TestSerialization:
 
         assert back == sorted(entries, key=_sort_key)
 
+    def test_recovery_angles_read_back_as_written(self, corpus):
+        # The writer's angles are wrapped already; wrapping them again on read turned
+        # +pi into -pi and 0.1 into 0.10000000000000009.
+        _, entries = corpus
+        record = json.loads(json.dumps(next(e for e in entries if e.is_failure).to_record()))
+        record["recovery"][3:5] = [math.pi, 0.1]
+        assert entry_from_record(record).to_record()["recovery"] == record["recovery"]
+
     def test_record_is_labels_with_frame_records(self, cfg, sim, corpus):
         cases, _ = corpus
         case, good = next(iter(cases.values()))

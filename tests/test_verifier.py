@@ -168,7 +168,9 @@ class TestVerifyCandidate:
 class TestReverifyEntries:
     def test_holds_one_scene_at_a_time(self, cfg, monkeypatch):
         # A file is written sorted, so each (task, seed) is one run of lines: its funnel
-        # runs once and its case is let go before the next scene's. Split runs still verify.
+        # runs once and its case is let go before the next scene's. Out of order, a line
+        # passes only above the last passing line's key: the even lines pass, then of the
+        # odd ones only the last, which sorts above them all.
         import failsafe.pipeline
 
         failures = [e for e in generate_task_entries("pick_cube", range(3, 7), cfg) if e.is_failure]
@@ -186,4 +188,6 @@ class TestReverifyEntries:
         monkeypatch.setattr(failsafe.pipeline, "generate_failure_case", tracked)
         assert reverify_entries(failures, cfg) == 1.0
         assert len(made) == len(scenes)
-        assert reverify_entries(failures[::2] + failures[1::2], cfg) == 1.0
+        assert len(failures) % 2 == 0
+        reordered = failures[::2] + failures[1::2]
+        assert reverify_entries(reordered, cfg) == (len(failures) // 2 + 1) / len(failures)
