@@ -63,7 +63,7 @@ _PROVENANCE_KEYS = ("seed", "stage", "d_index", "c_index", "magnitude")
 def failure_label(mode, axis) -> str:
     try:
         return _FAILURE_LABEL[(mode, axis)]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a mode or axis that cannot be hashed
         raise ContractViolation(f"no stats column for failure ({mode!r}, {axis!r})") from None
 
 
@@ -151,11 +151,6 @@ class DatasetEntry:
     def to_record(self) -> dict:
         """Plain-JSON form: the labels with each frame's full record."""
         return {**self.labels(), "frames": [_frame_record(f) for f in self.frames]}
-
-    def __eq__(self, other):
-        if not isinstance(other, DatasetEntry):
-            return NotImplemented
-        return self.to_record() == other.to_record()
 
 
 # -- building entries ------------------------------------------------------
@@ -482,10 +477,7 @@ def entry_from_record(record) -> DatasetEntry:
         failure_type = None
     else:
         _require_keys(failure_rec, ("mode", "axis"), "failure_type")
-        mode, axis = failure_rec["mode"], failure_rec["axis"]
-        if (mode, axis) not in _FAILURE_LABEL:
-            raise DatasetFormatError(f"unknown failure type ({mode!r}, {axis!r})")
-        failure_type = (mode, axis)
+        failure_type = (failure_rec["mode"], failure_rec["axis"])  # DatasetEntry checks it
 
     recovery_rec = record["recovery"]
     if recovery_rec is None:

@@ -336,7 +336,8 @@ class Simulator:
 class ObservationFrame:
     """Numeric observation: poses plus per-camera pixel keypoints. Observed, it views its
     (simulator, world) and makes each part on first read, letting go of the world once all
-    three are made; read back from a file, it is given its parts."""
+    three are made; read back from a file, it is given its parts. A pickle carries it as it
+    is, view and made parts alike, so a part is made where it is first read."""
 
     def __init__(self, step: int, view: tuple = (), **parts):
         self.step = step
@@ -360,14 +361,3 @@ class ObservationFrame:
         if len(vars(self).keys() & {"ee_pose", "object_poses", "cameras"}) == 2:
             del self._sim, self._world
         return part
-
-    def __eq__(self, other):  # every value, each pose by its floats
-        return isinstance(other, ObservationFrame) and self._key() == other._key()
-
-    def _key(self) -> tuple:
-        poses = {obj_id: pose.key() for obj_id, pose in self.object_poses.items()}
-        return self.step, self.ee_pose.key(), poses, self.cameras
-
-    def __getstate__(self):  # a pickle carries the parts, not the world
-        names = "step", "ee_pose", "object_poses", "cameras"
-        return {name: getattr(self, name) for name in names}

@@ -20,7 +20,7 @@ from .config import Config
 from .dataset import _sort_key
 from .errors import FailSafeError
 from .geometry import apply_delta
-from .recovery import CORRECTION_TAIL, CandidateRecovery, candidate_index_ranges
+from .recovery import CandidateRecovery, candidate_index_ranges
 from .sim import Simulator
 
 
@@ -32,15 +32,14 @@ def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simul
     """Replay one candidate from the deviation point. Marks and returns success.
 
     A deviation index outside the case's window is refused without a replay."""
-    if candidate.d_index not in candidate_index_ranges(case)[0]:
+    d_range, c_range = candidate_index_ranges(case)
+    if candidate.d_index not in d_range:
         return False
     budget = step_budget(len(case.correct.commands), cfg)
     idx = case.spec.stage_index
     failed_start, _ = case.failed.stage_bounds(idx)
     correct_start, _ = case.correct.stage_bounds(idx)
     global_d = failed_start + candidate.d_index
-    # First command index past the correction window: segment length - 3.
-    resume_local = case.correct.stage_length(idx) - CORRECTION_TAIL + 1
 
     # The failure, exactly as recorded, up to the deviation point.
     steps = global_d + 1
@@ -58,9 +57,9 @@ def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simul
         steps += len(transit)
         world = transit[-1] if transit else world
 
-        # The correct plan takes over at its normal one-step-per-waypoint
-        # cadence; a correction the arm cannot track from fails here.
-        resume = case.correct.commands[correct_start + resume_local :]
+        # The correct plan takes over past the correction window, one step per
+        # waypoint; a correction the arm cannot track from fails here.
+        resume = case.correct.commands[correct_start + c_range.stop :]
         if steps + len(resume) > budget:
             return False
         worlds = sim.drive(world, resume)

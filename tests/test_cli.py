@@ -623,6 +623,25 @@ class TestEvaluateAndSplit:
         assert code == EXIT_OK
         assert payload["mean_cosine"] == 0.0
 
+    @pytest.mark.parametrize("reader", ["stats", "verify", "evaluate", "split"])
+    @pytest.mark.parametrize("field, value", [("mode", ["translation"]), ("axis", {"x": 1})])
+    def test_unhashable_failure_type_is_format_error(
+        self, dataset, tmp_path, capsys, reader, field, value
+    ):
+        lines = [json.loads(line) for line in open(dataset)]
+        record = next(r for r in lines if r["is_failure"])
+        record["failure_type"][field] = value
+        data = tmp_path / "bad.jsonl"
+        data.write_text(json.dumps(record) + "\n")
+        extra = {
+            "evaluate": ["--assistant", "oracle"],
+            "split": ["--test-seeds", "5", "--out", str(tmp_path)],
+        }
+        argv = [reader, "--data", str(data), *extra.get(reader, [])]
+        code, payload, err = run_cli(argv, capsys)
+        assert code == EXIT_RUNTIME and payload is None
+        assert sum("line 1:" in line for line in err.splitlines()) == 1
+
     def test_evaluate_empty_is_runtime_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.touch()

@@ -4,6 +4,7 @@ import collections
 import json
 import math
 import os
+import pickle
 import stat
 from dataclasses import replace
 
@@ -98,6 +99,11 @@ def correct_rollout(seed, cfg, sim):
     return rollout_plan(*plan_task("pick_cube", seed, cfg), sim)
 
 
+def records(entries):
+    """Each entry's value: its on-disk record, frames included."""
+    return [e.to_record() for e in entries]
+
+
 def reseeded(entry, new_seed):
     """A distinct copy of an entry differing only in its scene seed."""
     return replace(entry, provenance={**entry.provenance, "seed": new_seed})
@@ -150,7 +156,7 @@ class TestBuildEntry:
     def test_gt_entries_shape_and_determinism(self, cfg, sim):
         first = build_gt_entries(correct_rollout(3, cfg, sim), cfg, observer(sim))
         again = build_gt_entries(correct_rollout(3, cfg, sim), cfg, observer(sim))
-        assert first == again
+        assert records(first) == records(again)
         assert len(first) == cfg.dataset.gt_entries_per_seed
         for entry in first:
             assert entry.is_failure is False
@@ -194,9 +200,23 @@ class TestBuildSeedEntries:
         entries = build_seed_entries("pick_cube", 4, cfg)
         assert any(e.is_failure for e in entries) is not benign
         assert calls == {"plan_task": 1, "rollout_plan": 2}
-        assert [e for e in entries if not e.is_failure] == build_gt_entries(
-            correct_rollout(4, cfg, sim), cfg, observer(sim)
+        assert records(e for e in entries if not e.is_failure) == records(
+            build_gt_entries(correct_rollout(4, cfg, sim), cfg, observer(sim))
         )
+
+    def test_pickled_block_projects_no_camera(self, cfg, monkeypatch):
+        # A pool worker sends its block back as views: a window the parent drops is never
+        # projected, and a kept one is projected in the parent, to the same record.
+        block = build_seed_entries("pick_cube", 0, cfg)
+        assert any(e.is_failure for e in block) and not all(e.is_failure for e in block)
+        projected = []
+        project = Simulator._project_cameras
+        monkeypatch.setattr(
+            Simulator, "_project_cameras", lambda *a: projected.append(1) or project(*a)
+        )
+        data = pickle.dumps(block)
+        assert projected == []
+        assert records(pickle.loads(data)) == records(block)
 
     def test_observes_each_step_and_rotates_each_state_once(self, funnel_calls):
         # `generate --task all --seeds 0..7 --jobs 1`. When every frame rotated every
@@ -250,7 +270,7 @@ class TestSerialization:
         back = read_dataset(path)
         from failsafe.dataset import _sort_key
 
-        assert back == sorted(entries, key=_sort_key)
+        assert records(back) == records(sorted(entries, key=_sort_key))
 
     def test_recovery_angles_read_back_as_written(self, corpus):
         # The writer's angles are wrapped already; wrapping them again on read turned
@@ -331,6 +351,8 @@ class TestSerialization:
             lambda r: r["provenance"].update(seed=None),
             lambda r: r["frames"][3].update(step=0),
             lambda r: r["provenance"].update(seed=2**32),  # aliases seed 0's streams
+            lambda r: r["failure_type"].update(mode=["translation"]),  # unhashable
+            lambda r: r["failure_type"].update(axis={"x": 1}),
         ],
     )
     def test_malformed_records_rejected_with_line_number(

@@ -655,37 +655,33 @@ class TestObservation:
         gc.collect()
         assert alive() is None
 
-    def test_pickle_carries_projected_cameras(self, sim):
+    def test_pickle_carries_the_view_and_makes_no_part(self, sim, monkeypatch):
+        made = count_parts(monkeypatch)
+        projected = count_projections(monkeypatch)
         world = make_world(objects={"cube": cube_at(0.05, 0.0)})
         frame = sim.observe(world, 3)
-        data = pickle.dumps(frame)
-        assert b"WorldState" not in data and b"Simulator" not in data  # the parts, no world
-        copy = pickle.loads(data)
-        assert sorted(vars(copy)) == ["cameras", "ee_pose", "object_poses", "step"]
-        assert copy == frame and copy.step == 3 and copy.cameras == eager_cameras(sim, world)
+        copy = pickle.loads(pickle.dumps(frame))
+        assert made == {} and projected == []  # pickling made no part
+        alive = weakref.ref(copy._world)
+        for n, read in enumerate(("cameras", "ee_pose", "object_poses"), start=1):
+            gc.collect()
+            assert alive() is not None  # an unmade part still needs it
+            getattr(copy, read)
+            assert sum(made.values()) == n and made[read] == 1
+        gc.collect()
+        assert alive() is None and copy.step == 3
+        assert len(projected) == len(CAMERA_IDS) and copy.cameras == eager_cameras(sim, world)
+        assert _frame_record(copy) == _frame_record(frame)
 
     def test_read_back_frame_equals_the_observed_one(self, sim):
         world = make_world(objects={"cube": cube_at(0.05, 0.0), "block": cube_at(-0.1, 0.1)})
         frame = sim.observe(world, 4)
         record = json.loads(json.dumps(_frame_record(frame)))
-        read = _frame_from_record(record, "frame")
-        assert read == frame and frame == read
-        assert read != sim.observe(world, 5)
-        assert read != sim.observe(make_world(objects={"cube": cube_at(0.05, 0.0)}), 4)
-
-    def test_frames_differing_in_one_camera_value_are_unequal(self, sim):
-        world = make_world(objects={"cube": cube_at(0.05, 0.0)})
-        frame = sim.observe(world, 0)
-        cameras = eager_cameras(sim, world)
-        kp, u, v = cameras["side"][1]
-        moved = dict(cameras, side=[cameras["side"][0], (kp, u + 1e-6, v), *cameras["side"][2:]])
-        parts = {"ee_pose": frame.ee_pose, "object_poses": frame.object_poses}
-        assert frame == ObservationFrame(frame.step, **parts, cameras=cameras)
-        assert frame != ObservationFrame(frame.step, **parts, cameras=moved)
-        assert frame != ObservationFrame(frame.step + 1, **parts, cameras=cameras)
-        poses = {obj_id: p.copy() for obj_id, p in frame.object_poses.items()}
-        copied = {"ee_pose": frame.ee_pose.copy(), "object_poses": poses}
-        assert frame == ObservationFrame(frame.step, **copied, cameras=cameras)
+        read = _frame_record(_frame_from_record(record, "frame"))
+        assert read == _frame_record(frame)
+        assert read != _frame_record(sim.observe(world, 5))
+        other = make_world(objects={"cube": cube_at(0.05, 0.0)})
+        assert read != _frame_record(sim.observe(other, 4))
 
 
 class ReferenceSimulator(Simulator):
