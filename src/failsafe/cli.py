@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 
 from .config import TASKS, Config, default_config, load_config
 from .dataset import (
@@ -97,16 +96,9 @@ def _parse_seeds(text) -> list:
 
 
 def _resolve_jobs(args) -> int:
-    jobs, source = args.jobs, "--jobs"
-    if jobs is None:
-        raw, source = os.environ.get("FAILSAFE_JOBS", "1"), "FAILSAFE_JOBS"
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise UsageError(f"FAILSAFE_JOBS must be an integer, got {raw!r}") from None
-    if jobs < 1:
-        raise UsageError(f"{source} must be at least 1, got {jobs}")
-    return jobs
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
 
 
 def _load_config(path) -> Config:
@@ -231,10 +223,6 @@ def _matches_manifest(path, manifest) -> bool:
 
 def _cmd_supervise(args) -> int:
     cfg = _load_config(args.config)
-    if args.cadence is not None:
-        if args.cadence < 1:
-            raise UsageError(f"--cadence must be at least 1, got {args.cadence}")
-        cfg = replace(cfg, supervisor=replace(cfg.supervisor, cadence=args.cadence))
     seeds = _parse_seeds(args.seeds)
     jobs = _resolve_jobs(args)
     outcomes = supervise_task(args.task, seeds, cfg, args.assistant, jobs)
@@ -326,7 +314,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--task", required=True, choices=[*TASKS, "all"], help="task id or 'all'")
     gen.add_argument("--seeds", required=True, help="seed range 'a..b' or list")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--jobs", type=int, help="worker processes (env FAILSAFE_JOBS)")
+    gen.add_argument("--jobs", type=int, default=1, help="worker processes")
     gen.set_defaults(handler=_cmd_generate)
 
     stats = sub.add_parser("stats", help="print a dataset's label distribution")
@@ -343,9 +331,8 @@ def _build_parser() -> _Parser:
     sup.add_argument("--task", required=True, choices=list(TASKS), help="task id")
     sup.add_argument("--seeds", required=True, help="seed range 'a..b' or list")
     sup.add_argument("--assistant", required=True, choices=sorted(ASSISTANTS))
-    sup.add_argument("--cadence", type=int, help="steps between assistant queries")
     sup.add_argument("--trace", help="directory for per-episode EE trace files")
-    sup.add_argument("--jobs", type=int, help="worker processes (env FAILSAFE_JOBS)")
+    sup.add_argument("--jobs", type=int, default=1, help="worker processes")
     sup.set_defaults(handler=_cmd_supervise)
 
     ev = sub.add_parser("evaluate", help="score an assistant on labeled entries")

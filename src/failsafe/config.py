@@ -4,8 +4,9 @@ All tunable constants live here: simulator physics surrogates, planner
 geometry, failure-injection ranges, dataset knobs, and the supervised-loop
 settings. Configs load from YAML with strict unknown-key checking (typos
 fail loudly, naming the offending key, and failure entries may only name
-stages their task has). The one config hash a run manifest pins lives in
-pipeline.config_fingerprint.
+stages their task has). Every Config obeys the bounds of _check_ranges,
+however it is built: loaded, defaulted or made with dataclasses.replace.
+The one config hash a run manifest pins lives in pipeline.config_fingerprint.
 
 TASKS is the one table that says what each task is: its family (which
 stage plan and success test it runs) and the ids of the objects its scene
@@ -272,6 +273,9 @@ class Config:
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     tasks: dict = field(default_factory=dict)  # task_id -> list[FailureEntry]
 
+    def __post_init__(self):
+        _check_ranges(self)  # loaded, defaulted or built with dataclasses.replace alike
+
 
 def _parse_section(cls, raw, prefix: str):
     """A section dataclass from its mapping. Each field's default states its kind:
@@ -348,7 +352,7 @@ def config_from_mapping(data) -> Config:
     _reject_unknown(
         data, ("sim", "planner", "verifier", "dataset", "supervisor", "tasks"), ""
     )
-    cfg = Config(
+    return Config(
         sim=_parse_section(SimConfig, data.get("sim"), "sim."),
         planner=_parse_section(PlannerConfig, data.get("planner"), "planner."),
         verifier=_parse_section(VerifierConfig, data.get("verifier"), "verifier."),
@@ -358,14 +362,10 @@ def config_from_mapping(data) -> Config:
         ),
         tasks=_task_map(data.get("tasks"), "tasks", _task_body),
     )
-    _check_ranges(cfg)
-    return cfg
 
 
 def _check_ranges(cfg: Config):
-    sim = cfg.sim
-    if sim.max_ee_speed <= 0 or sim.max_ee_angular <= 0 or sim.max_gripper_rate <= 0:
-        raise ConfigError("'sim' rate caps must be positive")
+    sim, planner = cfg.sim, cfg.planner
     if not (0.0 <= sim.grasp_threshold < sim.release_threshold <= 1.0):
         raise ConfigError(
             "'sim.grasp_threshold' must be below 'sim.release_threshold' within [0, 1]"
@@ -373,30 +373,29 @@ def _check_ranges(cfg: Config):
     for lo, hi, name in zip(sim.workspace_min, sim.workspace_max, "xyz"):
         if lo >= hi:
             raise ConfigError(f"'sim.workspace_min' {name} not below workspace_max")
-    planner = cfg.planner
-    if planner.steps_per_stage < planner.min_stage_steps:
-        raise ConfigError(
-            "'planner.steps_per_stage' below 'planner.min_stage_steps'"
-        )
     if not (0.0 < planner.grasp_approach_offset < sim.grasp_radius):
-        raise ConfigError(
-            "'planner.grasp_approach_offset' must sit inside the grasp radius"
-        )
-    for task_id, steps in planner.task_steps.items():
+        raise ConfigError("'planner.grasp_approach_offset' must sit inside the grasp radius")
+    stage_steps = {"steps_per_stage": planner.steps_per_stage,
+                   **{f"task_steps.{t}": n for t, n in planner.task_steps.items()}}
+    for key, steps in stage_steps.items():
         if steps < planner.min_stage_steps:
-            raise ConfigError(
-                f"'planner.task_steps.{task_id}' below 'planner.min_stage_steps'"
-            )
-    if cfg.dataset.failure_to_gt_ratio <= 0:
-        raise ConfigError("'dataset.failure_to_gt_ratio' must be positive")
+            raise ConfigError(f"'planner.{key}' below 'planner.min_stage_steps'")
+
+    def value(path):
+        section, key = path.split(".")
+        return getattr(getattr(cfg, section), key)
+
+    for path in ("sim.max_ee_speed", "sim.max_ee_angular", "sim.max_gripper_rate",
+                 "dataset.failure_to_gt_ratio"):
+        if value(path) <= 0:
+            raise ConfigError(f"'{path}' must be positive")
     for path, low in (  # every setting bounded only from below, with its least value
         ("planner.max_placement_attempts", 1), ("planner.placement_half_range", 0),
         ("dataset.candidates_per_case", 1), ("dataset.gt_entries_per_seed", 0),
         ("supervisor.cadence", 1), ("supervisor.budget_slack", 0), ("supervisor.settle_steps", 0),
         ("verifier.budget_slack", 0), ("verifier.max_transit_steps", 0),
     ):
-        section, key = path.split(".")
-        if getattr(getattr(cfg, section), key) < low:
+        if value(path) < low:
             raise ConfigError(f"'{path}' must be >= {low}")
 
 

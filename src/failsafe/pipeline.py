@@ -117,9 +117,9 @@ def write_manifest(path, cfg: Config, tasks, seeds, counts: dict, dataset_sha256
     """Atomically write the run manifest; returns the sha256 of its bytes.
 
     The manifest pins everything a later `verify` needs to trust the file:
-    config hash, seed range, per-task counts, the merged dataset's hash,
-    and the artifact version. No timestamps: identical runs must produce
-    identical manifests.
+    config hash, `seed_range` (the least and greatest seed; a comma list's gaps
+    are not recorded), per-task counts, the merged dataset's hash, and the
+    artifact version. No timestamps: identical runs must produce identical manifests.
     """
     from . import __version__
 

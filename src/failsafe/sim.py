@@ -2,7 +2,7 @@
 
 No dynamics: the end-effector tracks commanded poses under per-step speed
 caps with exact landing, objects attach to a closing gripper inside the
-grasp radius, and unattached pushable objects translate with the horizontal
+grasp radius, and unattached movable objects translate with the horizontal
 component of an EE sweep that passes within the contact radius. Identical
 (world, command, config) inputs always produce bit-identical next states,
 which is what makes recovery verification exactly replayable.
@@ -32,17 +32,16 @@ _CORNER_SIGNS = np.array(list(itertools.product((-1, 1), repeat=3)))
 class ObjectState:
     """A rigid object. half_extents is (hx, hy, hz); spheres use (r, r, r)."""
 
-    shape: str  # box | sphere | charger-slab
+    shape: str  # box | sphere
     half_extents: tuple
     pose: Pose
-    graspable: bool = True
-    pushable: bool = True
+    movable: bool = True  # the arm can grasp and push it
 
     @functools.cached_property
     def keypoints(self) -> np.ndarray:
         """(n, 3): the center, then a box's eight corners; a moved object is a new state."""
         position = self.pose.position
-        if self.shape not in ("box", "charger-slab"):
+        if self.shape != "box":
             return position[None]
         rotated = quat_rotate(self.pose.orientation, _CORNER_SIGNS * self.half_extents)
         return np.vstack([position, position + rotated])
@@ -83,7 +82,7 @@ def attached_object_pose(ee_pose: Pose, offset: GraspOffset) -> Pose:
 
 
 def _with_pose(obj: ObjectState, pose: Pose) -> ObjectState:
-    return ObjectState(obj.shape, obj.half_extents, pose, obj.graspable, obj.pushable)
+    return ObjectState(obj.shape, obj.half_extents, pose, obj.movable)
 
 
 def _segment_point_distance(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> float:
@@ -155,7 +154,7 @@ class Simulator:
             for obj_id in sorted(objects):
                 obj = objects[obj_id]
                 p = obj.pose
-                if not obj.pushable or math.dist(p.position.tolist(), start) > reach:
+                if not obj.movable or math.dist(p.position.tolist(), start) > reach:
                     continue
                 gap = _segment_point_distance(ee.position, new_pos, p.position)
                 if gap <= cfg.contact_radius:
@@ -210,14 +209,14 @@ class Simulator:
         return math.acos(min(1.0, max(-1.0, -axis_z))) <= self.config.grasp_align_tol
 
     def _try_attach(self, ee: Pose, objects: dict):
-        """(id, grasp offset) of the nearest graspable object in reach, else (None, None)."""
+        """(id, grasp offset) of the nearest movable object in reach, else (None, None)."""
         best_id = None
         best_dist = math.inf
         reach = self.config.grasp_radius + 1e-6  # screens out misses, as in step
         here = ee.position.tolist()
         for obj_id in sorted(objects):
             obj = objects[obj_id]
-            if not obj.graspable or math.dist(obj.pose.position.tolist(), here) > reach:
+            if not obj.movable or math.dist(obj.pose.position.tolist(), here) > reach:
                 continue
             d = norm(obj.pose.position - ee.position)
             if d > self.config.grasp_radius:

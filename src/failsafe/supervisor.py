@@ -229,8 +229,6 @@ def run_supervised_episode(
     the cursor re-syncs.
     """
     cadence = cfg.supervisor.cadence
-    if cadence < 1:
-        raise ContractViolation("cadence must be at least 1")
     plan, world = correct.plan, correct.start
     context = EpisodeContext(fault, correct, cfg)
     commands, lent = unassisted.commands, unassisted.worlds

@@ -10,8 +10,11 @@ The candidate passes only if the task's success check holds at the end and
 the whole replay, failed prefix included, fits the step budget.
 
 Replay is deterministic, so verifying twice always agrees. Re-verifying a
-file is the seed funnel run again: a line passes only when `generate` would
-write it again, in that place, from config and the line's (task, seed).
+file is the seed funnel run again: a line passes only when the funnel of its
+(task, seed) under config makes it, in that place. That is not all `generate`
+checks: enforce_ratio thins success windows over the run's whole seed list,
+which the file does not carry, so a window it dropped, put back, passes. Only
+the manifest's dataset_sha256 catches that.
 """
 
 import math
@@ -75,8 +78,9 @@ def reverify_entries(entries, cfg: Config) -> float:
     """Re-run the seed funnel for every line; returns the passing fraction.
 
     Files are written in canonical order, so a line passes only when its sort key is
-    above the last passing line's and its labels equal those `generate` gives the entry
-    with that key: a repeated, moved or edited line fails, and costs only itself. A
+    above the last passing line's and its labels equal those the seed funnel gives the
+    entry with that key: a repeated, moved or edited line fails, and costs only itself.
+    A success window that ratio thinning dropped is made by the funnel, so it passes. A
     scene is rebuilt, holding only labels, when the (task, seed) prefix changes.
     Anything else counts as failed rather than raising: the point is to distrust the file.
     """

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, determinism, manifest handling."""
 
+import bisect
 import json
 import math
 import os
@@ -9,9 +10,11 @@ import pytest
 
 from failsafe.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, _parse_seeds, cli_main
 from failsafe.config import default_config, load_config
+from failsafe.dataset import _sort_key, read_dataset, write_dataset
 from failsafe.errors import ConfigError, FailSafeError
 from failsafe.tasks import TASKS
 from failsafe.pipeline import (
+    build_seed_entries,
     config_fingerprint,
     generate_task_entries,
     pool_size,
@@ -329,6 +332,25 @@ class TestVerify:
         assert payload["verified_fraction"] == 1.0
         assert "pick_cube.jsonl does not match its manifest" in err
 
+    def test_thinned_success_window_put_back_exits_three(self, all_outdir, tmp_path, capsys):
+        # enforce_ratio thins success windows across the run's whole seed list, which the
+        # file does not carry. A window it dropped, put back in its canonical place, has
+        # the labels generate gives it and re-verifies: only the manifest catches it.
+        out = copy_run(all_outdir, tmp_path)
+        path = out / "dataset.jsonl"
+        keys = [_sort_key(e) for e in read_dataset(path)]
+        dropped = next(
+            e for e in build_seed_entries("push_cube", 3, default_config())
+            if _sort_key(e) not in keys
+        )
+        write_dataset([dropped], tmp_path / "one.jsonl")
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines.insert(bisect.bisect(keys, _sort_key(dropped)), (tmp_path / "one.jsonl").read_bytes())
+        path.write_bytes(b"".join(lines))
+        code, payload, err = run_cli(["verify", "--data", str(path)], capsys)
+        assert code == EXIT_VERIFY and "dataset_sha256" in err
+        assert payload["entries"] == len(lines) and payload["verified_fraction"] == 1.0
+
     def split_beside_manifest(self, outdir, tmp_path, capsys):
         """split --out into a copy of the run directory; returns that directory."""
         for name in ("dataset.jsonl", "manifest.json"):
@@ -545,27 +567,21 @@ class TestSupervise:
         out = capsys.readouterr().out
         return code, out, {p.name: p.read_bytes() for p in sorted(traces.iterdir())}
 
-    def test_cadence_flag_matches_config_file(self, tmp_path, capsys):
+    def test_one_key_config_still_draws_faults(self, tmp_path, capsys):
         # The packaged defaults with supervisor.cadence 4, spelled out in full.
         src = default_config_yaml()
         assert src.count("\nsupervisor:\n") == 1 and "cadence" not in src
-        config = tmp_path / "cadence4.yaml"
-        config.write_text(src.replace("\nsupervisor:\n", "\nsupervisor:\n  cadence: 4\n"))
-        flag = self.supervise_run(["--cadence", "4"], tmp_path / "flag", capsys)
-        file = self.supervise_run(["--config", str(config)], tmp_path / "file", capsys)
-        default = self.supervise_run([], tmp_path / "default", capsys)
-        assert flag[0] == EXIT_OK and json.loads(flag[1])["cadence"] == 4
-        assert flag == file
-        assert default[2] != flag[2]  # cadence 4 really changed the episodes
-
-    def test_one_key_config_still_draws_faults(self, tmp_path, capsys):
+        full = tmp_path / "full.yaml"
+        full.write_text(src.replace("\nsupervisor:\n", "\nsupervisor:\n  cadence: 4\n"))
         config = tmp_path / "cadence4.yaml"
         config.write_text("supervisor: {cadence: 4}\n")
         file = self.supervise_run(["--config", str(config)], tmp_path / "file", capsys)
         payload = json.loads(file[1])
         assert file[0] == EXIT_OK and payload["cadence"] == 4
         assert payload["success_rate_unassisted"] == 0.0 and payload["uplift"] > 0
-        assert file == self.supervise_run(["--cadence", "4"], tmp_path / "flag", capsys)
+        assert file == self.supervise_run(["--config", str(full)], tmp_path / "full", capsys)
+        default = self.supervise_run([], tmp_path / "default", capsys)
+        assert default[2] != file[2]  # cadence 4 really changed the episodes
 
     def test_pool_matches_in_process(self, tmp_path, capsys):
         serial = self.supervise_run(["--jobs", "1"], tmp_path / "serial", capsys)
@@ -585,14 +601,25 @@ class TestSupervise:
         assert err.startswith("config error:") and "latin1.yaml" in err
 
     @pytest.mark.parametrize("cadence", ["0", "-3"])
-    def test_nonpositive_cadence_is_usage_error(self, capsys, cadence):
-        code, _, err = run_cli(
+    def test_nonpositive_cadence_is_usage_error(self, tmp_path, capsys, cadence):
+        config = tmp_path / "cadence.yaml"
+        config.write_text(f"supervisor: {{cadence: {cadence}}}\n")
+        code, payload, err = run_cli(
             ["supervise", "--task", TASK, "--seeds", "1", "--assistant", "oracle",
-             "--cadence", cadence],
+             "--config", str(config)],
             capsys,
         )
-        assert code == EXIT_USAGE
-        assert "--cadence" in err
+        assert (code, payload) == (EXIT_USAGE, None)
+        assert err.startswith("config error:") and "'supervisor.cadence'" in err
+
+    def test_cadence_flag_is_gone(self, capsys):
+        # supervisor.cadence in a --config file is the one way to set it.
+        code, _, err = run_cli(
+            ["supervise", "--task", TASK, "--seeds", "1", "--assistant", "oracle",
+             "--cadence", "4"],
+            capsys,
+        )
+        assert code == EXIT_USAGE and "unrecognized arguments: --cadence 4" in err
 
 
 class TestEvaluateAndSplit:
@@ -658,35 +685,22 @@ class TestParserPlumbing:
         assert cli_main(["frobnicate"]) == EXIT_USAGE
         capsys.readouterr()
 
-    def test_jobs_env_default(self, monkeypatch, capsys):
-        monkeypatch.setenv("FAILSAFE_JOBS", "not-a-number")
-        code, _, err = run_cli(
-            ["supervise", "--task", TASK, "--seeds", "1", "--assistant", "null"], capsys
-        )
-        assert code == EXIT_USAGE
-        assert "FAILSAFE_JOBS" in err
-
     @pytest.mark.parametrize(
-        "flag, env, named",
-        [(["--jobs", "0"], None, "--jobs"), (["--jobs", "-3"], None, "--jobs"),
-         ([], "0", "FAILSAFE_JOBS"), ([], "-2", "FAILSAFE_JOBS")],
+        "flag", [["--jobs", "0"], ["--jobs", "-3"]],
+        ids=["flag0-None---jobs", "flag1-None---jobs"],  # stable test ids
     )
-    def test_jobs_below_one_is_usage_error(self, flag, env, named, monkeypatch, tmp_path, capsys):
-        if env is None:
-            monkeypatch.delenv("FAILSAFE_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("FAILSAFE_JOBS", env)
+    def test_jobs_below_one_is_usage_error(self, flag, tmp_path, capsys):
         code, payload, err = run_cli(
             ["supervise", "--task", TASK, "--seeds", "0..1", "--assistant", "null", *flag], capsys
         )
         assert (code, payload) == (EXIT_USAGE, None)
-        assert named in err and "at least 1" in err
+        assert "--jobs" in err and "at least 1" in err
         out = tmp_path / "gen"
         code, payload, err = run_cli(
             ["generate", "--task", TASK, "--seeds", "0..1", "--out", str(out), *flag], capsys
         )
         assert (code, payload) == (EXIT_USAGE, None)
-        assert named in err and not out.exists()
+        assert "--jobs" in err and not out.exists()
 
 
 class TestPoolBounds:

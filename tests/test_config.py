@@ -3,9 +3,11 @@
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import failsafe
 from failsafe.config import (
     DatasetConfig,
     PlannerConfig,
@@ -331,3 +333,44 @@ class TestSectionConfigs:
         with pytest.raises(ConfigError, match=rf"^'{section}.{key}' must be >= 0$"):
             config_from_mapping({section: {key: -1}})
         assert getattr(getattr(config_from_mapping({section: {key: 0}}), section), key) == 0
+
+
+class TestEveryConfigIsChecked:
+    @pytest.mark.parametrize("section, changes, key", [
+        ("planner", {"max_placement_attempts": 0}, "planner.max_placement_attempts"),
+        ("planner", {"placement_half_range": -0.1}, "planner.placement_half_range"),
+        ("dataset", {"candidates_per_case": 0}, "dataset.candidates_per_case"),
+        ("dataset", {"gt_entries_per_seed": -1}, "dataset.gt_entries_per_seed"),
+        ("supervisor", {"cadence": 0}, "supervisor.cadence"),
+        ("supervisor", {"budget_slack": -0.1}, "supervisor.budget_slack"),
+        ("supervisor", {"settle_steps": -1}, "supervisor.settle_steps"),
+        ("verifier", {"budget_slack": -0.1}, "verifier.budget_slack"),
+        ("verifier", {"max_transit_steps": -1}, "verifier.max_transit_steps"),
+        ("sim", {"max_ee_speed": 0.0}, "sim.max_ee_speed"),
+        ("sim", {"max_ee_angular": -0.1}, "sim.max_ee_angular"),
+        ("sim", {"max_gripper_rate": 0.0}, "sim.max_gripper_rate"),
+        ("sim", {"grasp_threshold": 0.7}, "sim.grasp_threshold"),
+        ("sim", {"grasp_threshold": -0.1}, "sim.grasp_threshold"),
+        ("sim", {"release_threshold": 1.5}, "sim.release_threshold"),
+        ("sim", {"workspace_min": (-0.3, 0.3, 0.01)}, "sim.workspace_min' y"),
+        ("sim", {"workspace_max": (0.3, 0.3, 0.01)}, "sim.workspace_min' z"),
+        ("planner", {"steps_per_stage": 13}, "planner.steps_per_stage"),
+        ("planner", {"min_stage_steps": 41}, "planner.min_stage_steps"),
+        ("planner", {"task_steps": {"push_cube": 13}}, "planner.task_steps.push_cube"),
+        ("planner", {"grasp_approach_offset": 0.0}, "planner.grasp_approach_offset"),
+        ("planner", {"grasp_approach_offset": 0.01}, "planner.grasp_approach_offset"),
+        ("sim", {"grasp_radius": 0.002}, "planner.grasp_approach_offset"),
+        ("dataset", {"failure_to_gt_ratio": 0.0}, "dataset.failure_to_gt_ratio"),
+    ])
+    def test_replace_obeys_the_bounds(self, section, changes, key):
+        # The bounds bind a Config however it is built, not only one loaded from YAML.
+        cfg = default_config()
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}")):
+            replace(cfg, **{section: replace(getattr(cfg, section), **changes)})
+
+    def test_no_module_reads_the_environment(self):
+        # A setting comes from the config or a flag; an environment variable would be a
+        # second source beside them.
+        for path in sorted(Path(failsafe.__file__).parent.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert not re.search(r"\benviron\b|\bgetenv\b", text), path.name

@@ -107,7 +107,7 @@ def loop_keypoints(world):
     for obj_id in sorted(world.objects):
         obj = world.objects[obj_id]
         pts.append((f"{obj_id}:center", obj.pose.position))
-        if obj.shape in ("box", "charger-slab"):
+        if obj.shape == "box":
             hx, hy, hz = obj.half_extents
             for i, (sx, sy, sz) in enumerate(itertools.product((-1, 1), repeat=3)):
                 corner = obj.pose.position + quat_rotate(
@@ -352,7 +352,7 @@ class TestGrasping:
     def test_non_graspable_ignored(self, sim):
         world = make_world(
             ee=pose(0.0, 0.0, 0.028, grip=0.2),
-            objects={"pad": cube_at(0.0, 0.0, graspable=False)},
+            objects={"pad": cube_at(0.0, 0.0, movable=False)},
         )
         world = sim.step(world, pose(0.0, 0.0, 0.028, grip=0.2))
         assert world.attached is None
@@ -414,7 +414,7 @@ class TestPushing:
     def test_non_pushable_stays(self, sim):
         world = make_world(
             ee=pose(-0.03, 0.0, 0.02, grip=0.0),
-            objects={"pad": cube_at(0.0, 0.0, pushable=False)},
+            objects={"pad": cube_at(0.0, 0.0, movable=False)},
         )
         world = sim.step(world, pose(0.1, 0.0, 0.02, grip=0.0))
         assert np.array_equal(world.objects["pad"].pose.position, [0.0, 0.0, 0.02])
@@ -737,7 +737,7 @@ class ReferenceSimulator(Simulator):
                 horizontal = np.array([sweep_x, sweep_y, 0.0])
                 for obj_id in sorted(objects):
                     obj = objects[obj_id]
-                    if not obj.pushable:
+                    if not obj.movable:
                         continue
                     p = obj.pose
                     gap = _segment_point_distance(ee.position, new_pos, p.position)
@@ -763,7 +763,7 @@ class ReferenceSimulator(Simulator):
         best_dist = math.inf
         for obj_id in sorted(objects):
             obj = objects[obj_id]
-            if not obj.graspable:
+            if not obj.movable:
                 continue
             d = norm(obj.pose.position - ee.position)
             if d > self.config.grasp_radius:

@@ -11,7 +11,7 @@ import pytest
 
 from failsafe.config import default_config
 from failsafe.dataset import build_entry, build_gt_entries, observer
-from failsafe.errors import ContractViolation, MetricsError
+from failsafe.errors import ConfigError, ContractViolation, MetricsError
 from failsafe.failures import (
     generate_failure_case,
     onset_step,
@@ -226,12 +226,10 @@ class TestRunSupervisedEpisode:
         assert result.total_steps == nominal + cfg.supervisor.settle_steps
         assert len(result.trace) == result.total_steps + 1
 
-    def test_cadence_must_be_positive(self, cfg, sim):
-        # Config loading rejects cadence 0; a library caller can still build one.
-        with pytest.raises(ContractViolation):
-            run_supervised_episode(
-                *scene_for("pick_cube", 0, cfg, sim), null_assistant, with_cadence(cfg, 0), sim
-            )
+    def test_cadence_must_be_positive(self, cfg):
+        # No episode can be handed cadence 0: a Config built with it is refused.
+        with pytest.raises(ConfigError, match=r"^'supervisor.cadence' must be >= 1$"):
+            with_cadence(cfg, 0)
 
     def test_oracle_rescues_confirmed_fault(self, cfg, sim):
         fault = harness_fault("pick_cube", 1, cfg, sim)
