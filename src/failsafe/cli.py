@@ -229,13 +229,13 @@ def _cmd_supervise(args) -> int:
 
     if args.trace is not None:
         os.makedirs(args.trace, exist_ok=True)
-        for seed, _, _, result in outcomes:
+        for seed, _, result in outcomes:
             with atomic_writer(os.path.join(args.trace, f"{args.task}_{seed:05d}.trace")) as fh:
                 fh.write(_trace_text(result).encode("utf-8"))
         _progress(f"wrote {len(outcomes)} trace files to {args.trace}")
 
-    bare = sum(1 for _, ok, _, _ in outcomes if ok)
-    helped = sum(1 for _, _, ok, _ in outcomes if ok)
+    bare = sum(1 for _, ok, _ in outcomes if ok)
+    helped = sum(1 for _, _, result in outcomes if result.success)
     n = len(outcomes)
     _emit(
         {

@@ -207,7 +207,7 @@ class SimConfig:
     grasp_threshold: float = 0.35
     release_threshold: float = 0.65
     grasp_align_tol: float = 0.5
-    table_z: float = 0.0
+    table_z: float = 0.0  # only 0 is valid; kept so the config hash stays put
     workspace_min: tuple = (-0.3, -0.3, 0.01)
     workspace_max: tuple = (0.3, 0.3, 0.45)
     image_width: int = 640
@@ -373,6 +373,8 @@ def _check_ranges(cfg: Config):
     for lo, hi, name in zip(sim.workspace_min, sim.workspace_max, "xyz"):
         if lo >= hi:
             raise ConfigError(f"'sim.workspace_min' {name} not below workspace_max")
+    if sim.table_z != 0.0:  # scenes and the planner's heights put the table at z = 0
+        raise ConfigError("'sim.table_z' must be 0: objects rest at their half-height")
     if not (0.0 < planner.grasp_approach_offset < sim.grasp_radius):
         raise ConfigError("'planner.grasp_approach_offset' must sit inside the grasp radius")
     stage_steps = {"steps_per_stage": planner.steps_per_stage,

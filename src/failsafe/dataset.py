@@ -26,7 +26,7 @@ from .errors import (
     FailSafeError,
 )
 from .geometry import DeltaAction, Pose
-from .recovery import even_subsample
+from .recovery import deviated_stage, even_subsample
 from .seeding import SEED_LIMIT, seed_stream
 from .sim import CAMERA_IDS, ObservationFrame
 
@@ -171,11 +171,11 @@ def build_entry(case, candidate, frame):
     if not candidate.verified:
         raise ContractViolation("refusing to export an unverified recovery")
     spec, plan = case.spec, case.correct.plan
-    start, _ = case.failed.stage_bounds(spec.stage_index)
+    start, *_ = deviated_stage(case)
     return DatasetEntry(
         task_id=plan.task_id,
         instruction=task_spec(plan.task_id).instruction,
-        sub_task=spec.stage_name,
+        sub_task=plan.stages[spec.stage_index].name,
         frames=_window(case.failed, start + candidate.d_index, frame),
         is_failure=True,
         failure_type=(spec.mode, spec.axis),
@@ -232,19 +232,20 @@ def enforce_ratio(entries, cfg):
     Failures are never dropped; the GT pool is evenly thinned (in canonical
     order) to round(failures / ratio) entries when it is larger than that.
     """
-    ordered = sorted(entries, key=_sort_key)
+    ordered = sorted(entries, key=sort_key)
     failures = [e for e in ordered if e.is_failure]
     ground_truth = [e for e in ordered if not e.is_failure]
     target = round(len(failures) / cfg.dataset.failure_to_gt_ratio)
     if target < len(ground_truth):
         ground_truth = even_subsample(ground_truth, target) if target > 0 else []
-    return sorted(failures + ground_truth, key=_sort_key)
+    return sorted(failures + ground_truth, key=sort_key)
 
 
 # -- serialization ---------------------------------------------------------
 
 
-def _sort_key(entry: DatasetEntry):
+def sort_key(entry: DatasetEntry):
+    """The canonical order: files are written in it, and verify checks it."""
     p = entry.provenance
     return (
         entry.task_id,
@@ -283,7 +284,7 @@ def _frame_record(frame: ObservationFrame) -> dict:
 
 def write_dataset(entries, path) -> int:
     """Sort, serialize, and atomically replace `path`. Returns entry count."""
-    ordered = sorted(entries, key=_sort_key)
+    ordered = sorted(entries, key=sort_key)
     with atomic_writer(path) as fh:
         for e in ordered:
             fh.write((json.dumps(e.to_record(), separators=(",", ":")) + "\n").encode("utf-8"))

@@ -40,7 +40,6 @@ class FailureSpec:
     axis: str | None
     magnitude: float  # signed; no_ops stores the integer duration
     stage_index: int
-    stage_name: str
     insertion_step: int | None = None  # no_ops only
 
 
@@ -55,12 +54,9 @@ class FailureCase:
 
 
 def perturb_stage(plan: Plan, spec: FailureSpec) -> Plan:
-    """A copy of the plan with exactly one stage altered per the spec."""
+    """A copy of the plan with exactly one stage altered per the spec: whichever
+    stage the plan has at the spec's index (IndexError past the last)."""
     stage = plan.stages[spec.stage_index]
-    if stage.name != spec.stage_name:
-        raise ContractViolation(
-            f"spec stage '{spec.stage_name}' is not stage {spec.stage_index}"
-        )
     if spec.mode == "translation":
         shifted = stage.target.position.copy()
         shifted[TRANSLATION_AXES.index(spec.axis)] += spec.magnitude
@@ -92,8 +88,7 @@ def perturb_stage(plan: Plan, spec: FailureSpec) -> Plan:
 def sample_failure_spec(plan: Plan, entries, rng) -> FailureSpec:
     """Draw one perturbation: entry, then stage, then its parameters."""
     entry: FailureEntry = entries[int(rng.integers(len(entries)))]
-    stage_name = entry.stages[int(rng.integers(len(entry.stages)))]
-    stage_index = plan.stage_index(stage_name)
+    stage_index = plan.stage_index(entry.stages[int(rng.integers(len(entry.stages)))])
     stage: Stage = plan.stages[stage_index]
     if entry.mode == "no_ops":
         duration = int(rng.integers(int(entry.lo), int(entry.hi) + 1))
@@ -103,7 +98,6 @@ def sample_failure_spec(plan: Plan, entries, rng) -> FailureSpec:
             axis=None,
             magnitude=float(duration),
             stage_index=stage_index,
-            stage_name=stage_name,
             insertion_step=insertion,
         )
     sign = 1.0 if int(rng.integers(2)) else -1.0
@@ -113,7 +107,6 @@ def sample_failure_spec(plan: Plan, entries, rng) -> FailureSpec:
         axis=entry.axis,
         magnitude=magnitude,
         stage_index=stage_index,
-        stage_name=stage_name,
     )
 
 

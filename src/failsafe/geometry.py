@@ -42,7 +42,7 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / n
 
 
-def _qmul(a, b) -> tuple:
+def qmul(a, b) -> tuple:
     """Hamilton product of (w, x, y, z) sequences of floats or arrays, elementwise."""
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b
@@ -56,7 +56,7 @@ def _qmul(a, b) -> tuple:
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # On Python floats: the same IEEE operations as on numpy scalars, faster.
-    return np.array(_qmul(a.tolist(), b.tolist()))
+    return np.array(qmul(a.tolist(), b.tolist()))
 
 
 def quat_conjugate(q) -> np.ndarray:
@@ -67,7 +67,7 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector, or each row of an (n, 3) array, by a unit quaternion."""
     w, x, y, z = q = q.tolist()
     vx, vy, vz = v.T if v.ndim == 2 else v.tolist()
-    _, *rotated = _qmul(_qmul(q, (0.0, vx, vy, vz)), (w, -x, -y, -z))
+    _, *rotated = qmul(qmul(q, (0.0, vx, vy, vz)), (w, -x, -y, -z))
     return np.array(rotated).T
 
 
@@ -254,7 +254,7 @@ def angle_between(p: Pose, q: Pose) -> float:
     w, x, y, z = q.orientation.tolist()
     if po == [w, x, y, z] or po == [-w, -x, -y, -z]:
         return 0.0
-    rel_w, *rel_v = _qmul(po, (w, -x, -y, -z))
+    rel_w, *rel_v = qmul(po, (w, -x, -y, -z))
     return 2.0 * math.atan2(norm(rel_v), abs(rel_w))
 
 

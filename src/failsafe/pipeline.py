@@ -50,8 +50,10 @@ def build_seed_entries(task_id, seed: int, cfg: Config) -> list:
 
 
 def pool_size(jobs: int, seeds) -> int:
-    """Worker processes worth starting: never more than seeds or cores."""
-    return max(1, min(jobs, len(seeds), os.cpu_count() or 1))
+    """Worker processes worth starting: never more than seeds or the CPUs this
+    process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(jobs, len(seeds), cpus or 1))
 
 
 def _per_seed(worker, task_id, seeds, jobs: int, *args) -> list:
@@ -79,7 +81,7 @@ def generate_task_entries(task_id, seeds, cfg: Config, jobs: int = 1) -> list:
 
 
 def run_episode_pair(task_id, seed: int, cfg: Config, assistant: str):
-    """(unassisted success, assisted success, assisted result) for one seed.
+    """(unassisted success, assisted result) for one seed.
 
     Both runs carry the same confirmed fault, so the pair isolates exactly what
     the assistant contributed. They and the fault draws share the scene's one correct
@@ -88,11 +90,11 @@ def run_episode_pair(task_id, seed: int, cfg: Config, assistant: str):
     correct = rollout_plan(*plan_task(task_id, seed, cfg), sim)
     fault, bare_ok, unassisted = sample_harness_fault(correct, cfg, sim)
     helped = run_supervised_episode(correct, fault, unassisted, ASSISTANTS[assistant], cfg, sim)
-    return bare_ok, helped.success, helped
+    return bare_ok, helped
 
 
 def supervise_task(task_id, seeds, cfg: Config, assistant: str, jobs: int = 1) -> list:
-    """Episode pairs over a seed range: [(seed, bare_ok, helped_ok, result)]."""
+    """Episode pairs over a seed range: [(seed, bare_ok, result)]."""
     seeds = list(seeds)
     outcomes = _per_seed(run_episode_pair, task_id, seeds, jobs, cfg, assistant)
     return [(seed, *outcome) for seed, outcome in zip(seeds, outcomes)]

@@ -56,16 +56,17 @@ class CandidateRecovery:
     verified: bool = False
 
 
-def candidate_index_ranges(case) -> tuple:
-    """Window ranges for a failure case's deviated stage.
+def deviated_stage(case) -> tuple:
+    """(failed_start, correct_start, d_range, c_range) of a failure case's deviated
+    stage: its first step on the failed and on the correct rollout, and its window ranges.
 
     The failed rollout always reaches that stage: it is cut at the nominal step
     count, and the stages before it are the same in both plans, so it starts
     before the cut."""
     idx = case.spec.stage_index
-    return window_ranges(
-        case.failed.stage_length(idx), case.correct.stage_length(idx)
-    )
+    f_first, f_last = case.failed.stage_bounds(idx)
+    c_first, c_last = case.correct.stage_bounds(idx)
+    return f_first, c_first, *window_ranges(f_last - f_first + 1, c_last - c_first + 1)
 
 
 def collect_candidates(case, k: int) -> list:
@@ -74,12 +75,9 @@ def collect_candidates(case, k: int) -> list:
     Deterministic in (the correct plan's task and seed, k). Returns [] when the deviated
     segment is too short to host a window.
     """
-    d_range, c_range = candidate_index_ranges(case)
+    failed_start, correct_start, d_range, c_range = deviated_stage(case)
     if len(d_range) == 0 or len(c_range) == 0:
         return []
-    idx = case.spec.stage_index
-    failed_start, _ = case.failed.stage_bounds(idx)
-    correct_start, _ = case.correct.stage_bounds(idx)
     rng = seed_stream("candidates", case.correct.plan.task_id, case.correct.plan.seed)
     out = []
     for d_index in even_subsample(d_range, k):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import TASKS, Config
 from .errors import InvalidCommandError, SceneError
-from .geometry import Pose, _qmul, angle_between, norm, quat_conjugate, quat_multiply, quat_rotate
+from .geometry import Pose, angle_between, norm, qmul, quat_conjugate, quat_multiply, quat_rotate
 from .geometry import slerp
 
 DOWN = np.array([0.0, 0.0, -1.0])
@@ -63,7 +63,6 @@ class WorldState:
     placed: dict  # object-id -> ObjectState
     attached: str | None = None
     grasp_offset: GraspOffset | None = None  # set whenever attached is
-    table_z: float = 0.0
     goal: tuple | None = None
 
     @functools.cached_property
@@ -137,11 +136,11 @@ class Simulator:
             new_grip = ee.gripper + math.copysign(cfg.max_gripper_rate, dg)
 
         new_ee = Pose.trusted(new_pos, new_quat, new_grip)
-        scene = world.table_z, world.goal  # no step moves these
+        goal = world.goal  # no step moves it
         if world.attached is not None:
             if new_grip < cfg.release_threshold:  # carried: placed when read
-                return WorldState(new_ee, world.placed, world.attached, world.grasp_offset, *scene)
-            return WorldState(new_ee, world.objects, None, None, *scene)  # let go where it is
+                return WorldState(new_ee, world.placed, world.attached, world.grasp_offset, goal)
+            return WorldState(new_ee, world.objects, None, None, goal)  # let go where it is
 
         objects = world.placed
         sweep_x, sweep_y, _ = (new_pos - ee.position).tolist()
@@ -163,7 +162,7 @@ class Simulator:
         attached, offset = None, None
         if new_grip <= cfg.grasp_threshold and self._tool_aligned(new_ee):
             attached, offset = self._try_attach(new_ee, objects)
-        return WorldState(new_ee, objects, attached, offset, *scene)
+        return WorldState(new_ee, objects, attached, offset, goal)
 
     def drive(self, world: WorldState, commands) -> list:
         """Step through a command stream in order; the world after each step."""
@@ -205,7 +204,7 @@ class Simulator:
         # The tool axis is DOWN in the EE frame; its cosine with DOWN is minus its z, the
         # one nonzero term of np.dot(axis, DOWN).
         w, x, y, z = q = ee.orientation.tolist()
-        *_, axis_z = _qmul(_qmul(q, (0.0, 0.0, 0.0, -1.0)), (w, -x, -y, -z))
+        *_, axis_z = qmul(qmul(q, (0.0, 0.0, 0.0, -1.0)), (w, -x, -y, -z))
         return math.acos(min(1.0, max(-1.0, -axis_z))) <= self.config.grasp_align_tol
 
     def _try_attach(self, ee: Pose, objects: dict):
@@ -247,7 +246,7 @@ class Simulator:
         if spec.family == "pick":
             if world.attached != moved_id:
                 return False
-            return bool(moved.pose.position[2] >= world.table_z + self.config.lift_threshold)
+            return bool(moved.pose.position[2] >= self.config.table_z + self.config.lift_threshold)
         if spec.family == "push":
             if world.goal is None:
                 raise SceneError(f"{task_id} world has no goal")

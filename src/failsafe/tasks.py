@@ -178,7 +178,6 @@ def _build_scene(spec: TaskSpec, rng, cfg: Config) -> WorldState:
             obj_id: _scene_object(obj_id, xy, cfg.sim)
             for obj_id, xy in zip(spec.objects, xys)
         },
-        table_z=cfg.sim.table_z,
         goal=goal,
     )
 

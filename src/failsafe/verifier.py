@@ -20,10 +20,10 @@ the manifest's dataset_sha256 catches that.
 import math
 
 from .config import Config
-from .dataset import _sort_key
+from .dataset import sort_key
 from .errors import FailSafeError
 from .geometry import apply_delta
-from .recovery import CandidateRecovery, candidate_index_ranges
+from .recovery import CandidateRecovery, deviated_stage
 from .sim import Simulator
 
 
@@ -35,13 +35,10 @@ def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simul
     """Replay one candidate from the deviation point. Marks and returns success.
 
     A deviation index outside the case's window is refused without a replay."""
-    d_range, c_range = candidate_index_ranges(case)
+    failed_start, correct_start, d_range, c_range = deviated_stage(case)
     if candidate.d_index not in d_range:
         return False
     budget = step_budget(len(case.correct.commands), cfg)
-    idx = case.spec.stage_index
-    failed_start, _ = case.failed.stage_bounds(idx)
-    correct_start, _ = case.correct.stage_bounds(idx)
     global_d = failed_start + candidate.d_index
 
     # The failure, exactly as recorded, up to the deviation point.
@@ -88,10 +85,10 @@ def reverify_entries(entries, cfg: Config) -> float:
 
     passed, last, scene, written = 0, (), None, {}
     for entry in entries:
-        key = _sort_key(entry)
+        key = sort_key(entry)
         if key[:2] != scene:
             scene = key[:2]
-            written = {_sort_key(e): e.labels() for e in build_seed_entries(*scene, cfg)}
+            written = {sort_key(e): e.labels() for e in build_seed_entries(*scene, cfg)}
         if key > last and written.get(key) == entry.labels():
             passed, last = passed + 1, key
     return passed / len(entries) if entries else 1.0

@@ -21,7 +21,7 @@ from failsafe.geometry import (
     slerp,
 )
 from failsafe.pipeline import file_sha256, generate_task_entries, supervise_task
-from failsafe.recovery import candidate_index_ranges, collect_candidates, window_ranges
+from failsafe.recovery import collect_candidates, deviated_stage, window_ranges
 from failsafe.sim import Simulator
 from failsafe.supervisor import (
     evaluate_assistant,
@@ -155,8 +155,8 @@ def test_criterion_4_supervised_recovery_uplift(capsys):
     rates = {}
     for task in CUBE_TASKS:
         outcomes = supervise_task(task, range(100), cfg, "oracle", jobs=1)
-        bare = sum(1 for _, b, _, _ in outcomes if b) / len(outcomes)
-        helped = sum(1 for _, _, h, _ in outcomes if h) / len(outcomes)
+        bare = sum(1 for _, b, _ in outcomes if b) / len(outcomes)
+        helped = sum(1 for _, _, r in outcomes if r.success) / len(outcomes)
         rates[task] = (bare, helped)
     elapsed = time.perf_counter() - start
 
@@ -242,7 +242,7 @@ def test_criterion_6_window_rule_conformance(capsys):
             case = failure_case(task, seed, cfg, sim)
             if case is None:
                 continue
-            d_range, c_range = candidate_index_ranges(case)
+            *_, d_range, c_range = deviated_stage(case)
             for cand in collect_candidates(case, 7):
                 n_candidates += 1
                 if cand.d_index not in d_range or cand.c_index not in c_range:

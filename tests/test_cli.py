@@ -4,13 +4,16 @@ import bisect
 import json
 import math
 import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import failsafe
 from failsafe.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, _parse_seeds, cli_main
 from failsafe.config import default_config, load_config
-from failsafe.dataset import _sort_key, read_dataset, write_dataset
+from failsafe.dataset import read_dataset, sort_key, write_dataset
 from failsafe.errors import ConfigError, FailSafeError
 from failsafe.tasks import TASKS
 from failsafe.pipeline import (
@@ -204,6 +207,21 @@ class TestGenerate:
         assert code == EXIT_USAGE
         assert "reachh" in err
 
+    def test_table_off_zero_is_config_error(self, tmp_path, capsys):
+        # Scenes rest objects at their half-height and the planner's heights are absolute:
+        # -0.5 ran and only weakened the pick lift test, 0.05 failed a nominal rollout.
+        config = tmp_path / "table.yaml"
+        config.write_text("sim: {table_z: -0.5}\n")
+        out = tmp_path / "out"
+        code, payload, err = run_cli(
+            ["generate", "--config", str(config), "--task", TASK, "--seeds", "3",
+             "--out", str(out)],
+            capsys,
+        )
+        assert (code, payload) == (EXIT_USAGE, None)
+        assert err.startswith("config error:") and "'sim.table_z'" in err
+        assert not out.exists()
+
     def test_stdout_reports_hashes(self, tmp_path, capsys):
         code, payload, _ = run_cli(
             ["generate", "--task", TASK, "--seeds", "3", "--out", str(tmp_path)], capsys
@@ -338,14 +356,14 @@ class TestVerify:
         # the labels generate gives it and re-verifies: only the manifest catches it.
         out = copy_run(all_outdir, tmp_path)
         path = out / "dataset.jsonl"
-        keys = [_sort_key(e) for e in read_dataset(path)]
+        keys = [sort_key(e) for e in read_dataset(path)]
         dropped = next(
             e for e in build_seed_entries("push_cube", 3, default_config())
-            if _sort_key(e) not in keys
+            if sort_key(e) not in keys
         )
         write_dataset([dropped], tmp_path / "one.jsonl")
         lines = path.read_bytes().splitlines(keepends=True)
-        lines.insert(bisect.bisect(keys, _sort_key(dropped)), (tmp_path / "one.jsonl").read_bytes())
+        lines.insert(bisect.bisect(keys, sort_key(dropped)), (tmp_path / "one.jsonl").read_bytes())
         path.write_bytes(b"".join(lines))
         code, payload, err = run_cli(["verify", "--data", str(path)], capsys)
         assert code == EXIT_VERIFY and "dataset_sha256" in err
@@ -707,11 +725,28 @@ class TestPoolBounds:
     def test_pool_size_clamps_huge_jobs(self):
         # A pure call: no process is started for these values.
         seeds = list(range(5))
-        assert pool_size(10**9, seeds) == min(5, os.cpu_count() or 1)
+        assert pool_size(10**9, seeds) == min(5, len(os.sched_getaffinity(0)))
         assert pool_size(10**9, seeds[:1]) == 1
         assert pool_size(10**9, []) == 1
         assert pool_size(0, seeds) == 1
         assert pool_size(-3, seeds) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_pool_size_counts_the_cpus_this_process_may_run_on(self):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("only one CPU is usable, so a one-CPU mask changes nothing")
+        # The child pins only itself; os.cpu_count() still counts every CPU there.
+        probe = (
+            "import os; from failsafe.pipeline import pool_size; "
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "print(pool_size(8, range(8)))"
+        )
+        src = os.path.dirname(os.path.dirname(failsafe.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout == "1\n"
 
     def test_dead_pool_is_runtime_error(self, monkeypatch, capsys):
         def dead(*args, **kwargs):

@@ -1,5 +1,6 @@
 """Config parsing, validation, and the config hash."""
 
+import ast
 import math
 import re
 from dataclasses import replace
@@ -361,6 +362,7 @@ class TestEveryConfigIsChecked:
         ("planner", {"grasp_approach_offset": 0.01}, "planner.grasp_approach_offset"),
         ("sim", {"grasp_radius": 0.002}, "planner.grasp_approach_offset"),
         ("dataset", {"failure_to_gt_ratio": 0.0}, "dataset.failure_to_gt_ratio"),
+        ("sim", {"table_z": -0.5}, "sim.table_z"),
     ])
     def test_replace_obeys_the_bounds(self, section, changes, key):
         # The bounds bind a Config however it is built, not only one loaded from YAML.
@@ -374,3 +376,14 @@ class TestEveryConfigIsChecked:
         for path in sorted(Path(failsafe.__file__).parent.glob("*.py")):
             text = path.read_text(encoding="utf-8")
             assert not re.search(r"\benviron\b|\bgetenv\b", text), path.name
+
+    def test_no_module_imports_another_modules_private_name(self):
+        # What two modules share is public; a leading underscore keeps a name in its module.
+        for path in sorted(Path(failsafe.__file__).parent.glob("*.py")):
+            imported = [
+                alias.name
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            ]
+            assert not [name for name in imported if re.match(r"_[a-z]", name)], path.name

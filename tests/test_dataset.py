@@ -120,7 +120,7 @@ class TestBuildEntry:
         assert entry.end_step == start + cand.d_index
         assert entry.is_failure is True
         assert entry.failure_type == (case.spec.mode, case.spec.axis)
-        assert entry.sub_task == case.spec.stage_name
+        assert entry.sub_task == task_spec("pick_cube").stage_names[case.spec.stage_index]
         assert entry.instruction == task_spec("pick_cube").instruction
         assert list(entry.recovery.as_vector()) == list(cand.action.as_vector())
         assert entry.provenance == {
@@ -148,8 +148,7 @@ class TestBuildEntry:
         cases, _ = corpus
         _, (case, good) = next(iter(cases.items()))
         # Deviate in the first stage, two steps short of a full window.
-        first = task_spec(case.correct.plan.task_id).stage_names[0]
-        early = replace(case, spec=replace(case.spec, stage_index=0, stage_name=first))
+        early = replace(case, spec=replace(case.spec, stage_index=0))
         with pytest.raises(ContractViolation):
             build_entry(early, replace(good[0], d_index=WINDOW_FRAMES - 2), observer(sim))
 
@@ -268,9 +267,9 @@ class TestSerialization:
         path = tmp_path / "big.jsonl"
         assert write_dataset(entries, path) == 1000
         back = read_dataset(path)
-        from failsafe.dataset import _sort_key
+        from failsafe.dataset import sort_key
 
-        assert records(back) == records(sorted(entries, key=_sort_key))
+        assert records(back) == records(sorted(entries, key=sort_key))
 
     def test_recovery_angles_read_back_as_written(self, corpus):
         # The writer's angles are wrapped already; wrapping them again on read turned

@@ -747,7 +747,7 @@ class ReferenceSimulator(Simulator):
             if new_grip <= cfg.grasp_threshold and self._tool_aligned(new_ee):
                 attached, offset = self._try_attach(new_ee, objects)
 
-        return WorldState(new_ee, objects, attached, offset, world.table_z, world.goal)
+        return WorldState(new_ee, objects, attached, offset, world.goal)
 
     def clamp_position(self, position) -> np.ndarray:
         """Where a commanded position actually lands: inside the workspace."""
@@ -795,7 +795,6 @@ def world_bits(world: WorldState, objects: dict) -> tuple:
         world.attached,
         offset and (offset.position.tobytes(), offset.orientation.tobytes()),
         {obj_id: pose_bits(obj.pose) for obj_id, obj in objects.items()},
-        world.table_z,
         world.goal,
     )
 

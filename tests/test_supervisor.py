@@ -717,7 +717,7 @@ class TestEpisodePair:
     def test_unfaulted_bare_run_matches_null_assistant(self, cfg, sim):
         bare = replace(cfg, supervisor=replace(cfg.supervisor, faults={}))
         for seed in range(2):
-            bare_ok, _, _ = run_episode_pair("pick_cube", seed, bare, "oracle")
+            bare_ok, _ = run_episode_pair("pick_cube", seed, bare, "oracle")
             explicit = run_supervised_episode(
                 *scene_for("pick_cube", seed, bare, sim),
                 null_assistant, bare, sim,
@@ -729,7 +729,7 @@ class TestEpisodePair:
         paced = cfg if cadence is None else with_cadence(cfg, cadence)
         for task in ("pick_cube", "stack_cube"):
             fault = cube_faults[(task, 0)]
-            bare_ok, _, _ = run_episode_pair(task, 0, paced, "null")
+            bare_ok, _ = run_episode_pair(task, 0, paced, "null")
             explicit = run_supervised_episode(
                 *scene_for(task, 0, cfg, sim, fault),
                 null_assistant, paced, sim,
@@ -749,8 +749,8 @@ class TestEpisodePair:
         for module in vars(failsafe).values():
             if getattr(module, "plan_task", None) is plan:
                 monkeypatch.setattr(module, "plan_task", counted)
-        _, helped_ok, _ = run_episode_pair("pick_cube", 1, cfg, "oracle")
-        assert helped_ok
+        _, helped = run_episode_pair("pick_cube", 1, cfg, "oracle")
+        assert helped.success
         assert calls == [("pick_cube", 1)]
 
     @pytest.mark.parametrize("faults", ("configured", "none"))
@@ -771,8 +771,8 @@ class TestEpisodePair:
         for module in vars(failsafe).values():
             if getattr(module, "rollout_plan", None) is rollout:
                 monkeypatch.setattr(module, "rollout_plan", counted)
-        bare_ok, helped_ok, _ = run_episode_pair("pick_cube", 1, cfg, "oracle")
-        assert helped_ok and bare_ok == (faults == "none")
+        bare_ok, helped = run_episode_pair("pick_cube", 1, cfg, "oracle")
+        assert helped.success and bare_ok == (faults == "none")
         assert len(full) == 1
 
 

@@ -14,8 +14,8 @@ from failsafe.geometry import DeltaAction
 from failsafe.pipeline import generate_task_entries
 from failsafe.recovery import (
     CandidateRecovery,
-    candidate_index_ranges,
     collect_candidates,
+    deviated_stage,
 )
 from failsafe.sim import Simulator
 from failsafe.tasks import plan_task, rollout_plan
@@ -67,7 +67,7 @@ class TestVerifyCandidate:
         # do-nothing correction leaves the gripper beside the cube and the
         # resumed tail cannot recover the grasp.
         case = case_with_mode("pick_cube", "translation", cfg, sim)
-        d_range, c_range = candidate_index_ranges(case)
+        *_, d_range, c_range = deviated_stage(case)
         lazy = CandidateRecovery(
             d_index=d_range[-1], c_index=c_range[-1], action=DeltaAction.zero()
         )
@@ -151,7 +151,7 @@ class TestVerifyCandidate:
         case = failure_case("pick_cube", 0, cfg, sim)
         drawn = [c for c in collect_candidates(case, 5) if verify_candidate(case, c, cfg, sim)]
         assert drawn
-        d_range, _ = candidate_index_ranges(case)
+        *_, d_range, _ = deviated_stage(case)
 
         def no_replay(*args):
             raise AssertionError("replayed a refused candidate")
