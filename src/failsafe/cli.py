@@ -256,8 +256,8 @@ def _trace_text(result) -> str:
     executing an intervention's motion."""
     lines = ["step\tx\ty\tz\troll\tpitch\tyaw\tgripper\tintervention"]
     for step, (pose, moved) in enumerate(zip(result.trace, result.transit_mask)):
-        roll, pitch, yaw = quat_to_rpy(pose.orientation)
-        x, y, z = pose.position
+        roll, pitch, yaw = quat_to_rpy(pose.orientation).tolist()
+        x, y, z = pose.position.tolist()
         lines.append(
             f"{step}\t{x:.9f}\t{y:.9f}\t{z:.9f}"
             f"\t{roll:.9f}\t{pitch:.9f}\t{yaw:.9f}"

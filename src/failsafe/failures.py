@@ -55,7 +55,9 @@ class FailureCase:
 
 def perturb_stage(plan: Plan, spec: FailureSpec) -> Plan:
     """A copy of the plan with exactly one stage altered per the spec: whichever
-    stage the plan has at the spec's index (IndexError past the last)."""
+    stage the plan has at the spec's index (IndexError outside [0, len(plan.stages)))."""
+    if not 0 <= spec.stage_index < len(plan.stages):  # as Trajectory.stage_bounds refuses it
+        raise IndexError(f"stage {spec.stage_index} not in plan")
     stage = plan.stages[spec.stage_index]
     if spec.mode == "translation":
         shifted = stage.target.position.copy()

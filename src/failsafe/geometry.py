@@ -94,7 +94,7 @@ def quat_to_rpy(q) -> np.ndarray:
     goes to roll. Both branches degrade in a band of width ~1e-7 around the
     lock, which random relative rotations do not reach.
     """
-    w, x, y, z = q
+    w, x, y, z = np.asarray(q, dtype=float).tolist()  # Python floats: numpy's IEEE ops, faster
     sinp = 2.0 * (w * y - z * x)
     if abs(sinp) >= 1.0 - 1e-12:
         pitch = math.copysign(0.5 * math.pi, sinp)
@@ -110,7 +110,7 @@ def slerp(q0, q1, t: float) -> np.ndarray:
     """Spherical interpolation along the shorter arc."""
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
-    dot = float(np.dot(q0, q1))
+    dot = float(q0.dot(q1))  # np.dot's ddot, without its dispatch
     if dot < 0.0:
         q1 = -q1
         dot = -dot
@@ -158,11 +158,11 @@ class Pose:
         self.gripper = min(1.0, max(0.0, g))
 
     @classmethod
-    def trusted(cls, position: np.ndarray, orientation: np.ndarray, gripper: float) -> "Pose":
-        """A pose built from checked ones: normalised and clamped as by Pose(...), not checked."""
+    def trusted(cls, position, orientation, gripper: float, normalised=False) -> "Pose":
+        """A pose built from checked ones, unchecked: clamped, and normalised unless it is."""
         pose = cls.__new__(cls)
         pose.position = position
-        pose.orientation = orientation / norm(orientation)
+        pose.orientation = orientation if normalised else orientation / norm(orientation)
         pose.gripper = min(1.0, max(0.0, float(gripper)))
         return pose
 
@@ -228,15 +228,19 @@ def interpolate_stage(start: Pose, end: Pose, steps: int) -> list:
     """`steps` poses from start (exclusive) to end (inclusive, exact copy)."""
     if steps < 1:
         raise EmptyPlanError(f"cannot interpolate a stage over {steps} steps")
-    # Equal (or opposite) ends: every slerp is the lerp q0 + t * 0; Pose.trusted copies it.
+    # Equal (or opposite) ends: every slerp is the lerp q0 + t * 0, normalised here once as
+    # Pose.trusted would normalise it for each waypoint; each waypoint gets its own copy.
     q0, q1 = start.orientation, end.orientation
     fixed = slerp(q0, q1, 0.5) if np.array_equal(q0, q1) or np.array_equal(q0, -q1) else None
+    fixed = fixed if fixed is None else fixed / norm(fixed)
     # Waypoint i's t is i / steps; one broadcast per stage makes every (1 - t) * a + t * b.
     t = np.arange(1, steps) / steps
     positions = (1.0 - t)[:, None] * start.position + t[:, None] * end.position
     grippers = (1.0 - t) * start.gripper + t * end.gripper
     poses = [
-        Pose.trusted(position, slerp(q0, q1, ti) if fixed is None else fixed, gripper)
+        Pose.trusted(position, slerp(q0, q1, ti), gripper)
+        if fixed is None
+        else Pose.trusted(position, fixed.copy(), gripper, normalised=True)
         for ti, position, gripper in zip(t.tolist(), positions, grippers.tolist())
     ]
     poses.append(end.copy())
@@ -250,9 +254,13 @@ def position_distance(p: Pose, q: Pose) -> float:
 
 def angle_between(p: Pose, q: Pose) -> float:
     """Radians between two poses' orientations."""
-    po = p.orientation.tolist()
-    w, x, y, z = q.orientation.tolist()
-    if po == [w, x, y, z] or po == [-w, -x, -y, -z]:
+    return quat_angle(p.orientation.tolist(), q.orientation.tolist())
+
+
+def quat_angle(po: list, qo: list) -> float:
+    """Radians between two (w, x, y, z) lists of floats."""
+    w, x, y, z = qo
+    if po == qo or po == [-w, -x, -y, -z]:
         return 0.0
     rel_w, *rel_v = qmul(po, (w, -x, -y, -z))
     return 2.0 * math.atan2(norm(rel_v), abs(rel_w))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import TASKS, Config
 from .errors import InvalidCommandError, SceneError
-from .geometry import Pose, angle_between, norm, qmul, quat_conjugate, quat_multiply, quat_rotate
+from .geometry import Pose, norm, qmul, quat_angle, quat_conjugate, quat_multiply, quat_rotate
 from .geometry import slerp
 
 DOWN = np.array([0.0, 0.0, -1.0])
@@ -55,7 +55,7 @@ class GraspOffset:
     orientation: np.ndarray  # relative quaternion
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)  # a step makes a new world and changes none: compared by identity
 class WorldState:
     """`placed` has the held object where it was grasped; `objects` has it where it is."""
 
@@ -109,8 +109,8 @@ class Simulator:
 
     def step(self, world: WorldState, target: Pose) -> WorldState:
         cfg = self.config
-        command = [*target.position.tolist(), *target.orientation.tolist(), target.gripper]
-        if not all(map(math.isfinite, command)):
+        position, orientation = target.position.tolist(), target.orientation.tolist()
+        if not all(map(math.isfinite, (*position, *orientation, target.gripper))):
             raise InvalidCommandError("non-finite command target")
 
         goal_pos = self.clamp_position(target.position)
@@ -123,7 +123,7 @@ class Simulator:
         else:
             new_pos = ee.position + delta * (cfg.max_ee_speed / dist)
 
-        ang = angle_between(ee, target)
+        ang = quat_angle(ee.orientation.tolist(), orientation)
         if ang <= cfg.max_ee_angular:
             new_quat = target.orientation  # Pose.trusted's divide makes the copy
         else:
@@ -143,24 +143,25 @@ class Simulator:
             return WorldState(new_ee, world.objects, None, None, goal)  # let go where it is
 
         objects = world.placed
-        sweep_x, sweep_y, _ = (new_pos - ee.position).tolist()
+        # A landed sweep is the delta itself: the same subtraction of the same operands.
+        sweep_x, sweep_y, _ = (delta if new_pos is goal_pos else new_pos - ee.position).tolist()
         if sweep_x != 0.0 or sweep_y != 0.0:
-            horizontal = np.array([sweep_x, sweep_y, 0.0])
             # The sweep is at most min(dist, max_ee_speed) long, so an object this far from
             # its start is out of contact; the margin dwarfs any rounding of either test.
             reach = cfg.contact_radius + min(dist, cfg.max_ee_speed) + 1e-6
             start = ee.position.tolist()
-            for obj_id in sorted(objects):
-                obj = objects[obj_id]
+            # Each push reads only its own object, so any order gives the same dict.
+            for obj_id, obj in world.placed.items():
                 p = obj.pose
                 if not obj.movable or math.dist(p.position.tolist(), start) > reach:
                     continue
                 gap = _segment_point_distance(ee.position, new_pos, p.position)
                 if gap <= cfg.contact_radius:
-                    moved = Pose.trusted(p.position + horizontal, p.orientation, p.gripper)
+                    moved = p.position + np.array([sweep_x, sweep_y, 0.0])
+                    moved = Pose.trusted(moved, p.orientation, p.gripper)
                     objects = {**objects, obj_id: _with_pose(obj, moved)}
         attached, offset = None, None
-        if new_grip <= cfg.grasp_threshold and self._tool_aligned(new_ee):
+        if new_grip <= cfg.grasp_threshold:
             attached, offset = self._try_attach(new_ee, objects)
         return WorldState(new_ee, objects, attached, offset, goal)
 
@@ -208,7 +209,8 @@ class Simulator:
         return math.acos(min(1.0, max(-1.0, -axis_z))) <= self.config.grasp_align_tol
 
     def _try_attach(self, ee: Pose, objects: dict):
-        """(id, grasp offset) of the nearest movable object in reach, else (None, None)."""
+        """(id, grasp offset) of the nearest movable object in reach of an aligned tool,
+        else (None, None). Alignment is tested only once an object is in reach."""
         best_id = None
         best_dist = math.inf
         reach = self.config.grasp_radius + 1e-6  # screens out misses, as in step
@@ -218,12 +220,10 @@ class Simulator:
             if not obj.movable or math.dist(obj.pose.position.tolist(), here) > reach:
                 continue
             d = norm(obj.pose.position - ee.position)
-            if d > self.config.grasp_radius:
-                continue
-            if d < best_dist:  # ties keep the first id in sorted order
+            if d <= self.config.grasp_radius and d < best_dist:  # a tie keeps the first id
                 best_id = obj_id
                 best_dist = d
-        if best_id is None:
+        if best_id is None or not self._tool_aligned(ee):
             return None, None
         obj = objects[best_id]
         inv = quat_conjugate(ee.orientation)

@@ -87,6 +87,15 @@ class TestPerturbStage:
                 continue
             assert a is b, f"stage {i} was touched"
 
+    @pytest.mark.parametrize("index", [-1, -3, 3, 7])
+    def test_stage_index_outside_the_plan_is_refused(self, cfg, index):
+        """A negative index names no stage, as in Trajectory.stage_bounds: it must not alter
+        one counted from the plan's end."""
+        plan, _ = plan_task("pick_cube", 0, cfg)
+        assert len(plan.stages) == 3
+        with pytest.raises(IndexError, match=f"stage {index} not in plan"):
+            perturb_stage(plan, FailureSpec("translation", "x", 0.05, index))
+
 
 class TestSampling:
     def test_same_seed_same_spec(self, cfg):

@@ -262,6 +262,25 @@ class TestQuatConversions:
         rpy = quat_to_rpy(q)
         assert np.allclose(rpy, [0.0, 0.0, math.pi / 3], atol=1e-12)
 
+    def test_rpy_has_the_bits_of_numpy_scalar_arithmetic(self):
+        """Taken on Python floats, the angles keep every bit they had on numpy scalars."""
+
+        def on_numpy_scalars(q):
+            w, x, y, z = q
+            sinp = 2.0 * (w * y - z * x)
+            if abs(sinp) >= 1.0 - 1e-12:
+                return [wrap_angle(2.0 * math.atan2(x, w)), math.copysign(0.5 * math.pi, sinp), 0.0]
+            roll = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
+            yaw = math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+            return [roll, math.asin(sinp), yaw]
+
+        rng = np.random.default_rng(13)
+        locked = quat_multiply(quat_about_axis(1, math.pi / 2.0), quat_about_axis(0, 0.4))
+        for q in [locked, *(q / np.linalg.norm(q) for q in rng.normal(size=(2000, 4)))]:
+            want = np.array(on_numpy_scalars(q)).tobytes()
+            assert quat_to_rpy(q).tobytes() == want
+            assert quat_to_rpy(tuple(q.tolist())).tobytes() == want  # any 4-sequence
+
 
 class TestDeltaAction:
     def test_identity_is_exactly_zero(self):

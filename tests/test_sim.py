@@ -320,7 +320,8 @@ class TestGrasping:
         world = sim.step(world, pose(0.0, 0.0, 0.05, grip=0.2))
         assert world.attached is None
 
-    def test_misaligned_tool_never_attaches(self, sim):
+    def test_misaligned_tool_never_attaches(self, sim, monkeypatch):
+        tested = self.count_alignment_tests(monkeypatch)
         tilted = quat_about_axis(0, 0.6)  # past the 0.5 rad alignment gate
         world = make_world(
             ee=pose(0.0, 0.0, 0.028, quat=tilted, grip=0.2),
@@ -328,6 +329,7 @@ class TestGrasping:
         )
         world = sim.step(world, pose(0.0, 0.0, 0.028, quat=tilted, grip=0.2))
         assert world.attached is None
+        assert tested == [False]  # the cube is in reach: alignment alone refuses it
 
     def test_slightly_tilted_tool_attaches(self, sim):
         tilted = quat_about_axis(0, 0.3)
@@ -356,6 +358,36 @@ class TestGrasping:
         )
         world = sim.step(world, pose(0.0, 0.0, 0.028, grip=0.2))
         assert world.attached is None
+
+    def count_alignment_tests(self, monkeypatch):
+        """A list of the results of every tool alignment test the stepper makes."""
+        tested, aligned = [], Simulator._tool_aligned
+
+        def recorded(self, ee):
+            tested.append(aligned(self, ee))
+            return tested[-1]
+
+        monkeypatch.setattr(Simulator, "_tool_aligned", recorded)
+        return tested
+
+    def test_aligned_tool_with_nothing_in_reach_never_tests_alignment(self, sim, monkeypatch):
+        tested = self.count_alignment_tests(monkeypatch)
+        world = make_world(
+            ee=pose(0.0, 0.0, 0.028, grip=0.2),
+            objects={"far": cube_at(0.0, 0.0, 0.04), "pad": cube_at(0.0, 0.0, movable=False)},
+        )
+        after = sim.step(world, pose(0.0, 0.0, 0.028, grip=0.2))
+        assert (after.attached, after.grasp_offset) == (None, None)
+        assert tested == []
+
+    def test_aligned_tool_in_reach_attaches_the_nearest_first_id_on_a_tie(self, sim, monkeypatch):
+        tested = self.count_alignment_tests(monkeypatch)
+        tied = {"b": cube_at(0.004, 0.0), "a": cube_at(-0.004, 0.0)}  # sorted order, not insertion
+        for objects, want in ((tied, "a"), ({**tied, "z": cube_at(0.0, 0.0)}, "z")):
+            world = make_world(ee=pose(0.0, 0.0, 0.026, grip=0.2), objects=objects)
+            after = sim.step(world, pose(0.0, 0.0, 0.026, grip=0.2))
+            assert after.attached == want and after.grasp_offset is not None
+        assert tested == [True, True]
 
     def test_attachment_consistency_random_walk(self, sim):
         rng = np.random.default_rng(7)
@@ -825,6 +857,23 @@ class TestReferenceStep:
         assert cli_main([*argv, str(tmp_path)]) == 0
         monkeypatch.undo()
         assert len(pairs) > 9000
+        for world, command in pairs:
+            assert_steps_as_reference(sim, reference, world, command)
+
+    def test_every_step_of_the_supervise_lane(self, sim, reference, capsys, monkeypatch):
+        """Oracle-assisted episodes on the cube tasks: transits, resumed streams, settle holds."""
+        from failsafe.cli import cli_main
+
+        pairs, step = [], Simulator.step
+        monkeypatch.setattr(
+            Simulator, "step", lambda self, w, c: pairs.append((w, c)) or step(self, w, c)
+        )
+        for task in ("pick_cube", "push_cube", "stack_cube"):
+            argv = ["supervise", "--task", task, "--seeds", "0..2", "--assistant", "oracle"]
+            assert cli_main(argv) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert len(pairs) > 3000
         for world, command in pairs:
             assert_steps_as_reference(sim, reference, world, command)
 
