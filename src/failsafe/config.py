@@ -388,7 +388,8 @@ def _check_ranges(cfg: Config):
         return getattr(getattr(cfg, section), key)
 
     for path in ("sim.max_ee_speed", "sim.max_ee_angular", "sim.max_gripper_rate",
-                 "dataset.failure_to_gt_ratio"):
+                 "sim.goal_radius", "sim.stack_z_tol", "sim.cube_half_extent",
+                 "sim.sphere_radius", "dataset.failure_to_gt_ratio"):
         if value(path) <= 0:
             raise ConfigError(f"'{path}' must be positive")
     for path, low in (  # every setting bounded only from below, with its least value

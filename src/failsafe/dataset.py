@@ -33,9 +33,7 @@ from .sim import CAMERA_IDS, ObservationFrame
 SCHEMA_VERSION = 1
 WINDOW_FRAMES = 10
 
-# Stats columns; rotation axes fold onto the frame axes they spin about.
-STAT_LABELS = ("no_ops", "trans_x", "trans_y", "trans_z", "rot_x", "rot_y", "rot_z", "gt")
-
+# Each failure's stats column; rotation axes fold onto the frame axes they spin about.
 _FAILURE_LABEL = {
     ("no_ops", None): "no_ops",
     ("translation", "x"): "trans_x",
@@ -45,6 +43,7 @@ _FAILURE_LABEL = {
     ("rotation", "pitch"): "rot_y",
     ("rotation", "yaw"): "rot_z",
 }
+STAT_LABELS = (*_FAILURE_LABEL.values(), "gt")
 
 _TOP_KEYS = (
     "schema_version",
@@ -109,10 +108,7 @@ class DatasetEntry:
                 raise ContractViolation(
                     "success entries carry neither failure_type nor recovery"
                 )
-            if any(
-                self.provenance[k] is not None
-                for k in ("stage", "d_index", "c_index", "magnitude")
-            ):
+            if any(self.provenance[k] is not None for k in _PROVENANCE_KEYS[1:]):
                 raise ContractViolation(
                     "success entries carry only the seed in provenance"
                 )
@@ -405,9 +401,7 @@ def _pose_from_record(record, what) -> Pose:
         raise DatasetFormatError(f"{what}.gripper must lie in [0, 1]")
     # Every field is checked above. Keep the writer's normalized quaternion
     # bits rather than renormalizing, so reading inverts writing.
-    pose = Pose.__new__(Pose)
-    pose.position, pose.orientation, pose.gripper = position, orientation, gripper
-    return pose
+    return Pose.trusted(position, orientation, gripper, normalised=True)
 
 
 def _frame_from_record(record, what) -> ObservationFrame:
@@ -552,18 +546,6 @@ class DatasetStats:
             counts[key] = counts.get(key, 0) + 1
         return cls(counts)
 
-    def tasks(self) -> list:
-        return sorted({task for task, _ in self.counts})
-
-    def count(self, task, label) -> int:
-        return self.counts.get((task, label), 0)
-
-    def per_type(self) -> dict:
-        totals = {label: 0 for label in STAT_LABELS}
-        for (_, label), value in self.counts.items():
-            totals[label] += value
-        return totals
-
     @property
     def total_failures(self) -> int:
         return sum(v for (_, label), v in self.counts.items() if label != "gt")
@@ -586,12 +568,14 @@ class DatasetStats:
 
     def summary(self) -> dict:
         """Plain-JSON report: per-task rows, per-type totals, the ratio."""
+        rows = {task: dict.fromkeys(STAT_LABELS, 0) for task, _ in sorted(self.counts)}
+        totals = dict.fromkeys(STAT_LABELS, 0)
+        for (task, label), value in self.counts.items():
+            rows[task][label] = value
+            totals[label] += value
         return {
-            "tasks": {
-                task: {label: self.count(task, label) for label in STAT_LABELS}
-                for task in self.tasks()
-            },
-            "totals": self.per_type(),
+            "tasks": rows,
+            "totals": totals,
             "failures": self.total_failures,
             "gt": self.total_gt,
             "ratio": round(self.ratio, 2) if math.isfinite(self.ratio) else None,

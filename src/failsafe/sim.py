@@ -93,6 +93,23 @@ def _segment_point_distance(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> floa
     return norm(p - (a + t * d))
 
 
+@functools.cache
+def _fixed_camera(position: tuple):
+    """(position, basis) of a camera aimed at LOOK_AT; shared by every Simulator, never written."""
+    pos = np.asarray(position, dtype=float)
+    forward = LOOK_AT - pos
+    forward = forward / norm(forward)
+    up = np.array([0.0, 0.0, 1.0])
+    right = np.cross(forward, up)
+    length = norm(right)
+    if length < 1e-9:  # looking straight down: pick a fixed right axis
+        right = np.array([1.0, 0.0, 0.0])
+    else:
+        right = right / length
+    down = np.cross(forward, right)
+    return pos, np.stack([forward, right, down]).T
+
+
 class Simulator:
     """Pure-function stepper over WorldState values under one Config."""
 
@@ -101,9 +118,9 @@ class Simulator:
         self._workspace_min = np.asarray(self.config.workspace_min, dtype=float)
         self._workspace_max = np.asarray(self.config.workspace_max, dtype=float)
         self._bounds = self._workspace_min.tolist(), self._workspace_max.tolist()
-        # The fixed cameras never move: build their bases once.
-        self._front = self._fixed_camera(self.config.front_camera)
-        self._side = self._fixed_camera(self.config.side_camera)
+        # The fixed cameras never move: their bases are built once per position.
+        self._front = _fixed_camera(tuple(map(float, self.config.front_camera)))
+        self._side = _fixed_camera(tuple(map(float, self.config.side_camera)))
 
     # -- stepping ----------------------------------------------------------
 
@@ -295,20 +312,6 @@ class Simulator:
             ids.extend(f"{obj_id}:corner{i}" for i in range(len(keypoints) - 1))
             points.append(keypoints)
         return ids, np.concatenate(points)
-
-    def _fixed_camera(self, position):
-        pos = np.asarray(position, dtype=float)
-        forward = LOOK_AT - pos
-        forward = forward / norm(forward)
-        up = np.array([0.0, 0.0, 1.0])
-        right = np.cross(forward, up)
-        length = norm(right)
-        if length < 1e-9:  # looking straight down: pick a fixed right axis
-            right = np.array([1.0, 0.0, 0.0])
-        else:
-            right = right / length
-        down = np.cross(forward, right)
-        return pos, np.stack([forward, right, down]).T
 
     def _hand_camera(self, ee: Pose):
         # np.cross's formula on Python floats; the same basis matrix, cheaper.

@@ -51,10 +51,13 @@ class AssistantDecision:
 @dataclass(frozen=True)
 class EpisodeResult:
     success: bool
-    total_steps: int
     interventions: int
     trace: tuple  # EE pose per step, index 0 = initial pose
     transit_mask: tuple  # per trace row: was this step part of an intervention
+
+    @property
+    def total_steps(self) -> int:
+        return len(self.trace) - 1
 
 
 @dataclass(frozen=True)
@@ -229,22 +232,20 @@ def run_supervised_episode(
     the cursor re-syncs.
     """
     cadence = cfg.supervisor.cadence
-    plan, world = correct.plan, correct.start
+    plan = correct.plan
     context = EpisodeContext(fault, correct, cfg)
     commands, lent = unassisted.commands, unassisted.worlds
     cursor = 0  # next stream command to run; the steps run, until an intervention
     budget = episode_budget(plan, cfg)
 
-    worlds = [world]  # index = steps run; the trace is their EE poses
+    worlds = [correct.start]  # index = steps run, the last is now; the trace is their EE poses
     transit_mask = [False]
     frame = functools.cache(lambda i: sim.observe(worlds[i], i))  # each world observed at most once
     interventions = 0
 
-    def record(start, stepped, transit):
-        """Keep each stepped world; returns the latest one."""
+    def record(stepped, transit):
         worlds.extend(stepped)
         transit_mask.extend([transit] * len(stepped))
-        return stepped[-1] if stepped else start
 
     while len(worlds) - 1 < budget and cursor < len(commands):
         total = len(worlds) - 1
@@ -258,30 +259,29 @@ def run_supervised_episode(
                 )
                 decision = None
             if decision is not None and decision.is_failure:
-                target = apply_delta(world.ee_pose, decision.recovery)
+                target = apply_delta(worlds[-1].ee_pose, decision.recovery)
                 interventions += 1
                 # An intervention always moves at least once, then drives
                 # to arrival within what is left of the budget.
-                world = record(world, [sim.step(world, target)], True)
-                stepped, arrived = sim.drive_to(world, target, budget - total - 1)
-                world = record(world, stepped, True)
+                record([sim.step(worlds[-1], target)], True)
+                stepped, arrived = sim.drive_to(worlds[-1], target, budget - total - 1)
+                record(stepped, True)
                 if arrived:
-                    cursor = resync(commands, cursor, world.ee_pose, cfg)
+                    cursor = resync(commands, cursor, worlds[-1].ee_pose, cfg)
                 continue
         # The stream runs on until the next consultation.
         run = min(cadence - total % cadence, budget - total)
         ready = [] if interventions else lent[cursor : cursor + run]  # as it ran unassisted
-        world = record(world, ready, False)
-        world = record(world, sim.drive(world, commands[cursor + len(ready) : cursor + run]), False)
+        record(ready, False)
+        record(sim.drive(worlds[-1], commands[cursor + len(ready) : cursor + run]), False)
         cursor += run
 
     # Plan exhausted (or budget hit): hold position briefly, then judge.
-    holds = [world.ee_pose.copy()] * min(cfg.supervisor.settle_steps, budget - (len(worlds) - 1))
-    world = record(world, sim.drive(world, holds), False)
+    holds = [worlds[-1].ee_pose.copy()] * min(cfg.supervisor.settle_steps, budget + 1 - len(worlds))
+    record(sim.drive(worlds[-1], holds), False)
 
     return EpisodeResult(
-        success=sim.evaluate_success(world, plan.task_id),
-        total_steps=len(worlds) - 1,
+        success=sim.evaluate_success(worlds[-1], plan.task_id),
         interventions=interventions,
         trace=tuple(w.ee_pose for w in worlds),
         transit_mask=tuple(transit_mask),

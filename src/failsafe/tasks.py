@@ -109,12 +109,6 @@ class Trajectory:
         return last - first + 1
 
 
-def home_pose(cfg: Config) -> Pose:
-    return Pose(
-        np.array([0.0, 0.0, cfg.planner.home_height]), IDENTITY_QUAT, GRIP_OPEN
-    )
-
-
 def _upright(position, gripper) -> Pose:
     return Pose(np.asarray(position, dtype=float), IDENTITY_QUAT, gripper)
 
@@ -173,7 +167,7 @@ def _build_scene(spec: TaskSpec, rng, cfg: Config) -> WorldState:
             )
 
     return WorldState(
-        ee_pose=home_pose(cfg),
+        ee_pose=_upright([0.0, 0.0, pl.home_height], GRIP_OPEN),
         placed={
             obj_id: _scene_object(obj_id, xy, cfg.sim)
             for obj_id, xy in zip(spec.objects, xys)

@@ -222,6 +222,20 @@ class TestGenerate:
         assert err.startswith("config error:") and "'sim.table_z'" in err
         assert not out.exists()
 
+    def test_zero_goal_radius_is_config_error(self, tmp_path, capsys):
+        # The config took 0, then every push_cube rollout failed and generate exited 2.
+        config = tmp_path / "goal.yaml"
+        config.write_text("sim: {goal_radius: 0}\n")
+        out = tmp_path / "out"
+        code, payload, err = run_cli(
+            ["generate", "--config", str(config), "--task", "push_cube", "--seeds", "0",
+             "--out", str(out)],
+            capsys,
+        )
+        assert (code, payload) == (EXIT_USAGE, None)
+        assert err.startswith("config error:") and "'sim.goal_radius'" in err
+        assert not out.exists()
+
     def test_stdout_reports_hashes(self, tmp_path, capsys):
         code, payload, _ = run_cli(
             ["generate", "--task", TASK, "--seeds", "3", "--out", str(tmp_path)], capsys

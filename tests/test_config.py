@@ -363,6 +363,11 @@ class TestEveryConfigIsChecked:
         ("sim", {"grasp_radius": 0.002}, "planner.grasp_approach_offset"),
         ("dataset", {"failure_to_gt_ratio": 0.0}, "dataset.failure_to_gt_ratio"),
         ("sim", {"table_z": -0.5}, "sim.table_z"),
+        # Each of these passed the table and then failed every nominal rollout of a task.
+        ("sim", {"goal_radius": 0.0}, "sim.goal_radius"),
+        ("sim", {"stack_z_tol": 0.0}, "sim.stack_z_tol"),
+        ("sim", {"cube_half_extent": -0.02}, "sim.cube_half_extent"),
+        ("sim", {"sphere_radius": -0.02}, "sim.sphere_radius"),
     ])
     def test_replace_obeys_the_bounds(self, section, changes, key):
         # The bounds bind a Config however it is built, not only one loaded from YAML.
@@ -376,6 +381,25 @@ class TestEveryConfigIsChecked:
         for path in sorted(Path(failsafe.__file__).parent.glob("*.py")):
             text = path.read_text(encoding="utf-8")
             assert not re.search(r"\benviron\b|\bgetenv\b", text), path.name
+
+    def test_every_random_draw_goes_through_seed_stream(self):
+        # A draw from any other source would sit outside the named, seeded streams the
+        # determinism contract rests on.
+        for path in sorted(Path(failsafe.__file__).parent.glob("*.py")):
+            if path.name == "seeding.py":
+                continue
+            text = path.read_text(encoding="utf-8")
+            assert not re.search(r"\b(np|numpy)\.random\b", text), path.name
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[0] not in ("random", "secrets"), path.name
+                    assert not name.startswith("numpy.random"), path.name
 
     def test_no_module_imports_another_modules_private_name(self):
         # What two modules share is public; a leading underscore keeps a name in its module.

@@ -397,6 +397,15 @@ class TestSerialization:
         assert all(type(v) is float for v in read.cameras["front"][0][1:])
         assert type(read.ee_pose.gripper) is float and read.ee_pose.gripper == 1.0
 
+    def test_negative_zero_gripper_reads_as_zero(self, corpus):
+        # A read pose is clamped like any pose; the writer never writes -0.0, because
+        # every gripper it writes went through the same clamp.
+        _, entries = corpus
+        record = json.loads(json.dumps(entries[0].to_record()))
+        record["frames"][0]["ee"]["gripper"] = -0.0
+        gripper = entry_from_record(record).frames[0].ee_pose.gripper
+        assert gripper == 0.0 and math.copysign(1.0, gripper) == 1.0
+
     def test_unparseable_line_number(self, corpus, tmp_path):
         _, entries = corpus
         path = tmp_path / "garbled.jsonl"

@@ -7,7 +7,9 @@ two-runs-agree check cannot see) fails here. Never re-pin to make a change
 pass; a change that moves these digests changes the dataset.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -39,19 +41,37 @@ EVERY_TASK_TRACES_SHA256 = {
 # correct rollout's frames, so these bytes are the ones stepped from scratch.
 HELD_OUT_DATASET_SHA256 = "934628772475c45b2c524ddc3b3bb3d4d28130bb3c25bf3457ba75031f90caf7"
 HELD_OUT_MANIFEST_SHA256 = "4378c8d6c5e08afbd786007b00e8d92d3cbdd0be127707861c9948d11835db38"
+# The stdout of each audit command on the `--seeds 0..2` dataset, recorded before
+# `stats` built its rows in DatasetStats.summary and the reader made its poses with
+# Pose.trusted.
+AUDIT_STDOUT_SHA256 = {
+    ("stats",): "85fea174a4d3a50bf17500634d11d6b0811a2d24b04cd3bf971c6ad967da9b85",
+    ("verify",): "4ab202cfc106b5fcf3452b7f7edb717ce75b752d654398d819fbdbb3bb558d92",
+    ("evaluate", "--assistant", "oracle"):
+        "c521c1d1da7c65638109c097b9830749dbc00e53682770a75a180c91f89945fb",
+    ("evaluate", "--assistant", "null"):
+        "4fb78c652e5be2207228af279b9200dd800bc0a60fa6832b84f9d96caf2fff29",
+}
 
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_generate_all_bytes(tmp_path, capsys):
-    out = tmp_path / "gen"
-    code = cli_main(
-        ["generate", "--task", "all", "--seeds", "0..2", "--jobs", "1", "--out", str(out)]
-    )
-    capsys.readouterr()
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """The output directory of `generate --task all --seeds 0..2 --jobs 1`."""
+    out = tmp_path_factory.mktemp("golden") / "gen"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(
+            ["generate", "--task", "all", "--seeds", "0..2", "--jobs", "1", "--out", str(out)]
+        )
     assert code == EXIT_OK
+    return out
+
+
+def test_generate_all_bytes(generated):
+    out = generated
     assert _sha256(out / "dataset.jsonl") == DATASET_SHA256
     assert _sha256(out / "manifest.json") == MANIFEST_SHA256
     shards = {task: _sha256(out / f"{task}.jsonl") for task in SHARD_SHA256}
@@ -59,6 +79,14 @@ def test_generate_all_bytes(tmp_path, capsys):
     # dataset.jsonl is the shards back to back in task-id order.
     joined = b"".join((out / f"{task}.jsonl").read_bytes() for task in sorted(SHARD_SHA256))
     assert joined == (out / "dataset.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(AUDIT_STDOUT_SHA256), ids=" ".join)
+def test_audit_stdout_bytes(command, generated, capsys):
+    code = cli_main([*command, "--data", str(generated / "dataset.jsonl")])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == AUDIT_STDOUT_SHA256[command]
 
 
 def test_generate_held_out_seeds_bytes(tmp_path, capsys):

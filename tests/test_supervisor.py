@@ -520,7 +520,6 @@ def stepping_episode(correct, fault, assistant, cfg, sim):
     world = record(world, sim.drive(world, holds), False)
     return EpisodeResult(
         success=sim.evaluate_success(world, plan.task_id),
-        total_steps=len(worlds) - 1,
         interventions=interventions,
         trace=tuple(w.ee_pose for w in worlds),
         transit_mask=tuple(transit_mask),
