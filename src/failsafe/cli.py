@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from concurrent.futures.process import BrokenProcessPool
 
 from .config import TASKS, Config, default_config, load_config
@@ -118,23 +119,30 @@ def _cmd_generate(args) -> int:
     # One task's entries in memory at a time: each shard is written once and
     # its bytes streamed into dataset.jsonl through one hash. The sort key
     # leads with the task id, so shards in task-id order are the merged file.
+    # Shards are staged until every task has run, so a run that fails leaves
+    # --out as it found it.
     counts = {}
     total = 0
     digest = hashlib.sha256()
     dataset_path = os.path.join(args.out, "dataset.jsonl")
-    with atomic_writer(dataset_path) as merged:
+    with (
+        tempfile.TemporaryDirectory(dir=args.out, prefix=".") as staging,
+        atomic_writer(dataset_path) as merged,
+    ):
         for task in sorted(tasks):
             entries = generate_task_entries(task, seeds, cfg, jobs)
             failures = sum(1 for e in entries if e.is_failure)
             counts[task] = {"failures": failures, "ground_truth": len(entries) - failures}
-            shard = os.path.join(args.out, f"{task}.jsonl")
+            shard = os.path.join(staging, f"{task}.jsonl")
             total += write_dataset(entries, shard)
-            _progress(f"{task}: {len(entries)} entries ({failures} failures) -> {shard}")
+            _progress(f"{task}: {len(entries)} entries ({failures} failures)")
             del entries  # free this task's entries before the next task runs
             with open(shard, "rb") as fh:
                 for chunk in iter(lambda: fh.read(1 << 16), b""):
                     digest.update(chunk)
                     merged.write(chunk)
+        for name in os.listdir(staging):
+            os.replace(os.path.join(staging, name), os.path.join(args.out, name))
     dataset_sha = digest.hexdigest()
     manifest_path = os.path.join(args.out, "manifest.json")
     manifest_sha = write_manifest(manifest_path, cfg, tasks, seeds, counts, dataset_sha)

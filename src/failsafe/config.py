@@ -20,6 +20,7 @@ in meters (`unit: m`), degrees or radians (`unit: deg|rad`) or steps
 (`unit: steps`), and are stored in meters/radians/steps.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field, fields
 from importlib.resources import files
@@ -120,10 +121,10 @@ def _reject_unknown(raw: dict, allowed, prefix: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{path}' must be a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(f"'{path}' must be finite")
-    return v
+    with contextlib.suppress(OverflowError):  # an int too large for a float
+        if math.isfinite(value):
+            return float(value)
+    raise ConfigError(f"'{path}' must be finite")
 
 
 def _integer(value, path: str) -> int:

@@ -367,9 +367,10 @@ def _number(value, what, allow_none=False):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DatasetFormatError(f"{what} must be a number")
-    if not math.isfinite(value):
-        raise DatasetFormatError(f"{what} must be finite")
-    return float(value)
+    with contextlib.suppress(OverflowError):  # an int too large for a float
+        if math.isfinite(value):
+            return float(value)
+    raise DatasetFormatError(f"{what} must be finite")
 
 
 def _integer(value, what, allow_none=False, limit=math.inf):

@@ -57,16 +57,15 @@ class CandidateRecovery:
 
 
 def deviated_stage(case) -> tuple:
-    """(failed_start, correct_start, d_range, c_range) of a failure case's deviated
-    stage: its first step on the failed and on the correct rollout, and its window ranges.
+    """(start, d_range, c_range) of a failure case's deviated stage: its first step and
+    its window ranges.
 
-    The failed rollout always reaches that stage: it is cut at the nominal step
-    count, and the stages before it are the same in both plans, so it starts
-    before the cut."""
+    The stages before it are the same in both plans, so it starts at the same step on the
+    failed and on the correct rollout, and the failed rollout, cut at the nominal step
+    count, always reaches it."""
     idx = case.spec.stage_index
-    f_first, f_last = case.failed.stage_bounds(idx)
-    c_first, c_last = case.correct.stage_bounds(idx)
-    return f_first, c_first, *window_ranges(f_last - f_first + 1, c_last - c_first + 1)
+    start, f_last = case.failed.stage_bounds(idx)
+    return start, *window_ranges(f_last - start + 1, case.correct.stage_length(idx))
 
 
 def collect_candidates(case, k: int) -> list:
@@ -75,15 +74,15 @@ def collect_candidates(case, k: int) -> list:
     Deterministic in (the correct plan's task and seed, k). Returns [] when the deviated
     segment is too short to host a window.
     """
-    failed_start, correct_start, d_range, c_range = deviated_stage(case)
+    start, d_range, c_range = deviated_stage(case)
     if len(d_range) == 0 or len(c_range) == 0:
         return []
     rng = seed_stream("candidates", case.correct.plan.task_id, case.correct.plan.seed)
     out = []
     for d_index in even_subsample(d_range, k):
         c_index = int(rng.integers(c_range.start, c_range.stop))
-        pd = case.failed.worlds[failed_start + d_index].ee_pose
-        pc = case.correct.worlds[correct_start + c_index].ee_pose
+        pd = case.failed.worlds[start + d_index].ee_pose
+        pc = case.correct.worlds[start + c_index].ee_pose
         out.append(
             CandidateRecovery(
                 d_index=d_index,

@@ -14,6 +14,7 @@ itself: its caller evaluates its last world.
 import bisect
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,8 +76,13 @@ class Plan:
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate stage names in '{self.task_id}' plan")
 
+    @cached_property
+    def stage_ends(self) -> tuple:
+        """Each stage's end in the command stream: the index just past its last step."""
+        return tuple(itertools.accumulate(s.emitted_steps() for s in self.stages))
+
     def total_steps(self) -> int:
-        return sum(s.emitted_steps() for s in self.stages)
+        return self.stage_ends[-1]
 
     def stage_index(self, name: str) -> int:
         for i, stage in enumerate(self.stages):
@@ -91,7 +97,12 @@ class Trajectory:
     start: WorldState  # the world before commands[0]
     commands: tuple  # the plan's whole waypoint stream
     worlds: tuple  # worlds[i]: the world after commands[i]; fewer when cut at max_steps
-    stage_boundaries: tuple  # index of each executed stage's last world
+
+    @cached_property
+    def stage_boundaries(self) -> tuple:
+        """Index of each executed stage's last world; a cut last stage still closes the partition."""
+        ends, ran = self.plan.stage_ends, len(self.worlds)
+        return tuple(min(end, ran) - 1 for first, end in zip((0, *ends), ends) if first < ran)
 
     def stage_bounds(self, stage_index: int) -> tuple:
         """(first, last) step indices of a stage, inclusive."""
@@ -212,11 +223,6 @@ def plan_task(task_id: str, seed: int, cfg: Config) -> tuple:
     pl = cfg.planner
     steps = pl.stage_steps(task_id)
 
-    stages = []
-
-    def add(name, position, gripper):
-        stages.append(Stage(name, _upright(position, gripper), steps))
-
     moved = world.objects[spec.objects[0]]
     mx, my, mz = moved.pose.position
     if spec.family == "push":
@@ -225,35 +231,33 @@ def plan_task(task_id: str, seed: int, cfg: Config) -> tuple:
         direction = direction / norm(direction)
         behind = np.array([mx, my]) - direction * pl.push_standoff
         through = np.array([gx, gy]) - direction * cfg.sim.contact_radius
-        add("approach", [behind[0], behind[1], mz], GRIP_PUSH)
-        add("push", [through[0], through[1], mz], GRIP_PUSH)
+        targets = [([*behind, mz], GRIP_PUSH), ([*through, mz], GRIP_PUSH)]
     else:
         # Pick and place reach for and grasp the moved object alike.
-        add("reach", [mx, my, mz + pl.approach_height], GRIP_OPEN)
-        add("grasp", [mx, my, mz + pl.grasp_approach_offset], GRIP_HOLD)
+        targets = [([mx, my, mz + pl.approach_height], GRIP_OPEN),
+                   ([mx, my, mz + pl.grasp_approach_offset], GRIP_HOLD)]
         if spec.family == "pick":
-            add("lift", [mx, my, pl.lift_height], GRIP_HOLD)
+            targets.append(([mx, my, pl.lift_height], GRIP_HOLD))
         else:
             base = world.objects[spec.objects[1]]
             bx, by, bz = base.pose.position
             stack_z = bz + base.half_extents[2] + moved.half_extents[2]
             # The held object hangs grasp_attach_height below the EE.
             place_z = stack_z + grasp_attach_height(cfg, steps)
-            add("lift", [mx, my, pl.carry_height], GRIP_HOLD)
-            add("align", [bx, by, pl.carry_height], GRIP_HOLD)
-            add("lower", [bx, by, place_z], GRIP_HOLD)
-            add("release", [bx, by, place_z], GRIP_OPEN)
+            targets += [([mx, my, pl.carry_height], GRIP_HOLD), ([bx, by, pl.carry_height], GRIP_HOLD),
+                        ([bx, by, place_z], GRIP_HOLD), ([bx, by, place_z], GRIP_OPEN)]
 
+    stages = [Stage(name, _upright(position, gripper), steps)
+              for name, (position, gripper) in zip(spec.stage_names, targets, strict=True)]
     return Plan(task_id, tuple(stages), seed), world
 
 
 def plan_commands(plan: Plan, start: Pose, onset: int = 0) -> list:
     """The per-step waypoint stream a rollout feeds to the simulator, from index `onset` on."""
-    commands, first = [], 0
-    for stage in plan.stages:
-        if first + stage.emitted_steps() > onset:
+    commands = []
+    for stage, first, end in zip(plan.stages, (0, *plan.stage_ends), plan.stage_ends):
+        if end > onset:
             commands.extend(stage_commands(stage, start)[max(onset - first, 0) :])
-        first += stage.emitted_steps()
         start = stage.target
     return commands
 
@@ -273,19 +277,4 @@ def rollout_plan(
     commands = (*head, *plan_commands(plan, world.ee_pose, onset))
     run = commands[:max_steps]
     worlds = (*lent, *sim.drive(lent[-1] if lent else world, run[len(lent) :]))
-    # Each executed stage ends at its cumulative emitted step; a truncated
-    # final stage still closes the partition.
-    boundaries = []
-    end = 0
-    for stage in plan.stages:
-        if end >= len(worlds):
-            break
-        end += stage.emitted_steps()
-        boundaries.append(min(end, len(worlds)) - 1)
-    return Trajectory(
-        plan=plan,
-        start=world,
-        commands=commands,
-        worlds=worlds,
-        stage_boundaries=tuple(boundaries),
-    )
+    return Trajectory(plan=plan, start=world, commands=commands, worlds=worlds)

@@ -35,11 +35,11 @@ def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simul
     """Replay one candidate from the deviation point. Marks and returns success.
 
     A deviation index outside the case's window is refused without a replay."""
-    failed_start, correct_start, d_range, c_range = deviated_stage(case)
+    start, d_range, c_range = deviated_stage(case)
     if candidate.d_index not in d_range:
         return False
     budget = step_budget(len(case.correct.commands), cfg)
-    global_d = failed_start + candidate.d_index
+    global_d = start + candidate.d_index
 
     # The failure, exactly as recorded, up to the deviation point.
     steps = global_d + 1
@@ -59,7 +59,7 @@ def verify_candidate(case, candidate: CandidateRecovery, cfg: Config, sim: Simul
 
         # The correct plan takes over past the correction window, one step per
         # waypoint; a correction the arm cannot track from fails here.
-        resume = case.correct.commands[correct_start + c_range.stop :]
+        resume = case.correct.commands[start + c_range.stop :]
         if steps + len(resume) > budget:
             return False
         worlds = sim.drive(world, resume)

@@ -151,6 +151,27 @@ class TestGenerate:
         assert code == EXIT_OK
         assert (tmp_path / "dataset.jsonl").read_bytes() == (outdir / "dataset.jsonl").read_bytes()
 
+    def test_failed_run_leaves_out_as_it_found_it(self, tmp_path, capsys, monkeypatch):
+        # The shards of the tasks before push_cube were rewritten beside the earlier
+        # run's dataset.jsonl and manifest.json.
+        out = tmp_path / "out"
+        assert run_cli(["generate", "--task", "all", "--seeds", "0", "--out", str(out)],
+                       capsys)[0] == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def fail_on_push(task, *args):
+            if task == "push_cube":
+                raise FailSafeError("push_cube failed")
+            return generate_task_entries(task, *args)
+
+        monkeypatch.setattr("failsafe.cli.generate_task_entries", fail_on_push)
+        code, payload, err = run_cli(
+            ["generate", "--task", "all", "--seeds", "1", "--out", str(out)], capsys
+        )
+        assert (code, payload) == (EXIT_RUNTIME, None)
+        assert "push_cube failed" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_unknown_task_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["generate", "--task", "bogus", "--seeds", "1..2", "--out", str(tmp_path)], capsys

@@ -200,6 +200,12 @@ class TestMappingValidation:
         pytest.param({"supervisor": {"faults": {"push_cube": [
             {"mode": "translation", "axis": "x", "range": [0.03, 0.1], "stages": ["grasp"]}]}}},
             "supervisor.faults.push_cube", id="fault-stage-not-in-task"),
+        # An int too large for a float is refused as non-finite, not with a traceback.
+        pytest.param({"sim": {"max_ee_speed": 10**400}}, "sim.max_ee_speed",
+                     id="speed-past-float"),
+        pytest.param({"tasks": {"pick_cube": {"failures": [
+            {"mode": "translation", "axis": "x", "range": [0.03, 10**400], "stages": ["grasp"]}]}}},
+            "tasks.pick_cube.failures[0].range", id="range-end-past-float"),
     ])
     def test_task_maps_and_failure_entries_name_their_path(self, data, path):
         with pytest.raises(ConfigError, match=re.escape(f"'{path}'")):

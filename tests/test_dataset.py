@@ -352,6 +352,7 @@ class TestSerialization:
             lambda r: r["provenance"].update(seed=2**32),  # aliases seed 0's streams
             lambda r: r["failure_type"].update(mode=["translation"]),  # unhashable
             lambda r: r["failure_type"].update(axis={"x": 1}),
+            lambda r: r["frames"][0]["ee"]["position"].__setitem__(0, 10**400),  # past a float
         ],
     )
     def test_malformed_records_rejected_with_line_number(
@@ -377,6 +378,7 @@ class TestSerialization:
             (["k", 1.0, True], "frames[2].cameras.front.v must be a number"),
             (["k", 1.0], "frames[2].cameras.front items must be [keypoint, u, v]"),
             ([7, 1.0, 1.0], "frames[2].cameras.front items must be [keypoint, u, v]"),
+            (["k", 10**400, 1.0], "frames[2].cameras.front.u must be finite"),
         ],
     )
     def test_bad_keypoint_named(self, corpus, tmp_path, item, message):

@@ -301,10 +301,11 @@ class TestSharedPrefix:
             assert all(a is b for a, b in zip(shared.commands[:k], correct.commands))
             assert all(a is b for a, b in zip(shared.worlds[:k], correct.worlds))
 
+    @pytest.mark.parametrize("task_id", sorted(TASKS))
     @pytest.mark.parametrize("mode", ["translation", "rotation", "no_ops@0", "no_ops@mid"])
-    def test_failed_rollout_names_its_perturbed_plan_and_start(self, cfg, sim, mode):
+    def test_failed_rollout_names_its_perturbed_plan_and_start(self, cfg, sim, task_id, mode):
         for seed in range(4):
-            plan, world = plan_task("stack_cube", seed, cfg)
+            plan, world = plan_task(task_id, seed, cfg)
             correct = rollout_plan(plan, world, sim)
             spec = forced_spec(mode, plan, seed)
             want = perturb_stage(plan, spec)

@@ -87,11 +87,11 @@ def line_trajectory(n, x_offset=0.0):
         Pose(np.array([x_offset, 0.002 * i, 0.1]), IDENTITY_QUAT, 0.5) for i in range(n)
     )
     return Trajectory(
-        plan=types.SimpleNamespace(task_id="pick_cube", seed=0),  # stands in for a Plan
+        # stands in for a one-stage Plan
+        plan=types.SimpleNamespace(task_id="pick_cube", seed=0, stage_ends=(n,)),
         start=WorldState(ee_pose=commands[0], placed={}),
         commands=commands,
         worlds=tuple(WorldState(ee_pose=pose, placed={}) for pose in commands),
-        stage_boundaries=(n - 1,),
     )
 
 
