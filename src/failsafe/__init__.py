@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .config import TASKS, Config, default_config, load_config, task_spec
 from .dataset import (
     DatasetEntry,
-    DatasetStats,
     build_entry,
     build_gt_entries,
     dataset_stats,
@@ -59,7 +58,6 @@ __all__ = [
     "ContractViolation",
     "DatasetEntry",
     "DatasetFormatError",
-    "DatasetStats",
     "DatasetVersionError",
     "DeltaAction",
     "EmptyPlanError",

@@ -160,7 +160,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    _emit(dataset_stats(args.data).summary())
+    _emit(dataset_stats(args.data))
     return EXIT_OK
 
 

@@ -37,6 +37,9 @@ FAILURE_MODES = {
     "no_ops": ((None,), ("steps",)),
 }
 
+# The fixed cameras aim here; roughly the center of the manipulation volume.
+LOOK_AT = (0.0, 0.0, 0.05)
+
 # Each task family's stage names, in plan order.
 FAMILY_STAGES = {
     "pick": ("reach", "grasp", "lift"),
@@ -388,6 +391,9 @@ def _check_ranges(cfg: Config):
         section, key = path.split(".")
         return getattr(getattr(cfg, section), key)
 
+    for key in ("front_camera", "side_camera"):  # a camera on its aim point has no view axis
+        if math.dist(getattr(sim, key), LOOK_AT) < 1e-9:
+            raise ConfigError(f"'sim.{key}' sits on the cameras' look-at point {LOOK_AT}")
     for path in ("sim.max_ee_speed", "sim.max_ee_angular", "sim.max_gripper_rate",
                  "sim.goal_radius", "sim.stack_z_tol", "sim.cube_half_extent",
                  "sim.sphere_radius", "dataset.failure_to_gt_ratio"):
@@ -395,6 +401,7 @@ def _check_ranges(cfg: Config):
             raise ConfigError(f"'{path}' must be positive")
     for path, low in (  # every setting bounded only from below, with its least value
         ("planner.max_placement_attempts", 1), ("planner.placement_half_range", 0),
+        ("planner.min_stage_steps", 1),
         ("dataset.candidates_per_case", 1), ("dataset.gt_entries_per_seed", 0),
         ("supervisor.cadence", 1), ("supervisor.budget_slack", 0), ("supervisor.settle_steps", 0),
         ("verifier.budget_slack", 0), ("verifier.max_transit_steps", 0),

@@ -5,9 +5,11 @@ a verified recovery label cut from a failed trajectory, or a success label
 cut from an unperturbed rollout. Files hold one JSON record per line with
 an explicit schema version, written atomically (atomic_writer, shared by
 every file the package writes) in a canonical sort order so the same inputs
-always produce the same bytes.
+always produce the same bytes; a number that is not finite is refused. An entry's
+sub_task is its plan's stage name. The stats report is stats_summary of its counts.
 """
 
+import collections
 import contextlib
 import functools
 import json
@@ -171,7 +173,7 @@ def build_entry(case, candidate, frame):
     return DatasetEntry(
         task_id=plan.task_id,
         instruction=task_spec(plan.task_id).instruction,
-        sub_task=plan.stages[spec.stage_index].name,
+        sub_task=plan.stage_names[spec.stage_index],
         frames=_window(case.failed, start + candidate.d_index, frame),
         is_failure=True,
         failure_type=(spec.mode, spec.axis),
@@ -193,14 +195,14 @@ def build_gt_entries(trajectory, cfg, frame):
     count = min(cfg.dataset.gt_entries_per_seed, len(eligible))
     rng = seed_stream("gt-window", task_id, seed)
     ends = sorted(int(e) for e in rng.choice(eligible, size=count, replace=False))
-    spec = task_spec(task_id)
+    instruction, names = task_spec(task_id).instruction, trajectory.plan.stage_names
     entries = []
     for end in ends:
         entries.append(
             DatasetEntry(
                 task_id=task_id,
-                instruction=spec.instruction,
-                sub_task=spec.stage_names[trajectory.stage_at(end)],
+                instruction=instruction,
+                sub_task=names[trajectory.stage_at(end)],
                 frames=_window(trajectory, end, frame),
                 is_failure=False,
                 failure_type=None,
@@ -278,12 +280,22 @@ def _frame_record(frame: ObservationFrame) -> dict:
     }
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 def write_dataset(entries, path) -> int:
-    """Sort, serialize, and atomically replace `path`. Returns entry count."""
+    """Sort, serialize, and atomically replace `path` (left as it was if an entry
+    holds a number that is not finite: ContractViolation). Returns entry count."""
     ordered = sorted(entries, key=sort_key)
     with atomic_writer(path) as fh:
         for e in ordered:
-            fh.write((json.dumps(e.to_record(), separators=(",", ":")) + "\n").encode("utf-8"))
+            record = e.to_record()
+            try:
+                line = _ENCODER.encode(record)
+            except ValueError:  # allow_nan=False: a NaN or an infinity
+                raise ContractViolation(f"entry {e.task_id} seed {e.seed} ending at step "
+                                        f"{e.end_step} holds a number that is not finite") from None
+            fh.write((line + "\n").encode("utf-8"))
     return len(ordered)
 
 
@@ -334,8 +346,11 @@ def read_dataset(path):
     return entries
 
 
-def dataset_stats(path) -> "DatasetStats":
-    return DatasetStats.from_entries(read_dataset(path))
+def dataset_stats(path) -> dict:
+    """The stats report of a dataset file: stats_summary of its entries' columns."""
+    return stats_summary(collections.Counter(
+        (e.task_id, failure_label(*e.failure_type) if e.is_failure else "gt")
+        for e in read_dataset(path)))
 
 
 def split_by_seed(entries, test_seeds):
@@ -437,8 +452,8 @@ def _frame_from_record(record, what) -> ObservationFrame:
                 )
             )
         cameras[cam] = parsed
-    if record["image_path"] is not None and not isinstance(record["image_path"], str):
-        raise DatasetFormatError(f"{what}.image_path must be a string or null")
+    if record["image_path"] is not None:  # reserved: nothing writes a path, so none reads back
+        raise DatasetFormatError(f"{what}.image_path must be null")
     return ObservationFrame(step, ee_pose=ee, object_poses=objects, cameras=cameras)
 
 
@@ -520,65 +535,26 @@ def entry_from_record(record) -> DatasetEntry:
 # -- statistics ------------------------------------------------------------
 
 
-@dataclass
-class DatasetStats:
-    """Entry counts keyed by (task, column); GT entries land in column 'gt'."""
-
-    counts: dict
-
-    def __post_init__(self):
-        clean = {}
-        for key, value in self.counts.items():
-            task, label = key
-            if label not in STAT_LABELS:
-                raise ContractViolation(f"unknown stats column '{label}'")
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ContractViolation("stats counts must be non-negative integers")
-            if value:
-                clean[(task, label)] = value
-        self.counts = clean
-
-    @classmethod
-    def from_entries(cls, entries) -> "DatasetStats":
-        counts = {}
-        for entry in entries:
-            label = "gt" if not entry.is_failure else failure_label(*entry.failure_type)
-            key = (entry.task_id, label)
-            counts[key] = counts.get(key, 0) + 1
-        return cls(counts)
-
-    @property
-    def total_failures(self) -> int:
-        return sum(v for (_, label), v in self.counts.items() if label != "gt")
-
-    @property
-    def total_gt(self) -> int:
-        return sum(v for (_, label), v in self.counts.items() if label == "gt")
-
-    @property
-    def ratio(self) -> float:
-        """Failure-to-GT ratio; 0.0 for no failures, inf for no GT."""
-        if self.total_failures == 0:
-            return 0.0
-        if self.total_gt == 0:
-            return math.inf
-        return self.total_failures / self.total_gt
-
-    def ratio_label(self) -> str:
-        return f"{self.ratio:.1f}:1"
-
-    def summary(self) -> dict:
-        """Plain-JSON report: per-task rows, per-type totals, the ratio."""
-        rows = {task: dict.fromkeys(STAT_LABELS, 0) for task, _ in sorted(self.counts)}
-        totals = dict.fromkeys(STAT_LABELS, 0)
-        for (task, label), value in self.counts.items():
-            rows[task][label] = value
+def stats_summary(counts) -> dict:
+    """The plain-JSON stats report of (task, column) -> count, GT in column 'gt': a row per task
+    with a non-zero count, column totals, the failure:GT ratio (0.0 with no failures)."""
+    rows, totals = {}, dict.fromkeys(STAT_LABELS, 0)
+    for (task, label), value in counts.items():
+        if label not in STAT_LABELS:
+            raise ContractViolation(f"unknown stats column '{label}'")
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ContractViolation("stats counts must be non-negative integers")
+        if value:
+            rows.setdefault(task, dict.fromkeys(STAT_LABELS, 0))[label] = value
             totals[label] += value
-        return {
-            "tasks": rows,
-            "totals": totals,
-            "failures": self.total_failures,
-            "gt": self.total_gt,
-            "ratio": round(self.ratio, 2) if math.isfinite(self.ratio) else None,
-            "ratio_label": self.ratio_label(),
-        }
+    gt = totals["gt"]
+    failures = sum(totals.values()) - gt
+    ratio = 0.0 if not failures else failures / gt if gt else math.inf
+    return {
+        "tasks": rows,
+        "totals": totals,
+        "failures": failures,
+        "gt": gt,
+        "ratio": round(ratio, 2) if math.isfinite(ratio) else None,
+        "ratio_label": f"{ratio:.1f}:1",
+    }

@@ -90,7 +90,7 @@ def perturb_stage(plan: Plan, spec: FailureSpec) -> Plan:
 def sample_failure_spec(plan: Plan, entries, rng) -> FailureSpec:
     """Draw one perturbation: entry, then stage, then its parameters."""
     entry: FailureEntry = entries[int(rng.integers(len(entries)))]
-    stage_index = plan.stage_index(entry.stages[int(rng.integers(len(entry.stages)))])
+    stage_index = plan.stage_names.index(entry.stages[int(rng.integers(len(entry.stages)))])
     stage: Stage = plan.stages[stage_index]
     if entry.mode == "no_ops":
         duration = int(rng.integers(int(entry.lo), int(entry.hi) + 1))

@@ -15,15 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TASKS, Config
+from .config import LOOK_AT, TASKS, Config  # LOOK_AT re-exported: where the fixed cameras aim
 from .errors import InvalidCommandError, SceneError
 from .geometry import Pose, norm, qmul, quat_angle, quat_conjugate, quat_multiply, quat_rotate
 from .geometry import slerp
 
 DOWN = np.array([0.0, 0.0, -1.0])
 CAMERA_IDS = ("front", "side", "hand")
-# Fixed cameras aim here; roughly the center of the manipulation volume.
-LOOK_AT = np.array([0.0, 0.0, 0.05])
 # Box corner i is half_extents times row i: x, y, z signs in product order.
 _CORNER_SIGNS = np.array(list(itertools.product((-1, 1), repeat=3)))
 

@@ -169,7 +169,7 @@ def oracle_assistant_decide(frames, ground_truth) -> AssistantDecision:
     context, step = ground_truth, frames[-1].step
     stage = context.correct.stage_at(step)
     first, _ = context.correct.stage_bounds(stage)
-    name = context.correct.plan.stages[stage].name
+    name = context.correct.plan.stage_names[stage]
     quiet = AssistantDecision(sub_task=name, is_failure=False)
     if context.fault is None or step < onset_step(context.fault, context.correct):
         return quiet
@@ -207,7 +207,7 @@ def _window_frozen(frames) -> bool:
 def _context_stage(frames, context) -> str:
     if isinstance(context, DatasetEntry):
         return context.sub_task
-    return context.correct.plan.stages[context.correct.stage_at(frames[-1].step)].name
+    return context.correct.plan.stage_names[context.correct.stage_at(frames[-1].step)]
 
 
 def run_supervised_episode(

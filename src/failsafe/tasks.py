@@ -4,7 +4,8 @@ Each task is a fixed stage decomposition whose targets are computed from
 seeded random object placements. What a task is comes from its row in the
 task table (config.TASKS, re-exported here): the row's family picks the
 stage plan (and a push scene's goal), and its objects are the ids the scene
-places, one random xy each, the moved object first. A rollout feeds its plan's waypoints to
+places, one random xy each, the moved object first. A stage holds no name:
+Plan.stage_names reads the row's names, one per stage. A rollout feeds its plan's waypoints to
 the simulator from its start world, one step each, and keeps the world after each, so a
 (task, seed, config) triple fully determines it; one that agrees with another rollout before
 an onset index takes that one's commands and worlds up to there. A rollout does not judge
@@ -38,7 +39,6 @@ class Stage:
     waypoint hold_at, which stretches the stage without moving its target.
     """
 
-    name: str
     target: Pose
     steps: int
     hold_at: int = 0
@@ -46,9 +46,9 @@ class Stage:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ConfigError(f"stage '{self.name}' needs at least 1 step")
+            raise ConfigError("a stage needs at least 1 step")
         if self.hold_steps < 0 or not 0 <= self.hold_at <= self.steps:
-            raise ConfigError(f"stage '{self.name}' hold placement out of range")
+            raise ConfigError("stage hold placement out of range")
 
     def emitted_steps(self) -> int:
         return self.steps + self.hold_steps
@@ -69,12 +69,10 @@ class Plan:
     stages: tuple
     seed: int
 
-    def __post_init__(self):
-        if len(self.stages) < 2:
-            raise ConfigError(f"plan for '{self.task_id}' needs at least 2 stages")
-        names = [s.name for s in self.stages]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate stage names in '{self.task_id}' plan")
+    @property
+    def stage_names(self) -> tuple:
+        """The task table's stage names, one per stage."""
+        return task_spec(self.task_id).stage_names
 
     @cached_property
     def stage_ends(self) -> tuple:
@@ -83,12 +81,6 @@ class Plan:
 
     def total_steps(self) -> int:
         return self.stage_ends[-1]
-
-    def stage_index(self, name: str) -> int:
-        for i, stage in enumerate(self.stages):
-            if stage.name == name:
-                return i
-        raise ConfigError(f"task '{self.task_id}' has no stage '{name}'")
 
 
 @dataclass(frozen=True, eq=False)  # hashed by identity: frames are cached per rollout
@@ -247,9 +239,8 @@ def plan_task(task_id: str, seed: int, cfg: Config) -> tuple:
             targets += [([mx, my, pl.carry_height], GRIP_HOLD), ([bx, by, pl.carry_height], GRIP_HOLD),
                         ([bx, by, place_z], GRIP_HOLD), ([bx, by, place_z], GRIP_OPEN)]
 
-    stages = [Stage(name, _upright(position, gripper), steps)
-              for name, (position, gripper) in zip(spec.stage_names, targets, strict=True)]
-    return Plan(task_id, tuple(stages), seed), world
+    stages = tuple(Stage(_upright(position, gripper), steps) for position, gripper in targets)
+    return Plan(task_id, stages, seed), world
 
 
 def plan_commands(plan: Plan, start: Pose, onset: int = 0) -> list:

@@ -257,6 +257,39 @@ class TestGenerate:
         assert err.startswith("config error:") and "'sim.goal_radius'" in err
         assert not out.exists()
 
+    def test_camera_on_its_look_at_point_is_config_error(self, tmp_path, capsys):
+        # The config took it, and generate exited 0 with NaN on every line, which
+        # stats and verify then refused.
+        config = tmp_path / "camera.yaml"
+        config.write_text("sim: {front_camera: [0.0, 0.0, 0.05]}\n")
+        out = tmp_path / "out"
+        code, payload, err = run_cli(
+            ["generate", "--config", str(config), "--task", TASK, "--seeds", "0..1",
+             "--out", str(out)],
+            capsys,
+        )
+        assert (code, payload) == (EXIT_USAGE, None)
+        assert err.startswith("config error:") and "'sim.front_camera'" in err
+        assert not out.exists()
+
+    def test_non_finite_number_is_runtime_error_leaving_out_as_it_was(self, tmp_path, capsys):
+        # A focal length near the largest float projects a keypoint to an infinity;
+        # generate exited 0 and wrote Infinity, which no reader takes.
+        config = tmp_path / "focal.yaml"
+        config.write_text("sim: {focal_px: 1.0e+308}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "dataset.jsonl").write_bytes(b"earlier run\n")
+        code, payload, err = run_cli(
+            ["generate", "--config", str(config), "--task", TASK, "--seeds", "0..1",
+             "--out", str(out)],
+            capsys,
+        )
+        assert (code, payload) == (EXIT_RUNTIME, None)
+        assert "entry pick_cube seed" in err and "not finite" in err
+        assert os.listdir(out) == ["dataset.jsonl"]
+        assert (out / "dataset.jsonl").read_bytes() == b"earlier run\n"
+
     def test_stdout_reports_hashes(self, tmp_path, capsys):
         code, payload, _ = run_cli(
             ["generate", "--task", TASK, "--seeds", "3", "--out", str(tmp_path)], capsys

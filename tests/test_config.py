@@ -363,6 +363,8 @@ class TestEveryConfigIsChecked:
         ("sim", {"workspace_max": (0.3, 0.3, 0.01)}, "sim.workspace_min' z"),
         ("planner", {"steps_per_stage": 13}, "planner.steps_per_stage"),
         ("planner", {"min_stage_steps": 41}, "planner.min_stage_steps"),
+        # Passed the load and failed only at plan time, once the plan built its first stage.
+        ("planner", {"min_stage_steps": 0, "steps_per_stage": 0}, "planner.min_stage_steps"),
         ("planner", {"task_steps": {"push_cube": 13}}, "planner.task_steps.push_cube"),
         ("planner", {"grasp_approach_offset": 0.0}, "planner.grasp_approach_offset"),
         ("planner", {"grasp_approach_offset": 0.01}, "planner.grasp_approach_offset"),
@@ -374,6 +376,9 @@ class TestEveryConfigIsChecked:
         ("sim", {"stack_z_tol": 0.0}, "sim.stack_z_tol"),
         ("sim", {"cube_half_extent": -0.02}, "sim.cube_half_extent"),
         ("sim", {"sphere_radius": -0.02}, "sim.sphere_radius"),
+        # A fixed camera on the point it aims at has no view axis: every pixel was NaN.
+        ("sim", {"front_camera": (0.0, 0.0, 0.05)}, "sim.front_camera"),
+        ("sim", {"side_camera": (0.0, 0.0, 0.05)}, "sim.side_camera"),
     ])
     def test_replace_obeys_the_bounds(self, section, changes, key):
         # The bounds bind a Config however it is built, not only one loaded from YAML.

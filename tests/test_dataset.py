@@ -15,7 +15,6 @@ from failsafe.dataset import (
     SCHEMA_VERSION,
     WINDOW_FRAMES,
     DatasetEntry,
-    DatasetStats,
     build_entry,
     build_gt_entries,
     dataset_stats,
@@ -25,6 +24,7 @@ from failsafe.dataset import (
     observer,
     read_dataset,
     split_by_seed,
+    stats_summary,
     write_dataset,
 )
 from failsafe.errors import (
@@ -35,8 +35,8 @@ from failsafe.errors import (
 from failsafe.failures import generate_failure_case
 from failsafe.pipeline import build_seed_entries
 from failsafe.recovery import collect_candidates
-from failsafe.sim import Simulator
-from failsafe.tasks import plan_task, rollout_plan, task_spec
+from failsafe.sim import ObservationFrame, Simulator
+from failsafe.tasks import TASKS, plan_task, rollout_plan, task_spec
 from failsafe.verifier import verify_candidate
 
 
@@ -97,6 +97,13 @@ def funnel_calls(tmp_path_factory):
 
 def correct_rollout(seed, cfg, sim):
     return rollout_plan(*plan_task("pick_cube", seed, cfg), sim)
+
+
+def columns(entries):
+    """Each entry's stats column counted per task, as `stats` counts a file's lines."""
+    return collections.Counter(
+        (e.task_id, failure_label(*e.failure_type) if e.is_failure else "gt") for e in entries
+    )
 
 
 def records(entries):
@@ -174,6 +181,18 @@ class TestBuildEntry:
                 i for i, last in enumerate(traj.stage_boundaries) if end <= last
             )
             assert entry.sub_task == task_spec("pick_cube").stage_names[stage]
+
+    @pytest.mark.parametrize("task_id", sorted(TASKS))
+    def test_sub_task_is_the_plans_stage_name_for_every_task(self, cfg, sim, task_id):
+        # A failure line names the perturbed stage, a GT line the stage holding its end.
+        for seed in range(3):
+            correct = rollout_plan(*plan_task(task_id, seed, cfg), sim)
+            names = correct.plan.stage_names
+            for entry in build_seed_entries(task_id, seed, cfg):
+                if entry.is_failure:
+                    assert entry.sub_task == names[entry.provenance["stage"]]
+                else:
+                    assert entry.sub_task == names[correct.stage_at(entry.end_step)]
 
 
 class TestBuildSeedEntries:
@@ -353,6 +372,7 @@ class TestSerialization:
             lambda r: r["failure_type"].update(mode=["translation"]),  # unhashable
             lambda r: r["failure_type"].update(axis={"x": 1}),
             lambda r: r["frames"][0]["ee"]["position"].__setitem__(0, 10**400),  # past a float
+            lambda r: r["frames"][0].update(image_path="cam/0001.png"),  # the writer writes null
         ],
     )
     def test_malformed_records_rejected_with_line_number(
@@ -387,6 +407,21 @@ class TestSerialization:
         record["frames"][2]["cameras"]["front"][0] = item
         with pytest.raises(DatasetFormatError, match=message.replace("[", r"\[")):
             entry_from_record(json.loads(json.dumps(record)))
+
+    def test_writer_refuses_a_non_finite_number(self, corpus, tmp_path):
+        # json.dumps would write NaN, a token that no reader of this format takes.
+        _, entries = corpus
+        entry, frame = entries[0], entries[0].frames[0]
+        cameras = {**frame.cameras, "front": [("k", math.nan, 1.0)]}
+        nan_frame = ObservationFrame(
+            frame.step, ee_pose=frame.ee_pose, object_poses=frame.object_poses, cameras=cameras
+        )
+        path = tmp_path / "nan.jsonl"
+        path.write_bytes(b"before\n")
+        with pytest.raises(ContractViolation, match=f"pick_cube seed {entry.seed} .*not finite"):
+            write_dataset([replace(entry, frames=(nan_frame, *entry.frames[1:]))], path)
+        assert path.read_bytes() == b"before\n"
+        assert os.listdir(tmp_path) == ["nan.jsonl"]
 
     def test_integer_numbers_read_as_floats(self, corpus):
         _, entries = corpus
@@ -445,8 +480,7 @@ class TestRatio:
         kept_gt = [e for e in balanced if not e.is_failure]
         assert sum(e.is_failure for e in balanced) == 46
         assert len(kept_gt) == round(46 / cfg.dataset.failure_to_gt_ratio) == 20
-        stats = DatasetStats.from_entries(balanced)
-        assert stats.ratio_label() == "2.3:1"
+        assert stats_summary(columns(balanced))["ratio_label"] == "2.3:1"
 
     def test_small_gt_pool_kept_whole(self, cfg, corpus):
         _, base = corpus
@@ -475,24 +509,30 @@ class TestStats:
         with pytest.raises(ContractViolation):
             failure_label("rotation", "x")
 
-    def test_from_entries_and_path_agree(self, corpus, tmp_path):
+    def test_file_report_counts_its_entries(self, corpus, tmp_path):
         _, entries = corpus
         path = tmp_path / "stats.jsonl"
         write_dataset(entries, path)
-        assert dataset_stats(path) == DatasetStats.from_entries(entries)
+        assert dataset_stats(path) == stats_summary(columns(entries))
 
     def test_zero_failures_ratio(self):
-        stats = DatasetStats({("pick_cube", "gt"): 12})
-        assert stats.ratio == 0.0
-        assert stats.ratio_label() == "0.0:1"
+        summary = stats_summary({("pick_cube", "gt"): 12})
+        assert summary["ratio"] == 0.0
+        assert summary["ratio_label"] == "0.0:1"
 
     def test_zero_gt_ratio_is_infinite(self):
-        stats = DatasetStats({("pick_cube", "no_ops"): 5})
-        assert math.isinf(stats.ratio)
+        summary = stats_summary({("pick_cube", "no_ops"): 5})
+        assert summary["ratio"] is None
+        assert summary["ratio_label"] == "inf:1"
+
+    def test_all_zero_task_gets_no_row(self):
+        summary = stats_summary({("pick_cube", "gt"): 0, ("push_cube", "gt"): 3})
+        assert list(summary["tasks"]) == ["push_cube"]
+        assert summary["totals"]["gt"] == summary["gt"] == 3
 
     def test_summary_fields(self, corpus):
         _, entries = corpus
-        summary = DatasetStats.from_entries(entries).summary()
+        summary = stats_summary(columns(entries))
         assert set(summary) == {
             "tasks", "totals", "failures", "gt", "ratio", "ratio_label",
         }
@@ -501,7 +541,12 @@ class TestStats:
 
     def test_unknown_column_rejected(self):
         with pytest.raises(ContractViolation):
-            DatasetStats({("pick_cube", "meltdown"): 1})
+            stats_summary({("pick_cube", "meltdown"): 1})
+
+    @pytest.mark.parametrize("count", [-1, 1.0, True, "3", None])
+    def test_count_must_be_a_non_negative_integer(self, count):
+        with pytest.raises(ContractViolation):
+            stats_summary({("pick_cube", "gt"): count})
 
 
 class TestSplit:

@@ -40,7 +40,7 @@ class TestPlanning:
         a, world_a = plan_task("pick_cube", 3, cfg)
         b, world_b = plan_task("pick_cube", 3, cfg)
         for sa, sb in zip(a.stages, b.stages):
-            assert sa.name == sb.name and sa.steps == sb.steps
+            assert sa.steps == sb.steps
             assert np.array_equal(sa.target.position, sb.target.position)
             assert np.array_equal(sa.target.orientation, sb.target.orientation)
             assert sa.target.gripper == sb.target.gripper
@@ -58,18 +58,18 @@ class TestPlanning:
 
     def test_pick_stage_names(self, cfg):
         plan, _ = plan_task("pick_cube", 0, cfg)
-        assert [s.name for s in plan.stages] == ["reach", "grasp", "lift"]
+        assert plan.stage_names == ("reach", "grasp", "lift")
+        assert len(plan.stages) == 3
 
     def test_stack_runs_six_stages_and_opens_at_the_end(self, cfg):
         plan, _ = plan_task("stack_cube", 0, cfg)
-        names = [s.name for s in plan.stages]
-        assert names == ["reach", "grasp", "lift", "align", "lower", "release"]
-        assert len(plan.stages) >= 5
+        assert plan.stage_names == ("reach", "grasp", "lift", "align", "lower", "release")
+        assert len(plan.stages) == 6
         assert plan.stages[-1].target.gripper == GRIP_OPEN
 
     def test_grasp_target_hovers_on_the_approach_offset(self, cfg):
         plan, world = plan_task("pick_cube", 5, cfg)
-        grasp = plan.stages[plan.stage_index("grasp")]
+        grasp = plan.stages[plan.stage_names.index("grasp")]
         cube = world.objects["cube"].pose.position
         expected = cube + np.array([0.0, 0.0, cfg.planner.grasp_approach_offset])
         assert grasp.target.position == pytest.approx(expected, abs=1e-12)
@@ -77,7 +77,7 @@ class TestPlanning:
 
     def test_lower_target_compensates_for_attach_height(self, cfg):
         plan, world = plan_task("stack_cube", 2, cfg)
-        lower = plan.stages[plan.stage_index("lower")]
+        lower = plan.stages[plan.stage_names.index("lower")]
         base = world.objects["cube_b"].pose.position
         stack_z = base[2] + 2 * cfg.sim.cube_half_extent
         attach = grasp_attach_height(cfg, cfg.planner.stage_steps("stack_cube"))
@@ -103,7 +103,8 @@ class TestTaskTable:
         for seed in range(4):
             plan, world = plan_task(task_id, seed, cfg)
             assert tuple(world.objects) == spec.objects
-            assert tuple(s.name for s in plan.stages) == spec.stage_names
+            assert plan.stage_names == spec.stage_names
+            assert len(plan.stages) == len(spec.stage_names)
 
 
 class TestAttachHeight:
@@ -227,7 +228,7 @@ class TestRollout:
 class TestHolds:
     def stage(self, **kw):
         target = Pose(np.array([0.0, 0.0, 0.1]), IDENTITY_QUAT, 1.0)
-        return Stage("leg", target, 20, **kw)
+        return Stage(target, 20, **kw)
 
     def test_hold_grows_emitted_steps(self):
         assert self.stage(hold_at=5, hold_steps=7).emitted_steps() == 27
