@@ -5,7 +5,8 @@ a verified recovery label cut from a failed trajectory, or a success label
 cut from an unperturbed rollout. Files hold one JSON record per line with
 an explicit schema version, written atomically (atomic_writer, shared by
 every file the package writes) in a canonical sort order so the same inputs
-always produce the same bytes; a number that is not finite is refused. An entry's
+always produce the same bytes; a number that is not finite is refused. Reading checks
+every field and builds no frame part: a read frame views its line. An entry's
 sub_task is its plan's stage name. The stats report is stats_summary of its counts.
 """
 
@@ -47,17 +48,8 @@ _FAILURE_LABEL = {
 }
 STAT_LABELS = (*_FAILURE_LABEL.values(), "gt")
 
-_TOP_KEYS = (
-    "schema_version",
-    "task",
-    "instruction",
-    "sub_task",
-    "frames",
-    "is_failure",
-    "failure_type",
-    "recovery",
-    "provenance",
-)
+_TOP_KEYS = frozenset(("schema_version", "task", "instruction", "sub_task", "frames",
+                       "is_failure", "failure_type", "recovery", "provenance"))
 _PROVENANCE_KEYS = ("seed", "stage", "d_index", "c_index", "magnitude")
 
 
@@ -320,7 +312,7 @@ def atomic_writer(path):
 
 
 def read_dataset(path):
-    """Parse a dataset file back into entries.
+    """Parse a dataset file back into entries, checking every field of every line.
 
     A bad line (not UTF-8, not JSON, nested past the parser's depth, or not an
     entry) raises DatasetFormatError (or DatasetVersionError) naming its 1-based
@@ -330,20 +322,23 @@ def read_dataset(path):
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, start=1):
             try:
-                try:
-                    text = line.decode("utf-8").strip()
-                except UnicodeDecodeError as exc:
-                    raise DatasetFormatError(f"not UTF-8 ({exc})") from None
-                if not text:
-                    raise DatasetFormatError("blank line")
-                try:
-                    record = json.loads(text)
-                except (ValueError, RecursionError) as exc:
-                    raise DatasetFormatError(f"not valid JSON ({exc})") from None
-                entries.append(entry_from_record(record))
+                entries.append(entry_from_record(_parse(line), line))
             except DatasetFormatError as exc:
                 raise type(exc)(f"line {number}: {exc}", line=number) from None
     return entries
+
+
+def _parse(line: bytes):
+    try:
+        text = line.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"not UTF-8 ({exc})") from None
+    if not text:
+        raise DatasetFormatError("blank line")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DatasetFormatError(f"not valid JSON ({exc})") from None
 
 
 def dataset_stats(path) -> dict:
@@ -363,16 +358,20 @@ def split_by_seed(entries, test_seeds):
 
 # -- record validation -----------------------------------------------------
 
+_POSE_KEYS = frozenset(("position", "orientation", "gripper"))
+_FRAME_KEYS = frozenset(("step", "ee", "objects", "cameras", "image_path"))
+_CAMERA_KEYS = frozenset(CAMERA_IDS)
 
-def _require_keys(record, keys, what):
+
+def _require_keys(record, keys, what):  # keys: a set
     if not isinstance(record, dict):
         raise DatasetFormatError(f"{what} must be a mapping")
-    unknown = set(record) - set(keys)
+    if record.keys() == keys:
+        return
+    unknown = record.keys() - keys
     if unknown:
         raise DatasetFormatError(f"{what} has unknown keys {sorted(unknown)}")
-    missing = set(keys) - set(record)
-    if missing:
-        raise DatasetFormatError(f"{what} is missing keys {sorted(missing)}")
+    raise DatasetFormatError(f"{what} is missing keys {sorted(keys - record.keys())}")
 
 
 def _number(value, what, allow_none=False):
@@ -404,65 +403,81 @@ def _float_list(value, n, what):
     return [_number(v, what) for v in value]
 
 
-def _pose_from_record(record, what) -> Pose:
-    _require_keys(record, ("position", "orientation", "gripper"), what)
-    position = np.array(_float_list(record["position"], 3, f"{what}.position"))
-    orientation = np.array(
-        _float_list(record["orientation"], 4, f"{what}.orientation")
-    )
-    if abs(float(np.dot(orientation, orientation)) - 1.0) > 1e-9:
+def _check_pose(record, what):
+    _require_keys(record, _POSE_KEYS, what)
+    _float_list(record["position"], 3, f"{what}.position")
+    w, x, y, z = _float_list(record["orientation"], 4, f"{what}.orientation")
+    if abs(w * w + x * x + y * y + z * z - 1.0) > 1e-9:
         raise DatasetFormatError(f"{what}.orientation is not a unit quaternion")
-    gripper = _number(record["gripper"], f"{what}.gripper")
-    if not (0.0 <= gripper <= 1.0):
+    if not 0.0 <= _number(record["gripper"], f"{what}.gripper") <= 1.0:
         raise DatasetFormatError(f"{what}.gripper must lie in [0, 1]")
-    # Every field is checked above. Keep the writer's normalized quaternion
-    # bits rather than renormalizing, so reading inverts writing.
-    return Pose.trusted(position, orientation, gripper, normalised=True)
 
 
-def _frame_from_record(record, what) -> ObservationFrame:
-    _require_keys(record, ("step", "ee", "objects", "cameras", "image_path"), what)
+def _check_frame(record, what) -> int:
+    """The step of a frame record whose every field has been checked."""
+    _require_keys(record, _FRAME_KEYS, what)
     step = _integer(record["step"], f"{what}.step")
-    ee = _pose_from_record(record["ee"], f"{what}.ee")
-    objects_rec = record["objects"]
-    if not isinstance(objects_rec, dict):
+    _check_pose(record["ee"], f"{what}.ee")
+    objects = record["objects"]
+    if not isinstance(objects, dict):
         raise DatasetFormatError(f"{what}.objects must be a mapping")
-    objects = {}
-    for obj_id in sorted(objects_rec):
+    for obj_id in sorted(objects):
         if not isinstance(obj_id, str) or not obj_id:
             raise DatasetFormatError(f"{what}.objects keys must be non-empty strings")
-        objects[obj_id] = _pose_from_record(objects_rec[obj_id], f"{what}.objects[{obj_id}]")
-    _require_keys(record["cameras"], CAMERA_IDS, f"{what}.cameras")
-    cameras = {}
+        _check_pose(objects[obj_id], f"{what}.objects[{obj_id}]")
+    _require_keys(record["cameras"], _CAMERA_KEYS, f"{what}.cameras")
     for cam in CAMERA_IDS:
         points = record["cameras"][cam]
         if not isinstance(points, list):
             raise DatasetFormatError(f"{what}.cameras.{cam} must be a list")
-        parsed = []
+        u_what, v_what = f"{what}.cameras.{cam}.u", f"{what}.cameras.{cam}.v"
         for item in points:
             if not isinstance(item, list) or len(item) != 3 or not isinstance(item[0], str):
-                raise DatasetFormatError(
-                    f"{what}.cameras.{cam} items must be [keypoint, u, v]"
-                )
-            parsed.append(
-                (
-                    item[0],
-                    _number(item[1], f"{what}.cameras.{cam}.u"),
-                    _number(item[2], f"{what}.cameras.{cam}.v"),
-                )
-            )
-        cameras[cam] = parsed
+                raise DatasetFormatError(f"{what}.cameras.{cam} items must be [keypoint, u, v]")
+            _number(item[1], u_what)
+            _number(item[2], v_what)
     if record["image_path"] is not None:  # reserved: nothing writes a path, so none reads back
         raise DatasetFormatError(f"{what}.image_path must be null")
-    return ObservationFrame(step, ee_pose=ee, object_poses=objects, cameras=cameras)
+    return step
 
 
-def entry_from_record(record) -> DatasetEntry:
-    """Validate one parsed line and rebuild the entry it encodes."""
+class _Line:
+    """What a read entry's frames view: the bytes of its line, parsed once more for all of
+    them when one first makes a part. The reader checked every field, so a part is built
+    unchecked, with its conversions: floats from ints, the written quaternion bits (so
+    reading inverts writing) and the gripper clamp."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    @functools.cached_property
+    def _frames(self) -> list:
+        return _parse(self.data)["frames"]
+
+    def _frame_ee(self, index: int) -> Pose:
+        return _pose(self._frames[index]["ee"])
+
+    def _frame_objects(self, index: int) -> dict:
+        objects = self._frames[index]["objects"]
+        return {obj_id: _pose(objects[obj_id]) for obj_id in sorted(objects)}
+
+    def _frame_cameras(self, index: int) -> dict:
+        cameras = self._frames[index]["cameras"]
+        return {cam: [(kp, float(u), float(v)) for kp, u, v in cameras[cam]] for cam in CAMERA_IDS}
+
+
+def _pose(record) -> Pose:
+    position, orientation = (np.array(record[k], dtype=float) for k in ("position", "orientation"))
+    return Pose.trusted(position, orientation, record["gripper"], normalised=True)
+
+
+def entry_from_record(record, line=None) -> DatasetEntry:
+    """Check every field of one parsed line and rebuild the entry it encodes. Its frames
+    view `line`, the bytes the record was parsed from (by default, its frames encoded)."""
     if not isinstance(record, dict):
         raise DatasetFormatError("record must be a mapping")
     version = record.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # not True, not 1.0
         raise DatasetVersionError(
             f"schema_version {version!r} is not supported (this library reads {SCHEMA_VERSION})"
         )
@@ -476,9 +491,8 @@ def entry_from_record(record) -> DatasetEntry:
     frames_rec = record["frames"]
     if not isinstance(frames_rec, list) or len(frames_rec) != WINDOW_FRAMES:
         raise DatasetFormatError(f"frames must be a list of {WINDOW_FRAMES} records")
-    frames = [
-        _frame_from_record(f, f"frames[{i}]") for i, f in enumerate(frames_rec)
-    ]
+    steps = [_check_frame(f, f"frames[{i}]") for i, f in enumerate(frames_rec)]
+    source = _Line(_ENCODER.encode({"frames": frames_rec}).encode() if line is None else line)
     is_failure = record["is_failure"]
     if not isinstance(is_failure, bool):
         raise DatasetFormatError("is_failure must be a boolean")
@@ -487,7 +501,7 @@ def entry_from_record(record) -> DatasetEntry:
     if failure_rec is None:
         failure_type = None
     else:
-        _require_keys(failure_rec, ("mode", "axis"), "failure_type")
+        _require_keys(failure_rec, {"mode", "axis"}, "failure_type")
         failure_type = (failure_rec["mode"], failure_rec["axis"])  # DatasetEntry checks it
 
     recovery_rec = record["recovery"]
@@ -508,7 +522,7 @@ def entry_from_record(record) -> DatasetEntry:
         recovery.d_gripper = values[6]
 
     prov_rec = record["provenance"]
-    _require_keys(prov_rec, _PROVENANCE_KEYS, "provenance")
+    _require_keys(prov_rec, frozenset(_PROVENANCE_KEYS), "provenance")
     provenance = {
         "seed": _integer(prov_rec["seed"], "provenance.seed", limit=SEED_LIMIT),
         "stage": _integer(prov_rec["stage"], "provenance.stage", allow_none=True),
@@ -522,7 +536,7 @@ def entry_from_record(record) -> DatasetEntry:
             task_id=task,
             instruction=record["instruction"],
             sub_task=record["sub_task"],
-            frames=tuple(frames),
+            frames=tuple(ObservationFrame(step, (source, i)) for i, step in enumerate(steps)),
             is_failure=is_failure,
             failure_type=failure_type,
             recovery=recovery,

@@ -295,7 +295,16 @@ class Simulator:
         """The frame of world at a step: a view of it, each part made on first read."""
         return ObservationFrame(step, (self, world))
 
-    def _project_cameras(self, world: WorldState) -> dict:
+    # An observed frame's parts: it views (simulator, world) and asks for each on first read.
+    @staticmethod
+    def _frame_ee(world: WorldState) -> Pose:
+        return world.ee_pose.copy()
+
+    @staticmethod
+    def _frame_objects(world: WorldState) -> dict:
+        return {i: obj.pose.copy() for i, obj in sorted(world.objects.items())}
+
+    def _frame_cameras(self, world: WorldState) -> dict:
         ids, points = self._keypoints(world)
         bases = (self._front, self._side, self._hand_camera(world.ee_pose))
         return {cam: self._project_all(basis, ids, points) for cam, basis in zip(CAMERA_IDS, bases)}
@@ -333,30 +342,29 @@ class Simulator:
 
 
 class ObservationFrame:
-    """Numeric observation: poses plus per-camera pixel keypoints. Observed, it views its
-    (simulator, world) and makes each part on first read, letting go of the world once all
-    three are made; read back from a file, it is given its parts. A pickle carries it as it
-    is, view and made parts alike, so a part is made where it is first read."""
+    """Numeric observation: poses plus per-camera pixel keypoints. A frame views a (source,
+    key) pair, (simulator, world) when observed and (line, index) when read back from a
+    file, and asks its source for each part on first read, letting go of the view once all
+    three are made. A pickle carries it as it is, view and made parts alike, so a part is
+    made where it is first read."""
 
-    def __init__(self, step: int, view: tuple = (), **parts):
+    def __init__(self, step: int, view: tuple):
         self.step = step
-        if view:
-            self._sim, self._world = view
-        vars(self).update(parts)
+        self._source, self._key = view
 
     @functools.cached_property
     def ee_pose(self) -> Pose:
-        return self._made(self._world.ee_pose.copy())
+        return self._made(self._source._frame_ee(self._key))
 
     @functools.cached_property
     def object_poses(self) -> dict:  # object-id -> Pose, in id order
-        return self._made({i: obj.pose.copy() for i, obj in sorted(self._world.objects.items())})
+        return self._made(self._source._frame_objects(self._key))
 
     @functools.cached_property
     def cameras(self) -> dict:  # camera-id -> list of (keypoint-id, u, v)
-        return self._made(self._sim._project_cameras(self._world))
+        return self._made(self._source._frame_cameras(self._key))
 
-    def _made(self, part):  # the last part made lets go of the world
+    def _made(self, part):  # the last part made lets go of the view
         if len(vars(self).keys() & {"ee_pose", "object_poses", "cameras"}) == 2:
-            del self._sim, self._world
+            del self._source, self._key
         return part

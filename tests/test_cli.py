@@ -501,6 +501,19 @@ class TestVerify:
         assert payload is None
         assert err.count("\n") == 1 and "manifest.json" in err
 
+    def test_schema_version_must_be_the_integer_one(self, dataset, tmp_path, capsys):
+        # True == 1 == 1.0: compared with !=, these lines verified and counted as version 1.
+        lone = tmp_path / "lone.jsonl"
+        lines = open(dataset, "rb").read().splitlines(keepends=True)
+        for i, version in ((0, b"true"), (1, b"1.0")):
+            assert lines[i].startswith(b'{"schema_version":1,')
+            lines[i] = lines[i].replace(b":1,", b":" + version + b",", 1)
+        lone.write_bytes(b"".join(lines))
+        for command in ("verify", "stats"):
+            code, payload, err = run_cli([command, "--data", str(lone)], capsys)
+            assert code == EXIT_RUNTIME and payload is None
+            assert "line 1: schema_version True is not supported" in err
+
     def test_no_manifest_warns_but_verifies(self, dataset, tmp_path, capsys):
         lone = tmp_path / "lone.jsonl"
         lone.write_bytes(open(dataset, "rb").read())

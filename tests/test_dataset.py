@@ -1,13 +1,18 @@
 """Dataset construction, serialization, stats, and splits."""
 
 import collections
+import copy
+import gc
 import json
 import math
 import os
 import pickle
 import stat
+import struct
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from failsafe.config import default_config, parse_failure_entry
@@ -15,6 +20,8 @@ from failsafe.dataset import (
     SCHEMA_VERSION,
     WINDOW_FRAMES,
     DatasetEntry,
+    _float_list,
+    _number,
     build_entry,
     build_gt_entries,
     dataset_stats,
@@ -33,9 +40,10 @@ from failsafe.errors import (
     DatasetVersionError,
 )
 from failsafe.failures import generate_failure_case
+from failsafe.geometry import Pose
 from failsafe.pipeline import build_seed_entries
 from failsafe.recovery import collect_candidates
-from failsafe.sim import ObservationFrame, Simulator
+from failsafe.sim import CAMERA_IDS, Simulator
 from failsafe.tasks import TASKS, plan_task, rollout_plan, task_spec
 from failsafe.verifier import verify_candidate
 
@@ -78,7 +86,7 @@ def funnel_calls(tmp_path_factory):
 
     calls = collections.Counter()
     with pytest.MonkeyPatch.context() as patch:
-        targets = [(Simulator, n) for n in ("observe", "_project_cameras", "step")]
+        targets = [(Simulator, n) for n in ("observe", "_frame_cameras", "step")]
         targets += [(Simulator, "evaluate_success"), (failsafe.sim, "attached_object_pose")]
         targets += [(failsafe.sim, "_segment_point_distance")]
         for owner, name in targets:
@@ -228,9 +236,9 @@ class TestBuildSeedEntries:
         block = build_seed_entries("pick_cube", 0, cfg)
         assert any(e.is_failure for e in block) and not all(e.is_failure for e in block)
         projected = []
-        project = Simulator._project_cameras
+        project = Simulator._frame_cameras
         monkeypatch.setattr(
-            Simulator, "_project_cameras", lambda *a: projected.append(1) or project(*a)
+            Simulator, "_frame_cameras", lambda *a: projected.append(1) or project(*a)
         )
         data = pickle.dumps(block)
         assert projected == []
@@ -240,7 +248,7 @@ class TestBuildSeedEntries:
         # `generate --task all --seeds 0..7 --jobs 1`. When every frame rotated every
         # box's corners and every window observed its steps afresh, this read 2520
         # observe calls, 2230 frames projected and 2090 box-corner rotations.
-        names = ("observe", "_project_cameras", "box_corner_rotations", "step")
+        names = ("observe", "_frame_cameras", "box_corner_rotations", "step")
         assert tuple(funnel_calls[name] for name in names) == (2096, 1830, 510, 24428)
 
     def test_places_carried_objects_on_read_and_screens_contacts(self, funnel_calls):
@@ -356,6 +364,71 @@ class TestSerialization:
         assert err.value.line == 2
         assert isinstance(err.value, DatasetFormatError)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_is_the_integer_one(self, corpus, tmp_path, version):
+        # True == 1 and 1.0 == 1, so a != test read both lines as version 1.
+        _, entries = corpus
+        path = tmp_path / "v.jsonl"
+        write_dataset(entries[:2], path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"schema_version":1,', f'"schema_version":{json.dumps(version)},')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetVersionError, match=f"^line 2: schema_version {version!r} ") as err:
+            read_dataset(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("excess, refused", [(2e-9, True), (-2e-9, True), (5e-10, False),
+                                                 (-5e-10, False)])
+    def test_unit_quaternion_tolerance(self, corpus, excess, refused):
+        # w*w + x*x + y*y + z*z in that order, on Python floats, within 1e-9 of one.
+        _, entries = corpus
+        record = json.loads(json.dumps(entries[0].to_record()))
+        for axis in range(4):
+            orientation = [0.0] * 4
+            orientation[axis] = math.sqrt(1.0 + excess)
+            record["frames"][3]["objects"]["cube"]["orientation"] = orientation
+            if refused:
+                with pytest.raises(DatasetFormatError, match=r"^frames\[3\]\.objects\[cube\]"
+                                   r"\.orientation is not a unit quaternion$"):
+                    entry_from_record(record)
+            else:
+                read = entry_from_record(record).frames[3].object_poses["cube"].orientation
+                assert read.tolist() == orientation  # the written bits, not renormalised
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda f: f["ee"]["orientation"].__setitem__(2, math.nan),
+             "frames[4].ee.orientation must be finite"),
+            (lambda f: f["objects"]["cube"]["orientation"].__setitem__(0, math.inf),
+             "frames[4].objects[cube].orientation must be finite"),
+            (lambda f: f["ee"].update(gripper=True), "frames[4].ee.gripper must be a number"),
+            (lambda f: f["ee"]["orientation"].pop(),
+             "frames[4].ee.orientation must be a list of 4 numbers"),
+            (lambda f: f["objects"]["cube"]["position"].__setitem__(1, 10**400),
+             "frames[4].objects[cube].position must be finite"),
+            (lambda f: f["cameras"]["hand"][-1].__setitem__(0, 3),
+             "frames[4].cameras.hand items must be [keypoint, u, v]"),
+            (lambda f: f["objects"].update({"": f["objects"]["cube"]}),
+             "frames[4].objects keys must be non-empty strings"),
+            (lambda f: f["cameras"].update(side={"cube:center": [1.0, 2.0]}),
+             "frames[4].cameras.side must be a list"),
+        ],
+    )
+    def test_each_frame_field_is_checked_on_read(self, corpus, tmp_path, mangle, message):
+        # The reader builds no frame part, so each field is refused by its check alone.
+        _, entries = corpus
+        path = tmp_path / "bad.jsonl"
+        write_dataset(entries[:3], path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        mangle(record["frames"][4])
+        lines[2] = json.dumps(record, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError) as err:
+            read_dataset(path)
+        assert str(err.value) == f"line 3: {message}" and err.value.line == 3
+
     @pytest.mark.parametrize(
         "mangle",
         [
@@ -412,10 +485,8 @@ class TestSerialization:
         # json.dumps would write NaN, a token that no reader of this format takes.
         _, entries = corpus
         entry, frame = entries[0], entries[0].frames[0]
-        cameras = {**frame.cameras, "front": [("k", math.nan, 1.0)]}
-        nan_frame = ObservationFrame(
-            frame.step, ee_pose=frame.ee_pose, object_poses=frame.object_poses, cameras=cameras
-        )
+        nan_frame = copy.copy(frame)
+        vars(nan_frame)["cameras"] = {**frame.cameras, "front": [("k", math.nan, 1.0)]}
         path = tmp_path / "nan.jsonl"
         path.write_bytes(b"before\n")
         with pytest.raises(ContractViolation, match=f"pick_cube seed {entry.seed} .*not finite"):
@@ -561,3 +632,96 @@ class TestSplit:
         _, entries = corpus
         train, test = split_by_seed(entries, [])
         assert train == list(entries) and test == []
+
+
+@pytest.fixture(scope="module")
+def all_tasks(tmp_path_factory):
+    """The dataset.jsonl of `generate --task all --seeds 0..2`."""
+    from failsafe.cli import cli_main
+
+    out = tmp_path_factory.mktemp("all") / "run"
+    assert cli_main(["generate", "--task", "all", "--seeds", "0..2", "--out", str(out)]) == 0
+    return out / "dataset.jsonl"
+
+
+def eager_parts(record):
+    """A frame record's parts as the reader built them before a read frame made each on
+    first read: its conversions, copied from that build with the checks left out."""
+    def pose(r):
+        position = np.array(_float_list(r["position"], 3, "position"))
+        orientation = np.array(_float_list(r["orientation"], 4, "orientation"))
+        return Pose.trusted(position, orientation, _number(r["gripper"], "gripper"), normalised=True)
+
+    objects = {obj_id: pose(record["objects"][obj_id]) for obj_id in sorted(record["objects"])}
+    cameras = {
+        cam: [(kp, _number(u, "u"), _number(v, "v")) for kp, u, v in record["cameras"][cam]]
+        for cam in CAMERA_IDS
+    }
+    return pose(record["ee"]), objects, cameras
+
+
+def exact(value):
+    """value with each float as its bits and each value's type kept: == is bit for bit and
+    type for type. A pose is its position and orientation lists and its gripper."""
+    if isinstance(value, Pose):
+        value = (value.position.tolist(), value.orientation.tolist(), value.gripper)
+    if type(value) is float:
+        return "float", struct.pack("<d", value)
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [exact(v) for v in value]
+    if isinstance(value, dict):
+        return "dict", [(k, exact(v)) for k, v in value.items()]
+    return type(value).__name__, value
+
+
+class TestReadBack:
+    def test_parts_made_on_first_read_equal_the_eager_build(self, all_tasks):
+        lines = all_tasks.read_bytes().splitlines()
+        want = [[exact(eager_parts(f)) for f in json.loads(line)["frames"]] for line in lines]
+        read = read_dataset(all_tasks)
+        pickled = pickle.loads(pickle.dumps(read))
+        for entry in read[::2]:  # half of them carry a made part and a parsed line
+            entry.frames[0].cameras
+        carried = pickle.loads(pickle.dumps(read))
+        assert len({e.task_id for e in read}) == len(TASKS) and len(read) == len(want)
+        for entries in (read, pickled, carried):
+            got = [[exact((f.ee_pose, f.object_poses, f.cameras)) for f in e.frames] for e in entries]
+            assert got == want
+
+    def test_split_writes_the_input_lines_of_each_side(self, all_tasks, tmp_path):
+        from failsafe.cli import cli_main
+
+        argv = ["split", "--data", str(all_tasks), "--test-seeds", "1", "--out", str(tmp_path)]
+        assert cli_main(argv) == 0
+        lines = all_tasks.read_bytes().splitlines(keepends=True)
+        held = [json.loads(line)["provenance"]["seed"] == 1 for line in lines]
+        test = [line for line, h in zip(lines, held) if h]
+        assert test and len(test) < len(lines)
+        assert (tmp_path / "test.jsonl").read_bytes() == b"".join(test)
+        assert (tmp_path / "train.jsonl").read_bytes() == b"".join(
+            line for line, h in zip(lines, held) if not h
+        )
+
+    def test_read_builds_no_part_and_holds_about_the_file(self, all_tasks, monkeypatch):
+        # Before each read frame viewed its line, a read of the seeds 0..7 file made 5130
+        # trusted poses and held 3.6 times the file's bytes.
+        calls = collections.Counter()
+        trusted, loads = Pose.trusted.__func__, json.loads
+        monkeypatch.setattr(Pose, "trusted", classmethod(
+            lambda cls, *a, **k: calls.update(["trusted"]) or trusted(cls, *a, **k)))
+        monkeypatch.setattr(json, "loads", lambda text: calls.update(["parse"]) or loads(text))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            entries = read_dataset(all_tasks)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert calls == {"parse": len(entries)}
+        assert held <= 1.5 * all_tasks.stat().st_size
+        # One more parse makes every part of an entry's ten frames.
+        for frame in entries[0].frames:
+            frame.ee_pose, frame.object_poses, frame.cameras
+        assert calls["parse"] == len(entries) + 1
+        assert calls["trusted"] == sum(1 + len(f.object_poses) for f in entries[0].frames)

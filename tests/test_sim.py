@@ -16,7 +16,7 @@ import pytest
 
 import failsafe.sim
 from failsafe.config import TASKS, Config, default_config
-from failsafe.dataset import _frame_from_record, _frame_record
+from failsafe.dataset import _check_frame, _frame_record, _Line
 from failsafe.errors import InvalidCommandError, SceneError
 from failsafe.geometry import (
     IDENTITY_QUAT,
@@ -639,7 +639,7 @@ class TestObservation:
                 "side": sim._project_all(sim._side, ids, points),
                 "hand": sim._project_all((ee.position.copy(), old), ids, points),
             }
-            assert sim._project_cameras(world) == want
+            assert sim._frame_cameras(world) == want
 
     def test_cameras_projected_on_first_read_only(self, sim, monkeypatch):
         projected = count_projections(monkeypatch)
@@ -694,7 +694,7 @@ class TestObservation:
         frame = sim.observe(world, 3)
         copy = pickle.loads(pickle.dumps(frame))
         assert made == {} and projected == []  # pickling made no part
-        alive = weakref.ref(copy._world)
+        alive = weakref.ref(copy._key)  # the copied world
         for n, read in enumerate(("cameras", "ee_pose", "object_poses"), start=1):
             gc.collect()
             assert alive() is not None  # an unmade part still needs it
@@ -709,7 +709,9 @@ class TestObservation:
         world = make_world(objects={"cube": cube_at(0.05, 0.0), "block": cube_at(-0.1, 0.1)})
         frame = sim.observe(world, 4)
         record = json.loads(json.dumps(_frame_record(frame)))
-        read = _frame_record(_frame_from_record(record, "frame"))
+        assert _check_frame(record, "frame") == 4
+        line = _Line(json.dumps({"frames": [record]}).encode())
+        read = _frame_record(ObservationFrame(4, (line, 0)))
         assert read == _frame_record(frame)
         assert read != _frame_record(sim.observe(world, 5))
         other = make_world(objects={"cube": cube_at(0.05, 0.0)})
